@@ -56,7 +56,6 @@ from .discrepancy import (
     disc_heuristic,
     disc_value_at,
     evaluate_pair,
-    graph_density,
 )
 from .quantization import (
     CertificateLink,

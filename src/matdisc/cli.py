@@ -5,9 +5,10 @@ human summary to standard error.  Reports are deterministic for a fixed
 command line and seed, except for the "timing" block, which callers
 comparing runs should strip.
 
-Exit codes: 0 success, 2 bad parameters or unparseable input, 3 I/O
-failure, 4 input too large for the exact engine, 5 broken certificate
-chain, 6 verification found a hard violation.
+Exit codes: 0 success, 2 any input or parameter the package rejects, 3
+I/O failure, 4 input too large for the exact engine, 5 broken certificate
+chain, 6 verification found a hard violation.  Package errors carry
+their own code (MatdiscError.exit_code).
 """
 
 from __future__ import annotations
@@ -30,41 +31,12 @@ from .discrepancy import (
     disc_heuristic,
     disc2_gap_bound,
 )
-from .errors import (
-    BadEpsilonError,
-    BadTError,
-    CertificateLinkViolatedError,
-    EmptyCliqueError,
-    EmptyGraphError,
-    FamilyTooSmallError,
-    FormatError,
-    ImproperPartitionError,
-    NotBinaryError,
-    NotPrimeError,
-    NotRegularError,
-    TooLargeError,
-    ZeroDegreeError,
-)
+from .errors import FormatError, MatdiscError, TooLargeError
 from .graphs import Graph, from_adjacency, read_graph, write_graph
 from .linalg import SymmetricMatrix, eig_symmetric, read_matrix, rho_prime, write_matrix
 from .quantization import certify_sigma2
 from .spectral import chung_alpha_check, thomason_report
 from .suite import check_sparse_family, run_suite
-
-_PARAM_ERRORS = (
-    FormatError,
-    NotBinaryError,
-    NotPrimeError,
-    BadTError,
-    BadEpsilonError,
-    ImproperPartitionError,
-    EmptyCliqueError,
-    EmptyGraphError,
-    FamilyTooSmallError,
-    NotRegularError,
-    ZeroDegreeError,
-    ValueError,
-)
 
 
 def _jsonify(obj):
@@ -312,9 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="discrepancy and spectrum of a file")
     ana.add_argument("input")
-    mode = ana.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=False)
-    mode.add_argument("--heuristic", action="store_true", default=False)
+    ana.add_argument("--heuristic", action="store_true", default=False)
     ana.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     ana.add_argument("--seed", type=int, default=None)
     ana.add_argument("--threads", type=int, default=_default_threads())
@@ -365,20 +335,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results, extra, summary, code = _HANDLERS[args.command](args)
-    except _PARAM_ERRORS as exc:
+    except MatdiscError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TooLargeError):
+            print("hint: rerun with --heuristic --iters N --seed S",
+                  file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --heuristic --iters N --seed S",
-              file=sys.stderr)
-        return 4
-    except CertificateLinkViolatedError as exc:
-        print(f"certificate link violated: {exc}", file=sys.stderr)
-        return 5
     report = {
         "command": list(argv) if argv is not None else sys.argv[1:],
         "version": __version__,

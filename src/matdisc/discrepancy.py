@@ -281,13 +281,8 @@ def disc_value_at(A: SymmetricMatrix, X, Y) -> float:
     return evaluate_pair(centered_matrix(A), X, Y)
 
 
-def graph_density(G: Graph) -> float:
-    """e(G) / binom(n, 2); zero for a single vertex."""
-    return G.density()
-
-
 def _graph_centered(G: Graph) -> np.ndarray:
-    return G.adjacency.a - graph_density(G)
+    return G.adjacency.a - G.density()
 
 
 def disc2_graph(
@@ -319,7 +314,7 @@ def disc1_value_at(G: Graph, X) -> float:
     a = G.adjacency.a
     e_in = float(a[np.ix_(xi, xi)].sum()) / 2.0
     size = xi.size
-    rho = graph_density(G)
+    rho = G.density()
     return abs(e_in - rho * size * (size - 1) / 2.0) / size
 
 
@@ -329,7 +324,7 @@ def _disc1_values_for_masks(G: Graph, masks: np.ndarray) -> np.ndarray:
     ind = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
     size = ind.sum(axis=1)
     e_in = ((ind @ a) * ind).sum(axis=1) / 2.0
-    rho = graph_density(G)
+    rho = G.density()
     return np.abs(e_in - rho * size * (size - 1) / 2.0) / size
 
 

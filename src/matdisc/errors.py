@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command line returns for it: 2 for
+any input or parameter the package rejects, unless a subclass says
+otherwise.
+"""
 
 
 class MatdiscError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class FormatError(MatdiscError):
@@ -28,6 +35,8 @@ class NotBinaryError(MatdiscError):
 class TooLargeError(MatdiscError):
     """Input exceeds the size cap of the exact search."""
 
+    exit_code = 4
+
 
 class BadEpsilonError(MatdiscError):
     """Quantization accuracy parameter must lie in (0, 1)."""
@@ -43,6 +52,8 @@ class ImproperPartitionError(MatdiscError):
 
 class CertificateLinkViolatedError(MatdiscError):
     """An inequality link of a certificate failed; indicates a bug."""
+
+    exit_code = 5
 
 
 class NotPrimeError(MatdiscError):

@@ -207,7 +207,11 @@ def write_matrix(A: SymmetricMatrix, path) -> None:
 
 
 def read_matrix(path) -> SymmetricMatrix:
-    """Parse the 'sym' text format; rejects asymmetry beyond 1e-9."""
+    """Parse the 'sym' text format.
+
+    Rejects non-finite entries and asymmetry beyond 1e-9 (relative to
+    the entry scale); smaller asymmetry is averaged away.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "sym":
@@ -227,7 +231,13 @@ def read_matrix(path) -> SymmetricMatrix:
         a = np.array([float(v) for v in values], dtype=np.float64).reshape(n, n)
     except ValueError as exc:
         raise FormatError(f"non-numeric matrix entry: {exc}") from exc
+    if not np.all(np.isfinite(a)):
+        raise FormatError("matrix entries must be finite")
     defect = hermitian_defect(a)
     if defect > IO_SYMMETRY_TOL * _entry_scale(a):
         raise FormatError(f"matrix data is asymmetric: max defect {defect:.3e}")
+    if defect:
+        # SymmetricMatrix allows far less asymmetry than a file may carry:
+        # average the triangles, halving first so that no sum overflows
+        a = a / 2 + a.T / 2
     return SymmetricMatrix(a)

@@ -1,21 +1,27 @@
 """Edge-distribution bound checks and normalized Laplacian gaps.
 
-The checks in this module share one report shape, BoundReport, so that
-the command line can print any of them uniformly.  Slack is always
-lhs - rhs: negative slack means the inequality holds with room, and an
-instance only counts as a violation when its slack exceeds a small
-positive tolerance.
+Thomason's bound, Chung's volume bound, the family discrepancy ratio
+and the small-graph sweep run on one subset-pair engine:
 
-Two checking modes exist.  Exhaustive mode enumerates every nonempty
-pair of vertex subsets (feasible up to 14 vertices, the inner loop is
-chunked matrix products).  Sampled mode draws subset pairs with
-log-uniform sizes from a seeded generator, which keeps reports
-reproducible.
+- a source yields chunks (e, x, y) of e(X, Y) = 1_X^T A 1_Y and the
+  indicator rows of X and Y, shaped so that x @ w and y @ w broadcast
+  against e.  The exhaustive source takes every nonempty X against
+  chunks of Y sets as a grid (up to 14 vertices); the sampled source
+  pairs sets of log-uniform sizes from a seeded generator;
+- a bound turns a chunk into lhs and rhs arrays;
+- one recorder counts pairs and violations and keeps the first few.
+
+Slack is always lhs - rhs: negative slack means the inequality holds
+with room, and an instance only counts as a violation when its slack
+exceeds a small positive tolerance.  The checks share one report shape,
+BoundReport, so that the command line can print any of them uniformly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +118,7 @@ def lambda_bar_from_adjacency(graph: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Report container
+# Report container and the subset-pair engine
 # ---------------------------------------------------------------------------
 
 
@@ -143,45 +149,109 @@ class BoundReport:
         }
 
 
-def _mask_to_set(mask: int) -> list[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
-def _indicator_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows for every nonempty subset of [n], mask order."""
+def _exhaustive_pairs(a: np.ndarray) -> Iterator[tuple]:
+    """Every nonempty X against chunks of _Y_CHUNK Y sets, in mask order."""
+    n = a.shape[0]
+    if n > EXACT_PAIR_CAP:
+        raise TooLargeError(f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}")
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     ind = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-    return ind, masks
+    ax = ind @ a
+    for lo in range(0, ind.shape[0], _Y_CHUNK):
+        y = ind[lo:lo + _Y_CHUNK]
+        yield ax @ y.T, ind[:, None], y[None]
 
 
-def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
-    """Subsets with log-uniform sizes; returns 0-based index arrays."""
+def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Boolean indicator rows of `count` subsets with log-uniform sizes."""
     hi = math.log(n + 1)
-    sets = []
-    for _ in range(count):
+    rows = np.zeros((count, n), dtype=bool)
+    for r in range(count):
         size = int(math.exp(rng.uniform(0.0, hi)))
         size = min(max(size, 1), n)
-        sets.append(rng.choice(n, size=size, replace=False))
-    return sets
-
-
-def _indicator_rows(subsets: list[np.ndarray], n: int) -> np.ndarray:
-    rows = np.zeros((len(subsets), n))
-    for r, idx in enumerate(subsets):
-        rows[r, idx] = 1.0
+        rows[r, rng.choice(n, size=size, replace=False)] = True
     return rows
+
+
+def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
+                   whole: bool = False) -> Iterator[tuple]:
+    """`samples` X sets, then `samples` Y sets, drawn by _draw_subsets and
+    paired in order; `whole` appends the pair X = Y = V."""
+    n = a.shape[0]
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
+    xs = _draw_subsets(rng, n, samples)
+    ys = _draw_subsets(rng, n, samples)
+    if whole:
+        xs = np.vstack([xs, np.ones(n, dtype=bool)])
+        ys = np.vstack([ys, np.ones(n, dtype=bool)])
+    for lo in range(0, len(xs), _Y_CHUNK):
+        x, y = xs[lo:lo + _Y_CHUNK], ys[lo:lo + _Y_CHUNK]
+        yield ((x @ a) * y).sum(axis=1), x, y
+
+
+def _pairs(graph: Graph, mode: str, samples: int, seed: int, params: dict, *,
+           whole: bool = False) -> Iterator[tuple]:
+    """Pair source of a report, named in its params.  "auto" is exhaustive
+    up to EXACT_PAIR_CAP vertices; modes but "exhaustive" sample."""
+    if mode == "exhaustive" or (mode == "auto" and graph.n <= EXACT_PAIR_CAP):
+        params["mode"] = "exhaustive"
+        return _exhaustive_pairs(graph.adjacency.a)
+    params.update(mode="sampled", samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    return _sampled_pairs(graph.adjacency.a, rng, samples, whole)
+
+
+class _Recorder:
+    """Counts pairs and violations (slack = lhs - rhs > tol) over chunks,
+    tracks the largest slack and keeps the first violations found."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.pairs = 0
+        self.count = 0
+        self.worst = -math.inf
+        self.violations: list[dict] = []
+
+    def scan(self, x: np.ndarray, y: np.ndarray, lhs: np.ndarray,
+             rhs: np.ndarray, **tags) -> None:
+        slack = lhs - rhs
+        self.pairs += slack.size
+        self.worst = max(self.worst, float(slack.max()))
+        bad = slack > self.tol
+        found = int(np.count_nonzero(bad))
+        self.count += found
+        budget = _MAX_RECORDED_VIOLATIONS - len(self.violations)
+        if not found or budget <= 0:
+            return
+        x, y = np.broadcast_arrays(x, y)  # views: one row pair per index
+        for idx in map(tuple, np.argwhere(bad)[:budget].tolist()):
+            self.violations.append({
+                **tags,
+                "X": (np.flatnonzero(x[idx]) + 1).tolist(),
+                "Y": (np.flatnonzero(y[idx]) + 1).tolist(),
+                "lhs": float(lhs[idx]), "rhs": float(rhs[idx]),
+            })
+
+    def report(self, name: str, params: dict, *,
+               asserted: bool = True) -> BoundReport:
+        """max_slack is None when nothing was scanned or asserted."""
+        params["violation_count"] = self.count
+        worst = self.worst if self.pairs and asserted else None
+        return BoundReport(name, self.count == 0, self.pairs,
+                           tuple(self.violations), worst, params)
 
 
 # ---------------------------------------------------------------------------
 # Degree/codegree edge-distribution bound
 # ---------------------------------------------------------------------------
+
+
+def _degree_codegree(a: np.ndarray) -> tuple[int, int]:
+    """Minimum degree and the most common neighbours of two distinct vertices."""
+    prod = a @ a
+    np.fill_diagonal(prod, -1.0)
+    return int(a.sum(axis=1).min()), max(int(prod.max()), 0)  # n = 1: no pair
 
 
 def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
@@ -196,14 +266,7 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     n = graph.n
-    min_degree = int(graph.degrees.min()) if n else 0
-    if n >= 2:
-        a = graph.adjacency.a
-        prod = a @ a
-        np.fill_diagonal(prod, -1.0)
-        max_codegree = int(prod.max())
-    else:
-        max_codegree = 0
+    min_degree, max_codegree = _degree_codegree(graph.adjacency.a)
     degrees_ok = bool(min_degree >= p * n)
     codegrees_ok = bool(max_codegree <= p * p * n + mu)
     return {
@@ -217,23 +280,18 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     }
 
 
-def _thomason_rhs(sx: np.ndarray, sy: np.ndarray, p: float, n: int,
-                  mu: float) -> np.ndarray:
-    """rhs over the (X, Y) grid: eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|))."""
-    eps = (p * sx < 1.0).astype(float)
-    inner = np.outer(sx * (p * n + mu * sx), sy)
-    return eps[:, None] * sy[None, :] + np.sqrt(inner)
-
-
-def _scan_pair_grid(lhs: np.ndarray, rhs: np.ndarray, tol: float,
-                    record, budget: int) -> tuple[int, float]:
-    """Count violations in one lhs/rhs grid, recording up to `budget`."""
-    slack = lhs - rhs
-    worst = float(slack.max())
-    bad = np.argwhere(slack > tol)
-    for i, j in bad[:max(0, budget)]:
-        record(int(i), int(j), float(lhs[i, j]), float(rhs[i, j]))
-    return int(bad.shape[0]), worst
+def _thomason_bound(e: np.ndarray, x: np.ndarray, y: np.ndarray, p: float,
+                    mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """lhs |e - p|X||Y|| and rhs eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|)),
+    both built in place: a grid chunk is tens of megabytes."""
+    n = x.shape[-1]
+    sx, sy = x @ np.ones(n), y @ np.ones(n)
+    lhs = p * sx * sy - e  # reuses the product's buffer
+    np.abs(lhs, out=lhs)
+    rhs = sx * sy * (p * n + mu * sx)
+    np.sqrt(rhs, out=rhs)
+    np.add(rhs, sy, out=rhs, where=p * sx < 1.0)  # eps(X) = 1
+    return lhs, rhs
 
 
 def thomason_report(graph: Graph, p: float, mu: float, *,
@@ -246,79 +304,15 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
     and params["hypotheses_hold"] = False; that is not a violation.
     """
     hyp = thomason_hypotheses(graph, p, mu)
-    n = graph.n
-    params: dict = {"p": p, "mu": mu, "n": n, "hypotheses": hyp,
+    params: dict = {"p": p, "mu": mu, "n": graph.n, "hypotheses": hyp,
                     "hypotheses_hold": hyp["hold"], "tol": tol}
     name = "thomason_edge_distribution"
     if not hyp["hold"]:
         return BoundReport(name, True, 0, (), None, params)
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXACT_PAIR_CAP else "sampled"
-    a = graph.adjacency.a
-    violations: list[dict] = []
-
-    if mode == "exhaustive":
-        if n > EXACT_PAIR_CAP:
-            raise TooLargeError(
-                f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}"
-            )
-        ind, masks = _indicator_matrix(n)
-        sizes = ind.sum(axis=1)
-        ax = ind @ a
-        worst = -math.inf
-        count = 0
-        for lo in range(0, ind.shape[0], _Y_CHUNK):
-            hi = min(lo + _Y_CHUNK, ind.shape[0])
-            e = ax @ ind[lo:hi].T
-            lhs = np.abs(e - p * np.outer(sizes, sizes[lo:hi]))
-            rhs = _thomason_rhs(sizes, sizes[lo:hi], p, n, mu)
-
-            def record(i, j, l, r, _lo=lo):
-                violations.append({
-                    "X": _mask_to_set(int(masks[i])),
-                    "Y": _mask_to_set(int(masks[_lo + j])),
-                    "lhs": l, "rhs": r,
-                })
-            c, w = _scan_pair_grid(
-                lhs, rhs, tol, record,
-                _MAX_RECORDED_VIOLATIONS - len(violations))
-            count += c
-            worst = max(worst, w)
-        instances = ind.shape[0] ** 2
-        params["mode"] = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        xs = _draw_subsets(rng, n, samples)
-        ys = _draw_subsets(rng, n, samples)
-        worst = -math.inf
-        count = 0
-        for lo in range(0, samples, _Y_CHUNK):
-            hi = min(lo + _Y_CHUNK, samples)
-            bx = _indicator_rows(xs[lo:hi], n)
-            by = _indicator_rows(ys[lo:hi], n)
-            e = ((bx @ a) * by).sum(axis=1)
-            sx = bx.sum(axis=1)
-            sy = by.sum(axis=1)
-            lhs = np.abs(e - p * sx * sy)
-            eps = (p * sx < 1.0).astype(float)
-            rhs = eps * sy + np.sqrt(sx * sy * (p * n + mu * sx))
-            slack = lhs - rhs
-            worst = max(worst, float(slack.max()))
-            for i in np.nonzero(slack > tol)[0]:
-                count += 1
-                if len(violations) < _MAX_RECORDED_VIOLATIONS:
-                    violations.append({
-                        "X": sorted(int(v) + 1 for v in xs[lo + i]),
-                        "Y": sorted(int(v) + 1 for v in ys[lo + i]),
-                        "lhs": float(lhs[i]), "rhs": float(rhs[i]),
-                    })
-        instances = samples
-        params["mode"] = "sampled"
-        params["samples"] = samples
-        params["seed"] = seed
-    params["violation_count"] = count
-    return BoundReport(name, count == 0, instances, tuple(violations),
-                       worst if instances else None, params)
+    rec = _Recorder(tol)
+    for e, x, y in _pairs(graph, mode, samples, seed, params):
+        rec.scan(x, y, *_thomason_bound(e, x, y, p, mu))
+    return rec.report(name, params)
 
 
 def thomason_small_graph_sweep(*, max_n: int = 7,
@@ -339,81 +333,56 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
         raise ValueError("the graph atlas covers n from 1 to 7")
     from networkx.generators.atlas import graph_atlas_g
 
-    grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for n in range(1, max_n + 1):
-        ind, masks = _indicator_matrix(n)
-        grids[n] = (ind, masks, ind.sum(axis=1))
-
-    graphs_seen = 0
+    atlas = [(index, g) for index, g in enumerate(graph_atlas_g())
+             if 1 <= g.number_of_nodes() <= max_n]
     combos_held = 0
-    pairs_checked = 0
-    count = 0
-    worst = -math.inf
-    violations: list[dict] = []
-
-    for index, g in enumerate(graph_atlas_g()):
+    rec = _Recorder(tol)
+    for index, g in atlas:
         n = g.number_of_nodes()
-        if n == 0 or n > max_n:
-            continue
-        graphs_seen += 1
-        ind, masks, sizes = grids[n]
         a = np.zeros((n, n))
         for u, v in g.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        min_degree = a.sum(axis=1).min() if n else 0.0
-        if n >= 2:
-            prod = a @ a
-            np.fill_diagonal(prod, -1.0)
-            max_codegree = prod.max()
-        else:
-            max_codegree = 0.0
-        e_grid = None
-        for p in ps:
-            if min_degree < p * n:
+            a[u, v] = a[v, u] = 1.0
+        min_degree, max_codegree = _degree_codegree(a)  # once per graph
+        grid = None
+        for p, mu_spec in itertools.product(ps, mus):
+            mu = float(n) if mu_spec == "n" else float(mu_spec)
+            # thomason_hypotheses' comparisons
+            if min_degree < p * n or max_codegree > p * p * n + mu:
                 continue
-            for mu_spec in mus:
-                mu = float(n) if mu_spec == "n" else float(mu_spec)
-                if max_codegree > p * p * n + mu:
-                    continue
-                combos_held += 1
-                if e_grid is None:
-                    e_grid = (ind @ a) @ ind.T
-                lhs = np.abs(e_grid - p * np.outer(sizes, sizes))
-                rhs = _thomason_rhs(sizes, sizes, p, n, mu)
-
-                def record(i, j, l, r, _idx=index, _p=p, _mu=mu,
-                           _masks=masks):
-                    violations.append({
-                        "atlas_index": _idx, "p": _p, "mu": _mu,
-                        "X": _mask_to_set(int(_masks[i])),
-                        "Y": _mask_to_set(int(_masks[j])),
-                        "lhs": l, "rhs": r,
-                    })
-                c, w = _scan_pair_grid(
-                    lhs, rhs, tol, record,
-                    _MAX_RECORDED_VIOLATIONS - len(violations))
-                count += c
-                worst = max(worst, w)
-                pairs_checked += ind.shape[0] ** 2
+            combos_held += 1
+            if grid is None:  # 2^7 - 1 <= _Y_CHUNK: one chunk holds all pairs
+                grid = next(_exhaustive_pairs(a))
+            e, x, y = grid
+            rec.scan(x, y, *_thomason_bound(e, x, y, p, mu),
+                     atlas_index=index, p=p, mu=mu)
     params = {
         "max_n": max_n,
         "ps": list(ps),
         "mus": [str(m) if m == "n" else float(m) for m in mus],
-        "graphs_seen": graphs_seen,
+        "graphs_seen": len(atlas),
         "combinations_with_hypotheses": combos_held,
-        "pairs_checked": pairs_checked,
-        "violation_count": count,
+        "pairs_checked": rec.pairs,
         "tol": tol,
     }
-    return BoundReport("thomason_small_graphs", count == 0, pairs_checked,
-                       tuple(violations), worst if pairs_checked else None,
-                       params)
+    return rec.report("thomason_small_graphs", params)
 
 
 # ---------------------------------------------------------------------------
 # Volume-normalized edge distribution
 # ---------------------------------------------------------------------------
+
+
+def _chung_terms(e: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lhs |e - volX volY / volV| and sqrt(volX volY vol(V-X) vol(V-Y)) / volV."""
+    vol_v = float(degs.sum())
+    vx, vy = x @ degs, y @ degs
+    lhs = vx * vy / vol_v - e  # reuses the product's buffer
+    np.abs(lhs, out=lhs)
+    denom = (vx * (vol_v - vx)) * (vy * (vol_v - vy))
+    np.sqrt(denom, out=denom)
+    denom /= vol_v
+    return lhs, denom
 
 
 def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
@@ -434,108 +403,30 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     """
     if graph.m == 0:
         raise EmptyGraphError("volume bound needs at least one edge")
-    n = graph.n
-    a = graph.adjacency.a
     degs = graph.degrees.astype(float)
-    vol_v = float(degs.sum())
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXACT_PAIR_CAP else "sampled"
-
-    violations: list[dict] = []
+    params: dict = {"alpha": alpha, "vol_V": float(degs.sum()), "tol": tol}
+    rec = _Recorder(tol)
     alpha_min = 0.0
     identity_pairs = 0
-    worst = -math.inf if alpha is not None else None
-    count = 0
-
-    def scan(e, vx, vy, sets_x, sets_y):
-        nonlocal alpha_min, identity_pairs, worst, count
-        lhs = np.abs(e - np.outer(vx, vy) / vol_v)
-        denom = np.sqrt(np.outer(vx * (vol_v - vx), vy * (vol_v - vy))) / vol_v
+    for e, x, y in _pairs(graph, mode, samples, seed, params, whole=True):
+        lhs, denom = _chung_terms(e, x, y, degs)
         zero = denom == 0.0
-        identity_pairs += int(zero.sum())
-        bad_identity = zero & (lhs > tol)
-        count += int(bad_identity.sum())
-        for i, j in np.argwhere(bad_identity)[:_MAX_RECORDED_VIOLATIONS]:
-            if len(violations) < _MAX_RECORDED_VIOLATIONS:
-                violations.append({
-                    "X": sets_x(int(i)), "Y": sets_y(int(j)),
-                    "lhs": float(lhs[i, j]), "rhs": 0.0,
-                    "identity": True,
-                })
-        live = ~zero
-        if live.any():
-            ratio_max = float((lhs[live] / denom[live]).max())
-            alpha_min = max(alpha_min, ratio_max)
-        if alpha is not None:
-            rhs = alpha * denom
-            slack = np.where(zero, lhs, lhs - rhs)
-            worst = max(worst, float(slack.max()))
-            bad = np.argwhere((slack > tol) & live)
-            for i, j in bad:
-                count += 1
-                if len(violations) < _MAX_RECORDED_VIOLATIONS:
-                    violations.append({
-                        "X": sets_x(int(i)), "Y": sets_y(int(j)),
-                        "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j]),
-                    })
-
-    if mode == "exhaustive":
-        if n > EXACT_PAIR_CAP:
-            raise TooLargeError(
-                f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}; "
-                "use sampled mode"
-            )
-        ind, masks = _indicator_matrix(n)
-        vols = ind @ degs
-        ax = ind @ a
-        for lo in range(0, ind.shape[0], _Y_CHUNK):
-            hi = min(lo + _Y_CHUNK, ind.shape[0])
-            e = ax @ ind[lo:hi].T
-            scan(e, vols, vols[lo:hi],
-                 lambda i: _mask_to_set(int(masks[i])),
-                 lambda j, _lo=lo: _mask_to_set(int(masks[_lo + j])))
-        instances = ind.shape[0] ** 2
-        mode_params = {"mode": "exhaustive"}
-    else:
-        rng = np.random.default_rng(seed)
-        xs = _draw_subsets(rng, n, samples)
-        ys = _draw_subsets(rng, n, samples)
-        xs.append(np.arange(n))  # one deterministic identity pair: X = Y = V
-        ys.append(np.arange(n))
-        for lo in range(0, len(xs), _Y_CHUNK):
-            hi = min(lo + _Y_CHUNK, len(xs))
-            bx = _indicator_rows(xs[lo:hi], n)
-            by = _indicator_rows(ys[lo:hi], n)
-            e_flat = ((bx @ a) * by).sum(axis=1)
-            vx = bx @ degs
-            vy = by @ degs
-            # reuse the grid scanner on a diagonal-only view
-            for r in range(hi - lo):
-                scan(e_flat[r:r + 1, None], vx[r:r + 1], vy[r:r + 1],
-                     lambda _i, _r=r, _lo=lo: sorted(
-                         int(v) + 1 for v in xs[_lo + _r]),
-                     lambda _j, _r=r, _lo=lo: sorted(
-                         int(v) + 1 for v in ys[_lo + _r]))
-        instances = len(xs)
-        mode_params = {"mode": "sampled", "samples": samples, "seed": seed}
-
-    params = {
-        "alpha": alpha,
-        "alpha_min": alpha_min,
-        "identity_pairs": identity_pairs,
-        "violation_count": count,
-        "vol_V": vol_v,
-        "tol": tol,
-        **mode_params,
-    }
+        identity_pairs += int(np.count_nonzero(zero))
+        alpha_min = max(alpha_min, float(np.divide(
+            lhs, denom, out=np.zeros_like(lhs), where=~zero).max()))
+        rhs = (np.where(zero, 0.0, math.inf) if alpha is None
+               else np.multiply(denom, alpha, out=denom))
+        rec.scan(x, y, lhs, rhs)
+        del e, lhs, denom, rhs  # grid-sized: free them before the next chunk
+    params.update(alpha_min=alpha_min, identity_pairs=identity_pairs)
     if graph.is_regular() and int(graph.degrees[0]) > 0:
         lam_bar = laplacian_spectrum(graph).lambda_bar
         params["lambda_bar"] = lam_bar
         params["lambda_bar_over_alpha_min"] = (
             lam_bar / alpha_min if alpha_min > 0 else None
         )
-    return BoundReport("chung_volume_bound", count == 0, instances,
-                       tuple(violations), worst, params)
+    return rec.report("chung_volume_bound", params,
+                      asserted=alpha is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -576,19 +467,10 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
         mu1 = float(spec.eigenvalues[0])
         sigma2 = spec.sigma2
         rng = np.random.default_rng([seed, idx])
-        xs = _draw_subsets(rng, n, samples)
-        ys = _draw_subsets(rng, n, samples)
-        a = g.adjacency.a
         disc_ratio = 0.0
-        for s in range(0, samples, _Y_CHUNK):
-            t = min(s + _Y_CHUNK, samples)
-            bx = _indicator_rows(xs[s:t], n)
-            by = _indicator_rows(ys[s:t], n)
-            e = ((bx @ a) * by).sum(axis=1)
-            sx = bx.sum(axis=1)
-            sy = by.sum(axis=1)
-            dev = np.abs(e - p * sx * sy) / (p * n * n)
-            disc_ratio = max(disc_ratio, float(dev.max()))
+        for e, x, y in _sampled_pairs(g.adjacency.a, rng, samples):
+            deviation, _ = _thomason_bound(e, x, y, p, 0.0)
+            disc_ratio = max(disc_ratio, float(deviation.max()) / (p * n * n))
         sigma2_ratio = sigma2 / pn
         window_ok = window_ok and lo <= sigma2_ratio <= hi
         rows.append({

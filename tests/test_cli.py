@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -6,7 +7,9 @@ import pytest
 
 from matdisc import (
     all_ones,
+    cli,
     complete_graph,
+    errors,
     harmonic_number,
     qpt_graph,
     read_graph,
@@ -177,3 +180,41 @@ def test_results_deterministic(tmp_path, capsys):
         del payload["timing"]
         runs.append(json.dumps(payload, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+def test_sym_file_within_io_tolerance_is_symmetrized(tmp_path, capsys):
+    path = tmp_path / "near.txt"
+    path.write_text("sym 2\n1 0.5\n0.5000000001 1\n")
+    code, payload, _ = run_cli(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert payload["results"]["n"] == 2
+    a = read_matrix(path).a
+    assert np.array_equal(a, a.T)
+    assert a[0, 1] == pytest.approx(0.50000000005, abs=1e-15)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_sym_file_non_finite_exit_2(tmp_path, capsys, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"sym 2\n1 {entry}\n{entry} 1\n")
+    code, payload, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: ") and "finite" in err
+
+
+_ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.MatdiscError)]
+_EXPECTED_CODES = {"TooLargeError": 4, "CertificateLinkViolatedError": 5}
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_package_error_has_its_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+    code, payload, err = run_cli(capsys, ["verify", "family"])
+    assert code == _EXPECTED_CODES.get(cls.__name__, 2)
+    assert payload is None
+    assert "error: boom" in err

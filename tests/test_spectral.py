@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import count_edges_between
 
 from matdisc import (
     EmptyGraphError,
@@ -15,9 +18,11 @@ from matdisc import (
     gnp_random_graph,
     lambda_bar_from_adjacency,
     laplacian_spectrum,
+    qpt_graph,
     star_graph,
     thomason_hypotheses,
     thomason_report,
+    thomason_small_graph_sweep,
 )
 
 
@@ -156,3 +161,102 @@ def test_family_report_shape():
     # flag must fire even though every number is finite and sane
     assert not rep.params["sigma2_window_ok"]
     assert not rep.passed
+
+
+def _drawn_pairs(n, samples, seed):
+    """The documented sampling rule, re-implemented: `samples` X sets and
+    then `samples` Y sets with log-uniform sizes, then the pair X = Y = V."""
+    rng = np.random.default_rng(seed)
+    hi = math.log(n + 1)
+
+    def draw():
+        sets = []
+        for _ in range(samples):
+            size = min(max(int(math.exp(rng.uniform(0.0, hi))), 1), n)
+            chosen = rng.choice(n, size=size, replace=False)
+            sets.append(sorted(int(v) + 1 for v in chosen))
+        return sets
+
+    whole = list(range(1, n + 1))
+    return draw() + [whole], draw() + [whole]
+
+
+def test_chung_sampled_violations_counted_and_capped():
+    g = qpt_graph(101, 50)
+    alpha, tol = 1e-6, 1e-8
+    rep = chung_alpha_check(g, alpha=alpha, seed=5, tol=tol)
+    a = g.adjacency.a
+    degs = a.sum(axis=1)
+    vol_v = degs.sum()
+    expected = []
+    for xs, ys in zip(*_drawn_pairs(g.n, 10_000, 5)):
+        xi, yi = np.array(xs) - 1, np.array(ys) - 1
+        e = a[np.ix_(xi, yi)].sum()
+        vx, vy = degs[xi].sum(), degs[yi].sum()
+        lhs = abs(e - vx * vy / vol_v)
+        rhs = alpha * math.sqrt(vx * (vol_v - vx) * vy * (vol_v - vy)) / vol_v
+        if lhs - rhs > tol:
+            expected.append((xs, ys))
+    assert rep.instances == 10_001
+    assert rep.params["violation_count"] == len(expected) > 100
+    assert len(rep.violations) == 100
+    assert [(v["X"], v["Y"]) for v in rep.violations] == expected[:100]
+    for v in rep.violations:
+        e = count_edges_between(a, v["X"], v["Y"])
+        vx, vy = degs[np.array(v["X"]) - 1].sum(), degs[np.array(v["Y"]) - 1].sum()
+        assert v["lhs"] == pytest.approx(abs(e - vx * vy / vol_v), abs=1e-9)
+
+
+def test_sampled_scan_never_exceeds_exhaustive():
+    g = gnp_random_graph(10, 0.5, np.random.default_rng(21))
+    p = (int(g.degrees.min()) - 1) / g.n
+    mu = float(int((g.adjacency.a @ g.adjacency.a).max()))
+    exhaustive = chung_alpha_check(g, mode="exhaustive")
+    sampled = chung_alpha_check(g, mode="sampled", samples=2000, seed=4)
+    assert sampled.params["alpha_min"] <= exhaustive.params["alpha_min"]
+    exhaustive = thomason_report(g, p, mu, mode="exhaustive")
+    sampled = thomason_report(g, p, mu, mode="sampled", samples=2000, seed=4)
+    assert exhaustive.params["hypotheses_hold"]
+    assert sampled.max_slack <= exhaustive.max_slack
+
+
+def test_sampled_stream_pinned():
+    """Seeded sampled reports keep the values they had when each check
+    carried its own sampling loop."""
+    rep = chung_alpha_check(cycle_graph(20), samples=400, seed=3)
+    assert rep.params["alpha_min"] == 0.4444444444444445
+    assert rep.params["identity_pairs"] == 11
+    g = gnp_random_graph(30, 0.4, np.random.default_rng(9))
+    rep = chung_alpha_check(g, alpha=0.1, samples=500, seed=4)
+    assert rep.params["violation_count"] == 9
+    assert rep.max_slack == 1.4694960657696639
+    assert rep.params["alpha_min"] == 0.1221666640934032
+    assert rep.violations[0] == {"X": [16, 18, 29], "Y": [30],
+                                 "lhs": 1.8502994011976048,
+                                 "rhs": 1.8295764130518881}
+    rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11)
+    assert rep.params["violation_count"] == 0
+    assert rep.max_slack == -4.995831523312719
+    rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11, tol=-6.0)
+    assert rep.params["violation_count"] == 21
+    assert rep.violations[0] == {"X": [24], "Y": [7], "lhs": 0.8,
+                                 "rhs": 5.795831523312719}
+    family = [gnp_random_graph(n, 0.5, np.random.default_rng(n))
+              for n in (16, 24, 32)]
+    rep = family_properties(family, samples=300, seed=5)
+    assert [m["disc_ratio"] for m in rep.params["members"]] == [
+        0.09318181818181819, 0.04513888888888889, 0.026242760617760617]
+
+
+def test_sweep_hypothesis_count_matches_direct():
+    from networkx.generators.atlas import graph_atlas_g
+
+    ps = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    rep = thomason_small_graph_sweep(max_n=5, ps=ps)
+    graphs = [Graph(g.number_of_nodes(), [(u + 1, v + 1) for u, v in g.edges()])
+              for g in graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
+    held = sum(thomason_hypotheses(g, p, mu)["hold"]
+               for g in graphs for p in ps for mu in (0.0, 1.0, float(g.n)))
+    assert rep.params["graphs_seen"] == len(graphs)
+    assert rep.params["combinations_with_hypotheses"] == held > 0
+    assert rep.passed
