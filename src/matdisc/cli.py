@@ -27,6 +27,7 @@ from . import __version__
 from .constructions import block_matrix, block_plan, qpt_graph, tightness_matrix
 from .discrepancy import (
     DEFAULT_ITERATIONS,
+    DiscResult,
     disc_exact,
     disc_heuristic,
     disc2_gap_bound,
@@ -103,7 +104,7 @@ def _default_threads() -> int:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, extra report fields,
-# human summary, exit code)
+# human summary, exit code); an extra "timing" dict joins the timing block
 # ---------------------------------------------------------------------------
 
 
@@ -146,6 +147,11 @@ def _cmd_construct(args) -> tuple[dict, dict, str, int]:
     return results, {}, f"{summary} -> {args.output}", 0
 
 
+def _search_counts(disc: DiscResult) -> dict:
+    """The exact scan's work counters, for the report's timing block."""
+    return {"disc_batches": disc.batches, "disc_rows_sorted": disc.rows_sorted}
+
+
 def _disc_for(mat: SymmetricMatrix, args):
     if args.heuristic:
         if args.seed is None:
@@ -185,7 +191,8 @@ def _cmd_analyze(args) -> tuple[dict, dict, str, int]:
     summary = (f"disc ({disc.mode}) = {disc.value:.6g} at |X|={len(disc.witness_X)}"
                f" |Y|={len(disc.witness_Y)}; sigma2 = "
                f"{'n/a' if sigma2 is None else format(sigma2, '.6g')}")
-    return results, {"seed": args.seed}, summary, 0
+    extra = {"seed": args.seed, "timing": _search_counts(disc)}
+    return results, extra, summary, 0
 
 
 def _cmd_certify(args) -> tuple[dict, dict, str, int]:
@@ -209,7 +216,8 @@ def _cmd_certify(args) -> tuple[dict, dict, str, int]:
                f"disc ({cert.disc.mode}) = {cert.disc.value:.6g}, "
                f"min link slack = {min_slack:.3g}, "
                f"headline bound {'holds' if cert.headline_holds else 'OPEN'}")
-    return results, {"seed": args.seed}, summary, 0
+    extra = {"seed": args.seed, "timing": _search_counts(cert.disc)}
+    return results, extra, summary, 0
 
 
 def _cmd_verify(args) -> tuple[dict, dict, str, int]:
@@ -347,12 +355,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    timing = {"seconds": time.perf_counter() - started, **extra.pop("timing", {})}
     report = {
         "command": list(argv) if argv is not None else sys.argv[1:],
         "version": __version__,
         "results": _jsonify(results),
         **_jsonify(extra),
-        "timing": {"seconds": time.perf_counter() - started},
+        "timing": _jsonify(timing),
     }
     print(json.dumps(report, sort_keys=True))
     print(summary, file=sys.stderr)

@@ -263,8 +263,8 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError("mu must be finite and nonnegative")
     n = graph.n
     min_degree, max_codegree = _degree_codegree(graph.adjacency.a)
     degrees_ok = bool(min_degree >= p * n)
@@ -401,6 +401,8 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     For a regular input the report also carries the normalized
     Laplacian gap and its ratio to alpha_min.
     """
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if graph.m == 0:
         raise EmptyGraphError("volume bound needs at least one edge")
     degs = graph.degrees.astype(float)

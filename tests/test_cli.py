@@ -170,6 +170,35 @@ def test_verify_thomason(tmp_path, capsys):
     assert report["instances"] == 255 * 255
 
 
+@pytest.mark.parametrize("argv", [
+    ["chung", "--alpha", "nan"],
+    ["chung", "--alpha", "inf"],
+    ["thomason", "--p", "0.3", "--mu", "nan"],
+    ["thomason", "--p", "0.3", "--mu", "inf"],
+    ["thomason", "--p", "nan", "--mu", "1"],
+], ids=["alpha-nan", "alpha-inf", "mu-nan", "mu-inf", "p-nan"])
+def test_verify_non_finite_parameter_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "q13.txt"
+    write_graph(qpt_graph(13, 6), path)
+    code, payload, err = run_cli(
+        capsys, ["verify", argv[0], "--input", str(path), *argv[1:]])
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_exact_scan_counters_in_timing(tmp_path, capsys, command):
+    path = tmp_path / "t5.txt"
+    write_matrix(tightness_matrix(5), path)
+    code, payload, _ = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    timing = payload["timing"]
+    assert timing["disc_batches"] == 1
+    assert 0 < timing["disc_rows_sorted"] <= 2 ** 10 - 1
+    assert "disc_rows_sorted" not in json.dumps(payload["results"])
+
+
 def test_results_deterministic(tmp_path, capsys):
     path = tmp_path / "t5.txt"
     write_matrix(tightness_matrix(5), path)

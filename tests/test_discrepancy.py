@@ -1,4 +1,7 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from matdisc import (
     gnp_random_graph,
     star_graph,
 )
+from matdisc.discrepancy import _ExactScan, centered_matrix
 
 
 def brute_pairs(M):
@@ -132,20 +136,43 @@ def test_heuristic_is_lower_bound_and_reproducible():
 
 def test_threads_do_not_change_result():
     mat = random_symmetric(np.random.default_rng(41), 10)
-    one = disc_exact(mat, threads=1)
-    three = disc_exact(mat, threads=3)
-    assert one.value == three.value
-    assert one.witness_X == three.witness_X
-    assert one.witness_Y == three.witness_Y
+    for batch_bits in (4, 17):
+        one = disc_exact(mat, threads=1, batch_bits=batch_bits)
+        three = disc_exact(mat, threads=3, batch_bits=batch_bits)
+        assert one.value == three.value
+        assert one.witness_X == three.witness_X
+        assert one.witness_Y == three.witness_Y
+
+
+def test_shared_lower_bound_survives_thread_switching():
+    # 8 threads over 512 batches, switching every microsecond: a lost
+    # update would leave the shared lower bound below a scored value.
+    # Entries grow with the index, so later batches keep raising it.
+    w = np.arange(1.0, 13.0) ** 2
+    M = centered_matrix(SymmetricMatrix(np.outer(w, w)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        while time.monotonic() - started < 1.0:
+            scan = _ExactScan(M, 3)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parts = list(pool.map(scan.batch, range(1 << 9)))
+            assert scan.L == max(vals.max() for _, vals, _ in parts if vals.size)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_small_batches_do_not_change_result():
     mat = random_symmetric(np.random.default_rng(43), 10)
     whole = disc_exact(mat)
-    chopped = disc_exact(mat, batch_bits=6)
-    assert whole.value == chopped.value
-    assert whole.witness_X == chopped.witness_X
-    assert whole.witness_Y == chopped.witness_Y
+    for batch_bits in (4, 6):
+        chopped = disc_exact(mat, batch_bits=batch_bits)
+        assert whole.value == chopped.value
+        assert whole.witness_X == chopped.witness_X
+        assert whole.witness_Y == chopped.witness_Y
+        assert chopped.batches == 2 ** (10 - batch_bits)
+        assert 0 < chopped.rows_sorted <= 2 ** 10 - 1
 
 
 def test_exact_cap():
@@ -181,6 +208,22 @@ def test_disc1_matches_brute_force():
         assert got.witness_Y == got.witness_X
         at = disc1_value_at(g, got.witness_X)
         assert abs(at - got.value) <= 1e-12
+
+
+def test_disc1_exact_spans_batches():
+    # n = 18 exceeds the 17 table bits, so the scan runs two batches
+    g = gnp_random_graph(18, 0.5, np.random.default_rng(71))
+    a = g.adjacency.a
+    masks = np.arange(1, 1 << 18)
+    ind = ((masks[:, None] >> np.arange(18)) & 1).astype(float)
+    size = ind.sum(axis=1)
+    inside = ((ind @ a) * ind).sum(axis=1) / 2.0
+    vals = np.abs(inside - g.density() * size * (size - 1) / 2.0) / size
+    at = int(np.argmax(vals))
+    got = disc1_graph(g)
+    assert got.batches == 2
+    assert got.value == pytest.approx(vals[at], abs=1e-12)
+    assert got.witness_X == tuple(j + 1 for j in range(18) if ind[at, j])
 
 
 def test_disc1_heuristic_bounded_by_exact():
