@@ -6,9 +6,10 @@ command line and seed, except for the "timing" block, which callers
 comparing runs should strip.
 
 Exit codes: 0 success, 2 any input or parameter the package rejects, 3
-I/O failure, 4 input too large for the exact engine, 5 broken certificate
-chain, 6 verification found a hard violation.  Package errors carry
-their own code (MatdiscError.exit_code).
+I/O failure, 4 input too large for the exact engine, 5 broken invariant
+(a certificate link, or a construction or quantizer self-check: a bug),
+6 verification found a hard violation.  Package errors carry their own
+code (MatdiscError.exit_code).
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import DiscResult
-from .errors import BadTError, EmptyCliqueError, NotPrimeError
-from .graphs import Graph, from_adjacency
+from .errors import BadTError, EmptyCliqueError, InvariantError, NotPrimeError
+from .graphs import Graph, _require_order, from_adjacency
 from .linalg import SymmetricMatrix
 
 __all__ = [
@@ -172,15 +172,12 @@ def degree_catalog(p: int) -> DegreeCatalog:
     w = np.arange(1, p, dtype=np.int64)
     residues = np.sort((w * w) % p)
     degrees = np.searchsorted(residues, np.arange(1, p + 1), side="right")
-    degree_by_t = tuple(int(d) for d in degrees)
-    smallest: dict[int, int] = {}
-    for t, d in enumerate(degree_by_t, start=1):
-        smallest.setdefault(d, t)
+    achievable, first_t = np.unique(degrees, return_index=True)
     return DegreeCatalog(
         p=p,
-        degree_by_t=degree_by_t,
-        achievable_degrees=tuple(sorted(smallest)),
-        smallest_t_for_degree=smallest,
+        degree_by_t=tuple(degrees.tolist()),
+        achievable_degrees=tuple(achievable.tolist()),
+        smallest_t_for_degree=dict(zip(achievable.tolist(), (first_t + 1).tolist())),
     )
 
 
@@ -191,6 +188,7 @@ def qpt_graph(p: int, t: int) -> Graph:
     the graph is circulant, hence regular.  t = p gives the complete
     graph (every nonzero square is <= p).
     """
+    _require_order(p)  # first: a huge p would also stall the prime test
     _require_prime(p)
     if not 1 <= t <= p:
         raise BadTError(f"t = {t} outside 1..{p}")
@@ -198,9 +196,7 @@ def qpt_graph(p: int, t: int) -> Graph:
     diff = idx[:, None] - idx[None, :]
     adj = ((diff * diff) % p) <= t
     np.fill_diagonal(adj, False)
-    rows, cols = np.nonzero(np.triu(adj, k=1))
-    edges = [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
-    return Graph(n=p, edges=tuple(edges))
+    return Graph._from_mask(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +290,15 @@ def block_matrix(plan: BlockPlan) -> SymmetricMatrix:
     returning.
     """
     p, k = plan.p, plan.k
-    cache: dict[int, np.ndarray] = {}
-    for t in sorted({int(t) for t in plan.thresholds.ravel()}):
-        cache[t] = qpt_graph(p, t).adjacency.a
-    rows = []
-    for i in range(k):
-        rows.append([cache[int(plan.thresholds[i, j])] for j in range(k)])
-    inner = np.block(rows)
-    comp = 1.0 - inner
-    np.fill_diagonal(comp, 1.0)  # complement of a zero-diagonal block
-    full = np.block([[inner, comp], [comp, inner]])
+    _require_order(plan.n)
+    inner = np.block([[qpt_graph(p, int(t))._mask for t in row]
+                      for row in plan.thresholds])
+    full = np.block([[inner, ~inner], [~inner, inner]]).astype(float)
     if np.any(np.diagonal(full) != 0.0):
-        raise RuntimeError("block matrix grew a nonzero diagonal entry")
+        raise InvariantError("block matrix grew a nonzero diagonal entry")
     row_sums = full.sum(axis=1).astype(np.int64)
     if np.any(row_sums != k * p):
-        raise RuntimeError(
+        raise InvariantError(
             f"block matrix row sums {set(row_sums.tolist())} != {k * p}"
         )
     return SymmetricMatrix(full)
@@ -362,9 +352,8 @@ def sparse_union(graph: Graph, density: float) -> Graph:
             f"floor({density} * {graph.n}) = {size}, no clique to attach"
         )
     base = graph.n
-    clique = [
-        (base + a, base + b)
-        for a in range(1, size + 1)
-        for b in range(a + 1, size + 1)
-    ]
-    return Graph(n=base + size, edges=graph.edges + tuple(clique))
+    _require_order(base + size)
+    mask = np.zeros((base + size, base + size), dtype=bool)
+    mask[:base, :base] = graph._mask
+    mask[base:, base:] = ~np.eye(size, dtype=bool)
+    return Graph._from_mask(mask)

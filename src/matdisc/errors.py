@@ -38,6 +38,10 @@ class TooLargeError(MatdiscError):
     exit_code = 4
 
 
+class TooManyVerticesError(MatdiscError):
+    """Graph would exceed graphs.MAX_VERTICES, the dense representation's cap."""
+
+
 class BadEpsilonError(MatdiscError):
     """Quantization accuracy parameter must lie in (0, 1)."""
 
@@ -50,10 +54,14 @@ class ImproperPartitionError(MatdiscError):
     """Partition classes must be nonempty, disjoint, and cover all indices."""
 
 
-class CertificateLinkViolatedError(MatdiscError):
-    """An inequality link of a certificate failed; indicates a bug."""
+class InvariantError(MatdiscError):
+    """A result failed a check that holds by construction; indicates a bug."""
 
     exit_code = 5
+
+
+class CertificateLinkViolatedError(InvariantError):
+    """An inequality link of a certificate failed; indicates a bug."""
 
 
 class NotPrimeError(MatdiscError):

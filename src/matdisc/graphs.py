@@ -1,8 +1,9 @@
 """Simple undirected graphs with 1-based vertex labels.
 
-Graphs here are deliberately small-scale and dense-friendly: every graph
-carries a cached adjacency matrix, and pair counts are computed with
-indicator vectors. Vertices are 1..n on every public surface.
+A Graph is one read-only boolean n x n adjacency, validated on every
+construction; `m`, `degrees`, `density()` and the float `adjacency` are
+derived from it, and the sorted `edges` tuple is built only when read.
+Graphs are dense, so no graph may exceed MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -12,62 +13,90 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, NotBinaryError
+from .errors import FormatError, NotBinaryError, TooManyVerticesError
 from .linalg import SymmetricMatrix
 
-
-def _canonical_edges(n: int, edges) -> tuple:
-    seen = set()
-    out = []
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"edge {e!r} is not a pair") from exc
-        u, v = int(u), int(v)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u}, {v}) leaves vertex range 1..{n}")
-        if u == v:
-            raise ValueError(f"loop at vertex {u} not allowed")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        out.append((u, v))
-    out.sort()
-    return tuple(out)
+#: largest vertex count of a graph; its float adjacency takes 800 MB
+MAX_VERTICES = 10_000
 
 
-@dataclass(frozen=True, eq=False)
+def _require_order(n: int) -> None:
+    """Check a vertex count before an n x n matrix is allocated for it."""
+    if n > MAX_VERTICES:
+        raise TooManyVerticesError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
+def _vertex_indices(labels, n: int) -> np.ndarray:
+    """0-based indices of 1-based vertex labels, which must be integers in 1..n."""
+    a = np.asarray(labels)
+    if a.dtype.kind not in "iuf" or not np.isin(a, np.arange(1, n + 1)).all():
+        raise ValueError(f"vertex labels must be integers in 1..{n}")
+    return a.astype(np.intp) - 1
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Simple graph on vertices 1..n with a canonical sorted edge tuple."""
+    """Simple graph on vertices 1..n from a sequence or array of (u, v)
+    vertex pairs in any order and orientation; code that already holds a
+    boolean adjacency uses Graph._from_mask. Both end in __post_init__.
+    """
 
-    n: int
-    edges: tuple
+    _mask: np.ndarray
+
+    def __init__(self, n: int, edges):
+        _require_order(n)
+        pairs = np.asarray(edges)
+        if pairs.shape[1:] != (2,) and pairs.shape != (0,):  # (0,): no edges
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = _vertex_indices(pairs, n).reshape(-1, 2).T
+        mask = np.zeros((n, n), dtype=bool)
+        mask[u, v] = mask[v, u] = True
+        object.__setattr__(self, "_mask", mask)
+        self.__post_init__()  # rejects loops: the scatter put them on the diagonal
+        if self.m != len(pairs):
+            raise ValueError("an edge is given twice (in either orientation)")
+
+    @classmethod
+    def _from_mask(cls, mask: np.ndarray) -> Graph:
+        """Graph whose adjacency is `mask`, a new boolean matrix it keeps."""
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "_mask", mask)
+        graph.__post_init__()
+        return graph
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
+        mask = self._mask
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.size == 0:
+            raise ValueError(f"adjacency of shape {mask.shape} is not n x n, n >= 1")
+        if mask.diagonal().any():
+            raise ValueError("loops are not allowed")
+        if not np.array_equal(mask, mask.T):
+            raise ValueError("adjacency must be symmetric")
+        mask.setflags(write=False)
 
     @property
+    def n(self) -> int:
+        return self._mask.shape[0]
+
+    @cached_property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return int(np.count_nonzero(self._mask)) // 2
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Pairs (u, v) with u < v, sorted."""
+        rows, cols = np.nonzero(np.triu(self._mask, k=1))
+        return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u - 1, v - 1] = 1.0
-            a[v - 1, u - 1] = 1.0
-        return SymmetricMatrix(a)
+        return SymmetricMatrix(self._mask.astype(float))
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Degree of vertex i+1 at index i."""
-        d = self.adjacency.a.sum(axis=1).astype(np.int64)
+        d = np.count_nonzero(self._mask, axis=1).astype(np.int64)
         d.setflags(write=False)
         return d
 
@@ -86,51 +115,38 @@ def from_adjacency(A: SymmetricMatrix) -> Graph:
     """Graph whose adjacency matrix is the given 0/1 matrix."""
     if not A.is_binary():
         raise NotBinaryError("adjacency entries must be exactly 0 or 1")
-    if np.any(np.diag(A.a) != 0.0):
-        raise ValueError("adjacency diagonal must be zero")
-    iu, ju = np.nonzero(np.triu(A.a, k=1))
-    edges = tuple((int(i) + 1, int(j) + 1) for i, j in zip(iu, ju))
-    return Graph(A.n, edges)
+    return Graph._from_mask(A.a == 1.0)
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+    _require_order(n)
+    return Graph._from_mask(~np.eye(n, dtype=bool))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n, tuple(edges))
+    v = np.arange(1, n + 1)
+    return Graph(n, np.stack([v, np.roll(v, -1)], axis=1))
 
 
 def star_graph(leaves: int) -> Graph:
     """Center vertex 1 joined to vertices 2..leaves+1."""
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
-    return Graph(leaves + 1, tuple((1, i) for i in range(2, leaves + 2)))
+    v = np.arange(2, leaves + 2)
+    return Graph(leaves + 1, np.stack([np.ones_like(v), v], axis=1))
 
 
 def gnp_random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Binomial random graph: each pair is an edge independently with prob p."""
+    """Binomial random graph: each pair u < v, in row-major order, is an
+    edge when its own uniform draw falls below p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    edges = []
-    for i in range(1, n + 1):
-        draws = rng.random(n - i)
-        for off in np.nonzero(draws < p)[0]:
-            edges.append((i, i + 1 + int(off)))
-    return Graph(n, tuple(edges))
-
-
-def _indicator(n: int, S) -> np.ndarray:
-    x = np.zeros(n)
-    for v in S:
-        v = int(v)
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} outside 1..{n}")
-        x[v - 1] = 1.0
-    return x
+    _require_order(n)
+    rows, cols = np.triu_indices(n, k=1)
+    hit = rng.random(rows.size) < p
+    return Graph(n, np.stack([rows[hit], cols[hit]], axis=1) + 1)
 
 
 def e_xy(G: Graph, X, Y) -> int:
@@ -139,23 +155,19 @@ def e_xy(G: Graph, X, Y) -> int:
     Edges with both ends in X and Y contribute twice, once per
     orientation, matching the bilinear form 1_X^T A 1_Y.
     """
-    ix = _indicator(G.n, X)
-    iy = _indicator(G.n, Y)
-    return int(round(float(ix @ G.adjacency.a @ iy)))
+    x, y = (np.unique(_vertex_indices(list(S), G.n)) for S in (X, Y))
+    return int(np.count_nonzero(G._mask[np.ix_(x, y)]))
 
 
 def vol(G: Graph, X) -> int:
     """Sum of degrees over X."""
-    ix = _indicator(G.n, X)
-    return int((G.degrees * ix).sum())
+    return int(G.degrees[np.unique(_vertex_indices(list(X), G.n))].sum())
 
 
 def write_graph(G: Graph, path) -> None:
     """Write the text format: 'graph <n> <m>' then one 'u v' line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"graph {G.n} {G.m}\n")
-        for u, v in G.edges:
-            fh.write(f"{u} {v}\n")
+    np.savetxt(path, np.argwhere(np.triu(G._mask, k=1)) + 1, fmt="%d",
+               header=f"graph {G.n} {G.m}", comments="")
 
 
 def read_graph(path) -> Graph:
@@ -170,15 +182,11 @@ def read_graph(path) -> Graph:
             raise FormatError(f"bad graph header {header!r}") from exc
         if n < 1 or m < 0:
             raise FormatError("graph header out of range")
+        _require_order(n)
         tokens = fh.read().split()
     if len(tokens) != 2 * m:
         raise FormatError(f"expected {m} edges, found {len(tokens) // 2} lines of data")
     try:
-        flat = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise FormatError(f"non-integer vertex label: {exc}") from exc
-    pairs = list(zip(flat[0::2], flat[1::2]))
-    try:
-        return Graph(n, tuple(pairs))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        return Graph(n, np.array(tokens, dtype=np.int64).reshape(m, 2))
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"bad edge list: {exc}") from exc

@@ -19,6 +19,7 @@ from .errors import (
     BadEpsilonError,
     CertificateLinkViolatedError,
     ImproperPartitionError,
+    InvariantError,
     NotNormalizedError,
 )
 from .linalg import SymmetricMatrix, eig_symmetric, rho_prime
@@ -159,7 +160,7 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
                 chosen = cand
                 break
         if chosen is None:
-            raise RuntimeError("bucket repair failed to reach the value budget")
+            raise InvariantError("bucket repair failed to reach the value budget")
         quantized = chosen
         repairs = 1
     out = np.zeros_like(v)
@@ -214,7 +215,7 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
 
     distinct = tuple(np.unique(y).tolist())
     if len(distinct) > ceiling:
-        raise RuntimeError(
+        raise InvariantError(
             f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"
         )
     error = _p_norm(xv - y, p)

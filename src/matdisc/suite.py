@@ -313,7 +313,7 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
         complete_t = catalog.smallest_t_for_degree.get(p - 1)
         if complete_t is not None:
             kp = qpt_graph(p, complete_t)
-            if kp.edges != complete_graph(p).edges:
+            if not np.array_equal(kp.adjacency.a, complete_graph(p).adjacency.a):
                 _record_failure(failures, kind="complete_graph", p=p,
                                 t=complete_t)
         per_prime.append({

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from matdisc import (
     complete_graph,
     errors,
     harmonic_number,
+    quantization,
     qpt_graph,
     read_graph,
     read_matrix,
@@ -142,6 +144,40 @@ def test_too_large_exit_4(tmp_path, capsys):
     assert "--heuristic" in err  # hint names the escape hatch
 
 
+def test_huge_graph_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("graph 1000000000 0\n")
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, ["analyze", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_construct_qpt_above_vertex_cap_exit_2(tmp_path, capsys):
+    out = tmp_path / "q.txt"
+    start = time.perf_counter()
+    code, payload, err = run_cli(
+        capsys, ["construct", "qpt", "--p", "10007", "--t", "1", "-o", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_quantizer_budget_check_exit_5(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t6.txt"
+    write_matrix(tightness_matrix(6), path)
+    monkeypatch.setattr(quantization, "complex_value_ceiling", lambda n, eps: 1)
+    code, payload, err = run_cli(capsys, ["certify", str(path)])
+    assert code == errors.InvariantError.exit_code == 5
+    assert payload is None
+    assert err.startswith("error: quantizer exceeded its value budget")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_chung_exit_codes(tmp_path, capsys):
     path = tmp_path / "k6.txt"
     write_graph(complete_graph(6), path)
@@ -234,7 +270,8 @@ def test_sym_file_non_finite_exit_2(tmp_path, capsys, entry):
 
 _ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                   if issubclass(cls, errors.MatdiscError)]
-_EXPECTED_CODES = {"TooLargeError": 4, "CertificateLinkViolatedError": 5}
+_EXPECTED_CODES = {"TooLargeError": 4, "InvariantError": 5,
+                   "CertificateLinkViolatedError": 5}
 
 
 @pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)

@@ -8,6 +8,7 @@ from matdisc import (
     Graph,
     NotBinaryError,
     SymmetricMatrix,
+    TooManyVerticesError,
     complete_graph,
     cycle_graph,
     e_xy,
@@ -18,6 +19,7 @@ from matdisc import (
     vol,
     write_graph,
 )
+from matdisc.graphs import MAX_VERTICES
 
 
 def test_edges_canonicalized():
@@ -35,6 +37,34 @@ def test_bad_edges_rejected():
         Graph(3, ((1, 2), (2, 1)))
     with pytest.raises(ValueError):
         Graph(0, ())
+
+
+def test_integral_float_labels_accepted():
+    assert Graph(3, ((1.0, 2),)).edges == ((1, 2),)
+
+
+def test_non_integral_pair_label_rejected():
+    with pytest.raises(ValueError):
+        Graph(3, ((1.5, 2),))
+
+
+def test_non_integral_e_xy_label_rejected():
+    with pytest.raises(ValueError):
+        e_xy(complete_graph(3), [1.7], [2])
+
+
+def test_non_integral_vol_label_rejected():
+    with pytest.raises(ValueError):
+        vol(complete_graph(3), [2.9])
+
+
+def test_vertex_cap():
+    with pytest.raises(TooManyVerticesError):
+        Graph(MAX_VERTICES + 1, ())
+    with pytest.raises(TooManyVerticesError):
+        gnp_random_graph(MAX_VERTICES + 1, 0.5, np.random.default_rng(0))
+    with pytest.raises(TooManyVerticesError):
+        complete_graph(MAX_VERTICES + 1)
 
 
 def test_complete_graph():
@@ -127,3 +157,22 @@ def test_gnp_deterministic_and_density():
     assert empty.m == 0
     full = gnp_random_graph(10, 1.0, np.random.default_rng(1))
     assert full.m == 45
+
+
+def per_row_gnp_edges(n, p, rng):
+    """Oracle: the binomial graph drawn with one rng.random call per row."""
+    edges = []
+    for i in range(1, n + 1):
+        draws = rng.random(n - i)
+        for off in np.nonzero(draws < p)[0]:
+            edges.append((i, i + 1 + int(off)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (2, 0.5, 1), (12, 0.3, 2),
+                                      (50, 50 ** (-1 / 3), [7, 50]),
+                                      (200, 200 ** (-1 / 3), [7, 200])])
+def test_gnp_matches_per_row_draw(n, p, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert gnp_random_graph(n, p, rng).edges == per_row_gnp_edges(n, p, oracle_rng)
+    assert rng.random() == oracle_rng.random()  # the same draws were consumed
