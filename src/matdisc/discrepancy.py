@@ -41,6 +41,12 @@ share their high bits (b = min(batch_bits, n)), in four steps.
 
 The exact disc1 search walks the same batches with the edge counts
 e(X + k) = e(X) + s_X[k] + a_kk / 2 doubled alongside the column sums.
+
+The heuristic is one seeded flip search: each restart draws X, then
+takes the first flip in index order that raises the score strictly,
+never emptying X, until none does. disc and disc2 score X by its best Y
+(a sort and two prefix sums of s_X) and count 2n evaluations a score;
+disc1 scores |e(X) - rho binom(|X|,2)| / |X| and counts one.
 """
 
 from __future__ import annotations
@@ -96,11 +102,6 @@ class DiscResult:
             "mode": self.mode,
             "evaluations": self.evaluations,
         }
-
-
-def _require_real(A: SymmetricMatrix) -> None:
-    if A.is_complex:
-        raise ValueError("discrepancy search supports real symmetric matrices only")
 
 
 def _mask_to_set(mask: int) -> tuple:
@@ -183,9 +184,28 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _high_rows(h: int, bits: int, n: int) -> np.ndarray:
-    """Indices of the rows that the high part h of a bitmask selects."""
-    return bits + np.flatnonzero((h >> np.arange(n - bits)) & 1)
+class _Batches:
+    """The exact searches' layout: X masks in batches of 2^bits that share
+    their high part h, the top n - bits bits of the mask."""
+
+    def __init__(self, n: int, cap: int, batch_bits: int):
+        if n > cap:
+            raise TooLargeError(
+                f"exact search needs n <= {cap}, got {n}; use the heuristic mode"
+            )
+        if batch_bits < 0:
+            raise ValueError("batch_bits must be nonnegative")
+        self.n = n
+        self.bits = min(batch_bits, n)
+        self.highs = range(1 << (n - self.bits))
+        self.low_size = _subset_sums(np.ones(self.bits))
+
+    def part(self, h: int) -> tuple:
+        """(rows, first, size): the rows h selects, the low part of the
+        batch's first mask (mask 0 is empty) and |X| for masks from there."""
+        rows = self.bits + np.flatnonzero((h >> np.arange(self.n - self.bits)) & 1)
+        first = 1 if h == 0 else 0
+        return rows, first, self.low_size[first:] + rows.size
 
 
 def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -203,11 +223,11 @@ class _ExactScan:
     """One exact search: the subset table of the low rows and the running
     lower bound L on disc, which the batches share under a lock."""
 
-    def __init__(self, M: np.ndarray, bits: int):
+    def __init__(self, M: np.ndarray, batch_bits: int,
+                 cap: int = DEFAULT_EXACT_CAP):
         self.M = M
-        self.bits = bits
-        self.low = _subset_sums(M[:bits])
-        self.low_size = _subset_sums(np.ones(bits))
+        self.batches = _Batches(M.shape[0], cap, batch_bits)
+        self.low = _subset_sums(M[:self.batches.bits])
         self.low_norm2 = np.einsum("ij,ij->i", self.low, self.low)
         self.L = 0.0
         self._lock = threading.Lock()
@@ -231,15 +251,12 @@ class _ExactScan:
         smaller mask of the batch, in mask order; both are empty when
         the bound dropped every row.
         """
-        n = self.M.shape[0]
-        rows = _high_rows(h, self.bits, n)
-        first = 1 if h == 0 else 0  # mask 0 is the empty set
+        rows, first, size = self.batches.part(h)
         low = self.low[first:]
         high = self.M[rows].sum(axis=0)
-        size = self.low_size[first:] + rows.size
         # The expansion's float error is at most ~(n + 2) eps n^3 max|M|^2,
         # far below the PRUNE_RTOL margin 2e-9 disc^2 >= 2e-9 max|M|^2.
-        cross = _subset_sums(self.M[:self.bits] @ high)[first:]
+        cross = _subset_sums(self.M[:self.batches.bits] @ high)[first:]
         norm2 = self.low_norm2[first:] + 2.0 * cross + high @ high
         bound2 = norm2 / size
 
@@ -270,8 +287,18 @@ class _ExactScan:
         idx, vals = idx[near][order], vals[near][order]
         ahead = np.maximum.accumulate(np.concatenate(([-math.inf], vals)))[:-1]
         record = vals > ahead
-        masks = (h << self.bits) + first + idx[record]
+        masks = (h << self.batches.bits) + first + idx[record]
         return masks, vals[record], rows_sorted
+
+
+def _pair_result(M: np.ndarray, xmask: int, mode: str, evaluations: int,
+                 **counters) -> DiscResult:
+    """The result at X = xmask and its smallest best Y."""
+    wx = _mask_to_set(xmask)
+    wy = _mask_to_set(_best_y_for_x(M, xmask))
+    return DiscResult(value=evaluate_pair(M, wx, wy), witness_X=wx,
+                      witness_Y=wy, mode=mode, evaluations=evaluations,
+                      **counters)
 
 
 def _search_exact(
@@ -279,76 +306,40 @@ def _search_exact(
     cap: int,
     threads: int,
     batch_bits: int,
-    mode_label: str,
 ) -> DiscResult:
     n = M.shape[0]
-    if n > cap:
-        raise TooLargeError(
-            f"exact search needs n <= {cap}, got {n}; use the heuristic mode"
-        )
-    if batch_bits < 0:
-        raise ValueError("batch_bits must be nonnegative")
-    bits = min(batch_bits, n)
-    scan = _ExactScan(M, bits)
-    highs = range(1 << (n - bits))
-    if threads > 1 and len(highs) > 1:
+    scan = _ExactScan(M, batch_bits, cap)
+    batches = scan.batches
+    if threads > 1 and len(batches.highs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan.batch, highs))
+            parts = list(pool.map(scan.batch, batches.highs))
     else:
-        parts = [scan.batch(h) for h in highs]
+        parts = [scan.batch(h) for h in batches.highs]
     cut = _tie_floor(scan.L)
     xmask = next(int(masks[vals >= cut][0])
                  for masks, vals, _ in parts if (vals >= cut).any())
-    wx = _mask_to_set(xmask)
-    wy = _mask_to_set(_best_y_for_x(M, xmask))
-    return DiscResult(
-        value=evaluate_pair(M, wx, wy),
-        witness_X=wx,
-        witness_Y=wy,
-        mode=mode_label,
-        evaluations=((1 << n) - 1) * 2 * n,
-        batches=len(highs),
-        rows_sorted=sum(part[2] for part in parts),
-    )
+    return _pair_result(M, xmask, "exact", ((1 << n) - 1) * 2 * n,
+                        batches=len(batches.highs),
+                        rows_sorted=sum(part[2] for part in parts))
 
 
-def _search_heuristic(
-    M: np.ndarray,
-    iterations: int,
-    seed: int,
-    mode_label: str,
-) -> DiscResult:
+def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:
+    """The heuristic's seeded restart/flip search (see the module docstring).
+
+    score maps the float 0/1 indicator of a nonempty X to its value.
+    Returns the xmask of the best restart and the number of score calls.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n = M.shape[0]
     rng = np.random.default_rng(seed)
-    best_val = -1.0
-    best_xmask = 0
-    evaluations = 0
-
-    def inner(ind: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 2 * n
-        s = ind @ M
-        xsize = ind.sum()
-        s_sorted = np.sort(s)
-        bottom = np.cumsum(s_sorted)
-        top = np.cumsum(s_sorted[::-1])
-        m = np.arange(1, n + 1, dtype=np.float64)
-        scale = 1.0 / np.sqrt(xsize * m)
-        return float(
-            max(
-                (np.abs(bottom) * scale).max(),
-                (np.abs(top) * scale).max(),
-            )
-        )
-
+    best_val, best_xmask, calls = -1.0, 0, 0
     for _ in range(iterations):
         sel = rng.random(n) < 0.5
         if not sel.any():
             sel[int(rng.integers(n))] = True
         ind = sel.astype(np.float64)
-        cur = inner(ind)
+        cur = score(ind)
+        calls += 1
         improved = True
         while improved:
             improved = False
@@ -356,32 +347,38 @@ def _search_heuristic(
                 if ind[j] == 1.0 and ind.sum() == 1.0:
                     continue
                 ind[j] = 1.0 - ind[j]
-                val = inner(ind)
+                val = score(ind)
+                calls += 1
                 if val > cur:
                     cur = val
                     improved = True
                     break
                 ind[j] = 1.0 - ind[j]
-        xmask = 0
-        for j in range(n):
-            if ind[j] == 1.0:
-                xmask |= 1 << j
         if cur > best_val:
-            best_val, best_xmask = cur, xmask
-    wx = _mask_to_set(best_xmask)
-    wy = _mask_to_set(_best_y_for_x(M, best_xmask))
-    return DiscResult(
-        value=evaluate_pair(M, wx, wy),
-        witness_X=wx,
-        witness_Y=wy,
-        mode=mode_label,
-        evaluations=evaluations,
-    )
+            best_val = cur
+            best_xmask = sum(1 << int(j) for j in np.flatnonzero(ind))
+    return best_xmask, calls
+
+
+def _search_heuristic(M: np.ndarray, iterations: int, seed: int) -> DiscResult:
+    n = M.shape[0]
+    m = np.arange(1, n + 1, dtype=np.float64)
+
+    def score(ind: np.ndarray) -> float:
+        """max over Y of the pair value: best |Y| smallest or largest of s_X."""
+        s_sorted = np.sort(ind @ M)
+        scale = 1.0 / np.sqrt(ind.sum() * m)
+        return float(max((np.abs(np.cumsum(s_sorted)) * scale).max(),
+                         (np.abs(np.cumsum(s_sorted[::-1])) * scale).max()))
+
+    xmask, calls = _flip_search(n, score, iterations, seed)
+    return _pair_result(M, xmask, "heuristic", calls * 2 * n)
 
 
 def centered_matrix(A: SymmetricMatrix) -> np.ndarray:
     """A minus its mean entry (the search matrix for disc)."""
-    _require_real(A)
+    if A.is_complex:
+        raise ValueError("discrepancy search supports real symmetric matrices only")
     return A.a - rho_prime(A)
 
 
@@ -392,7 +389,7 @@ def disc_exact(
     batch_bits: int = DEFAULT_BATCH_BITS,
 ) -> DiscResult:
     """True maximum of the discrepancy expression, witnesses included."""
-    return _search_exact(centered_matrix(A), cap, threads, batch_bits, "exact")
+    return _search_exact(centered_matrix(A), cap, threads, batch_bits)
 
 
 def disc_heuristic(
@@ -401,7 +398,7 @@ def disc_heuristic(
     seed: int = 0,
 ) -> DiscResult:
     """Seeded restart/flip local search; value is a valid lower bound."""
-    return _search_heuristic(centered_matrix(A), iterations, seed, "heuristic")
+    return _search_heuristic(centered_matrix(A), iterations, seed)
 
 
 def disc_value_at(A: SymmetricMatrix, X, Y) -> float:
@@ -424,9 +421,9 @@ def disc2_graph(
     """Two-set graph discrepancy: density in place of the entry mean."""
     M = _graph_centered(G)
     if mode == "exact":
-        return _search_exact(M, cap, threads, DEFAULT_BATCH_BITS, "exact")
+        return _search_exact(M, cap, threads, DEFAULT_BATCH_BITS)
     if mode == "heuristic":
-        return _search_heuristic(M, iterations, seed, "heuristic")
+        return _search_heuristic(M, iterations, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -446,8 +443,9 @@ def disc1_value_at(G: Graph, X) -> float:
     return abs(e_in - rho * size * (size - 1) / 2.0) / size
 
 
-def _disc1_exact(G: Graph, cap: int) -> DiscResult:
-    """Exact disc1 over the doubling-table batches of the adjacency.
+def _disc1_exact(G: Graph, cap: int) -> tuple:
+    """(xmask, batches): the exact disc1 witness over the doubling-table
+    batches of the adjacency, and the number of batches.
 
     e(X) doubles like the column sums, e(X + k) = e(X) + s_X[k] + a_kk / 2,
     where s_X[k] over all X below k is the subset-sum table of column k.
@@ -455,15 +453,10 @@ def _disc1_exact(G: Graph, cap: int) -> DiscResult:
     subset-sum table, those between the two parts. Ties keep the
     smallest mask: graph edge counts are exact in any summation order.
     """
-    n = G.n
-    if n > cap:
-        raise TooLargeError(
-            f"exact search needs n <= {cap}, got {n}; use the heuristic mode"
-        )
+    batches = _Batches(G.n, cap, DEFAULT_BATCH_BITS)
+    bits = batches.bits
     a = G.adjacency.a
     rho = G.density()
-    bits = min(DEFAULT_BATCH_BITS, n)
-    low_size = _subset_sums(np.ones(bits))
     e_low = np.zeros(1 << bits)
     for k in range(bits):
         half = 1 << k
@@ -471,28 +464,17 @@ def _disc1_exact(G: Graph, cap: int) -> DiscResult:
                out=e_low[half:2 * half])
     best_val = -1.0
     best_mask = 1
-    highs = range(1 << (n - bits))
-    for h in highs:
-        rows = _high_rows(h, bits, n)
-        first = 1 if h == 0 else 0  # mask 0 is the empty set
+    for h in batches.highs:
+        rows, first, size = batches.part(h)
         e_high = a[np.ix_(rows, rows)].sum() / 2.0
         cross = _subset_sums(a[:bits, rows].sum(axis=1))
         e_in = (e_low + cross + e_high)[first:]
-        size = low_size[first:] + rows.size
         vals = np.abs(e_in - rho * size * (size - 1) / 2.0) / size
         at = int(np.argmax(vals))
         if float(vals[at]) > best_val:
             best_val = float(vals[at])
             best_mask = (h << bits) + first + at
-    wx = _mask_to_set(best_mask)
-    return DiscResult(
-        value=disc1_value_at(G, wx),
-        witness_X=wx,
-        witness_Y=wx,
-        mode="exact",
-        evaluations=(1 << n) - 1,
-        batches=len(highs),
-    )
+    return best_mask, len(batches.highs)
 
 
 def disc1_graph(
@@ -504,51 +486,24 @@ def disc1_graph(
 ) -> DiscResult:
     """Thomason's single-set coefficient with witness X (Y mirrors X)."""
     if mode == "exact":
-        return _disc1_exact(G, cap)
-    n = G.n
-    if mode != "heuristic":
+        xmask, batches = _disc1_exact(G, cap)
+        evaluations = (1 << G.n) - 1
+    elif mode == "heuristic":
+        a = G.adjacency.a
+        rho = G.density()
+
+        def score(ind: np.ndarray) -> float:
+            """disc1 at X; ind A ind counts each edge twice, in exact integers."""
+            k = ind.sum()
+            return abs(ind @ a @ ind / 2.0 - rho * k * (k - 1) / 2.0) / k
+
+        xmask, evaluations = _flip_search(G.n, score, iterations, seed)
+        batches = 0
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    rng = np.random.default_rng(seed)
-    best_val = -1.0
-    best_mask = 1
-    evaluations = 0
-    for _ in range(iterations):
-        sel = rng.random(n) < 0.5
-        if not sel.any():
-            sel[int(rng.integers(n))] = True
-        cur = disc1_value_at(G, tuple(int(j) + 1 for j in np.nonzero(sel)[0]))
-        evaluations += 1
-        improved = True
-        while improved:
-            improved = False
-            for j in range(n):
-                if sel[j] and sel.sum() == 1:
-                    continue
-                sel[j] = not sel[j]
-                val = disc1_value_at(
-                    G, tuple(int(i) + 1 for i in np.nonzero(sel)[0])
-                )
-                evaluations += 1
-                if val > cur:
-                    cur = val
-                    improved = True
-                    break
-                sel[j] = not sel[j]
-        mask = 0
-        for j in np.nonzero(sel)[0]:
-            mask |= 1 << int(j)
-        if cur > best_val:
-            best_val, best_mask = cur, mask
-    wx = _mask_to_set(best_mask)
-    return DiscResult(
-        value=disc1_value_at(G, wx),
-        witness_X=wx,
-        witness_Y=wx,
-        mode="heuristic",
-        evaluations=evaluations,
-    )
+    wx = _mask_to_set(xmask)
+    return DiscResult(value=disc1_value_at(G, wx), witness_X=wx, witness_Y=wx,
+                      mode=mode, evaluations=evaluations, batches=batches)
 
 
 def disc2_gap_bound(G: Graph) -> float:

@@ -91,7 +91,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self._mask.astype(float))
+        return SymmetricMatrix(self._mask)
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -23,11 +23,15 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 #: parser rejects files whose data is asymmetric beyond this
 IO_SYMMETRY_TOL = 1e-9
+#: parser rejects entries larger than this in magnitude: the searches square
+#: sums of up to n^2 entries, and those squares must stay finite
+MAX_ABS_ENTRY = 1e100
 #: accepted decompositions must satisfy max ||A v - mu v|| <= this times sigma1
 RESIDUAL_REL_TOL = 1e-9
 
 
 def _as_square_array(entries) -> np.ndarray:
+    """A new float or complex array of the entries; it never aliases them."""
     a = np.asarray(entries)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError(
@@ -67,7 +71,6 @@ class SymmetricMatrix:
             raise NonSymmetricError(
                 f"matrix is asymmetric: max defect {defect:.3e}"
             )
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -209,8 +212,9 @@ def write_matrix(A: SymmetricMatrix, path) -> None:
 def read_matrix(path) -> SymmetricMatrix:
     """Parse the 'sym' text format.
 
-    Rejects non-finite entries and asymmetry beyond 1e-9 (relative to
-    the entry scale); smaller asymmetry is averaged away.
+    Rejects non-finite entries, entries above MAX_ABS_ENTRY in magnitude
+    and asymmetry beyond 1e-9 (relative to the entry scale); smaller
+    asymmetry is averaged away.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -231,8 +235,9 @@ def read_matrix(path) -> SymmetricMatrix:
         a = np.array([float(v) for v in values], dtype=np.float64).reshape(n, n)
     except ValueError as exc:
         raise FormatError(f"non-numeric matrix entry: {exc}") from exc
-    if not np.all(np.isfinite(a)):
-        raise FormatError("matrix entries must be finite")
+    if not np.all(np.abs(a) <= MAX_ABS_ENTRY):
+        raise FormatError(
+            f"matrix entries must be finite, at most {MAX_ABS_ENTRY:g} in size")
     defect = hermitian_defect(a)
     if defect > IO_SYMMETRY_TOL * _entry_scale(a):
         raise FormatError(f"matrix data is asymmetric: max defect {defect:.3e}")

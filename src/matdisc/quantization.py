@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import DiscResult, disc_exact, disc_heuristic, disc_value_at
+from .discrepancy import DiscResult, disc_exact, disc_heuristic, evaluate_pair
 from .errors import (
     BadEpsilonError,
     CertificateLinkViolatedError,
@@ -435,7 +435,7 @@ def certify_sigma2(
         best_val = disc.value
         for i, ci in enumerate(partition.classes):
             for j, cj in enumerate(partition.classes):
-                val = disc_value_at(A, ci, cj)
+                val = evaluate_pair(B.a, ci, cj)
                 if val > best_val:
                     best_val = val
                     best_pair = (ci, cj)

@@ -258,7 +258,8 @@ def test_sym_file_within_io_tolerance_is_symmetrized(tmp_path, capsys):
     assert a[0, 1] == pytest.approx(0.50000000005, abs=1e-15)
 
 
-@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+# 1e300 is finite, but the searches' squared sums of it would not be
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e300"])
 def test_sym_file_non_finite_exit_2(tmp_path, capsys, entry):
     path = tmp_path / "bad.txt"
     path.write_text(f"sym 2\n1 {entry}\n{entry} 1\n")

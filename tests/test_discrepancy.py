@@ -25,6 +25,7 @@ from matdisc import (
     gnp_random_graph,
     star_graph,
 )
+from matdisc.constructions import block_matrix, block_plan
 from matdisc.discrepancy import _ExactScan, centered_matrix
 
 
@@ -132,6 +133,47 @@ def test_heuristic_is_lower_bound_and_reproducible():
         again = disc_heuristic(mat, seed=5)
         assert again.value == heur.value
         assert again.witness_X == heur.witness_X
+
+
+def _heuristic_outputs():
+    """to_json_dict of the heuristics on seeded inputs, keyed by case."""
+    out = {"block13": disc_heuristic(block_matrix(block_plan(13)), seed=5)}
+    m = np.random.default_rng(30).normal(size=(30, 30))
+    out["gauss30"] = disc_heuristic(SymmetricMatrix((m + m.T) / 2.0),
+                                    iterations=16, seed=1)
+    for n in (12, 40):
+        g = gnp_random_graph(n, 0.5, np.random.default_rng(n))
+        out[f"disc2_{n}"] = disc2_graph(g, mode="heuristic", iterations=16,
+                                        seed=3)
+        out[f"disc1_{n}"] = disc1_graph(g, mode="heuristic", iterations=16,
+                                        seed=3)
+    return {key: res.to_json_dict() for key, res in out.items()}
+
+
+def _pin(value, xs, ys, evaluations):
+    return {"value": value, "witness_X": xs, "witness_Y": ys,
+            "mode": "heuristic", "evaluations": evaluations}
+
+
+def test_heuristic_outputs_pinned():
+    # The flip search's random stream, move order and score arithmetic
+    # decide these; each field is a seeded result the CLI reports.
+    first26 = list(range(1, 27))
+    x12 = [3, 6, 8, 9, 10, 11]
+    x40 = [5, 6, 9, 15, 18, 23, 24, 26, 27, 30, 31, 33, 37, 38, 39]
+    assert _heuristic_outputs() == {
+        "block13": _pin(10.0, first26, first26, 4436016),
+        "gauss30": _pin(4.819813499801894,
+                        [1, 2, 6, 7, 9, 11, 14, 17, 22, 24, 25, 27, 28],
+                        [2, 6, 7, 9, 11, 16, 17, 24], 285300),
+        "disc2_12": _pin(2.393939393939394, x12, x12, 17424),
+        "disc1_12": _pin(0.9696969696969696, x12, x12, 642),
+        "disc2_40": _pin(4.4203167583557,
+                         [5, 6, 7, 15, 17, 18, 23, 24, 26, 30, 33, 37, 39],
+                         [5, 6, 9, 15, 16, 18, 24, 26, 29, 31, 33, 37, 38, 39],
+                         697600),
+        "disc1_40": _pin(1.9628205128205125, x40, x40, 7238),
+    }
 
 
 def test_threads_do_not_change_result():

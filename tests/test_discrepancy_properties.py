@@ -1,11 +1,20 @@
-"""Property tests: the exact engine against the brute-force oracle."""
+"""Property tests: the exact engine against the brute-force oracle, and
+heuristic <= exact <= sigma1 of the centred matrix."""
 
 import numpy as np
 import pytest
 
 from conftest import naive_disc
 
-from matdisc import SymmetricMatrix, disc_exact
+from matdisc import (
+    SymmetricMatrix,
+    disc1_graph,
+    disc2_graph,
+    disc_exact,
+    disc_heuristic,
+    disc_value_at,
+    gnp_random_graph,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -14,9 +23,10 @@ KINDS = ("gauss", "small-int", "binary", "constant", "rank-1", "zero")
 
 
 @st.composite
-def small_matrices(draw):
-    """Symmetric matrices with n <= 7; all kinds but gauss are full of ties."""
-    n = draw(st.integers(1, 7))
+def small_matrices(draw, max_n=7):
+    """Symmetric matrices with n <= max_n; all kinds but gauss are full of
+    ties."""
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(KINDS))
     if kind == "gauss":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -60,3 +70,34 @@ def test_exact_equals_naive_disc(a, batch_bits, threads):
     assert got.value == pytest.approx(want_val, abs=1e-12)
     assert got.witness_X == want_x
     assert got.witness_Y == want_y
+
+
+def _at_most(lower, upper):
+    return lower <= upper + 1e-12 * max(1.0, abs(upper))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(a=small_matrices(max_n=8), iterations=st.integers(1, 8),
+                  seed=SEEDS)
+def test_heuristic_below_exact_below_sigma1(a, iterations, seed):
+    mat = SymmetricMatrix(a)
+    heur = disc_heuristic(mat, iterations=iterations, seed=seed)
+    exact = disc_exact(mat)
+    sigma1 = float(np.linalg.norm(a - a.mean(), 2))
+    assert _at_most(heur.value, exact.value)
+    assert _at_most(exact.value, sigma1)
+    for res in (heur, exact):
+        assert disc_value_at(mat, res.witness_X, res.witness_Y) == res.value
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(n=st.integers(1, 8), p=st.floats(0.0, 1.0),
+                  graph_seed=SEEDS, iterations=st.integers(1, 8), seed=SEEDS)
+def test_graph_heuristics_below_exact(n, p, graph_seed, iterations, seed):
+    g = gnp_random_graph(n, p, np.random.default_rng(graph_seed))
+    for search in (disc1_graph, disc2_graph):
+        heur = search(g, mode="heuristic", iterations=iterations, seed=seed)
+        assert _at_most(heur.value, search(g).value)
