@@ -99,10 +99,6 @@ def _as_matrix(obj) -> SymmetricMatrix:
     return obj
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, extra report fields,
 # human summary, exit code); an extra "timing" dict joins the timing block
@@ -199,15 +195,7 @@ def _cmd_analyze(args) -> tuple[dict, dict, str, int]:
 def _cmd_certify(args) -> tuple[dict, dict, str, int]:
     obj = _load_input(args.input)
     mat = _as_matrix(obj)
-    if args.heuristic and args.seed is None:
-        raise ValueError("--heuristic needs --seed for reproducibility")
-    cert = certify_sigma2(
-        mat,
-        disc_mode="heuristic" if args.heuristic else "exact",
-        threads=args.threads,
-        iterations=args.iters,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    cert = certify_sigma2(mat, _disc_for(mat, args))
     results = {
         "certificate": cert.to_json_dict(),
         "input": _digest(args.input),
@@ -291,19 +279,16 @@ def _build_parser() -> argparse.ArgumentParser:
     qpt.add_argument("--t", type=int, required=True)
     qpt.add_argument("-o", "--output", required=True)
 
-    ana = sub.add_parser("analyze", help="discrepancy and spectrum of a file")
-    ana.add_argument("input")
-    ana.add_argument("--heuristic", action="store_true", default=False)
-    ana.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
-    ana.add_argument("--seed", type=int, default=None)
-    ana.add_argument("--threads", type=int, default=_default_threads())
-
-    cer = sub.add_parser("certify", help="second singular value certificate")
-    cer.add_argument("input")
-    cer.add_argument("--heuristic", action="store_true", default=False)
-    cer.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
-    cer.add_argument("--seed", type=int, default=None)
-    cer.add_argument("--threads", type=int, default=_default_threads())
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("input")
+    search.add_argument("--heuristic", action="store_true", default=False)
+    search.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
+    search.add_argument("--seed", type=int, default=None)
+    search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_parser("analyze", parents=[search],
+                   help="discrepancy and spectrum of a file")
+    sub.add_parser("certify", parents=[search],
+                   help="second singular value certificate")
 
     ver = sub.add_parser("verify", help="run a bound-checking suite")
     versub = ver.add_subparsers(dest="suite", required=True)

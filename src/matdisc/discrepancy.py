@@ -60,9 +60,10 @@ import numpy as np
 
 from .errors import TooLargeError
 from .graphs import Graph
-from .linalg import SymmetricMatrix, rho_prime
+from .linalg import MAX_ABS_ENTRY, SymmetricMatrix, rho_prime
 
-DEFAULT_EXACT_CAP = 24
+#: largest n the exact searches accept: they scan all 2^n - 1 masks
+EXACT_CAP = 24
 DEFAULT_BATCH_BITS = 17
 DEFAULT_ITERATIONS = 64
 #: two discrepancy values tie when they differ by at most this times max(1, value)
@@ -188,10 +189,11 @@ class _Batches:
     """The exact searches' layout: X masks in batches of 2^bits that share
     their high part h, the top n - bits bits of the mask."""
 
-    def __init__(self, n: int, cap: int, batch_bits: int):
-        if n > cap:
+    def __init__(self, n: int, batch_bits: int):
+        if n > EXACT_CAP:
             raise TooLargeError(
-                f"exact search needs n <= {cap}, got {n}; use the heuristic mode"
+                f"exact search needs n <= {EXACT_CAP}, got {n}; "
+                "use the heuristic mode"
             )
         if batch_bits < 0:
             raise ValueError("batch_bits must be nonnegative")
@@ -223,10 +225,9 @@ class _ExactScan:
     """One exact search: the subset table of the low rows and the running
     lower bound L on disc, which the batches share under a lock."""
 
-    def __init__(self, M: np.ndarray, batch_bits: int,
-                 cap: int = DEFAULT_EXACT_CAP):
+    def __init__(self, M: np.ndarray, batch_bits: int):
         self.M = M
-        self.batches = _Batches(M.shape[0], cap, batch_bits)
+        self.batches = _Batches(M.shape[0], batch_bits)
         self.low = _subset_sums(M[:self.batches.bits])
         self.low_norm2 = np.einsum("ij,ij->i", self.low, self.low)
         self.L = 0.0
@@ -303,12 +304,11 @@ def _pair_result(M: np.ndarray, xmask: int, mode: str, evaluations: int,
 
 def _search_exact(
     M: np.ndarray,
-    cap: int,
     threads: int,
     batch_bits: int,
 ) -> DiscResult:
     n = M.shape[0]
-    scan = _ExactScan(M, batch_bits, cap)
+    scan = _ExactScan(M, batch_bits)
     batches = scan.batches
     if threads > 1 and len(batches.highs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -379,17 +379,19 @@ def centered_matrix(A: SymmetricMatrix) -> np.ndarray:
     """A minus its mean entry (the search matrix for disc)."""
     if A.is_complex:
         raise ValueError("discrepancy search supports real symmetric matrices only")
+    if not np.all(np.abs(A.a) <= MAX_ABS_ENTRY):
+        raise ValueError(
+            f"matrix entries must be finite, at most {MAX_ABS_ENTRY:g} in size")
     return A.a - rho_prime(A)
 
 
 def disc_exact(
     A: SymmetricMatrix,
-    cap: int = DEFAULT_EXACT_CAP,
     threads: int = 1,
     batch_bits: int = DEFAULT_BATCH_BITS,
 ) -> DiscResult:
     """True maximum of the discrepancy expression, witnesses included."""
-    return _search_exact(centered_matrix(A), cap, threads, batch_bits)
+    return _search_exact(centered_matrix(A), threads, batch_bits)
 
 
 def disc_heuristic(
@@ -413,7 +415,6 @@ def _graph_centered(G: Graph) -> np.ndarray:
 def disc2_graph(
     G: Graph,
     mode: str = "exact",
-    cap: int = DEFAULT_EXACT_CAP,
     threads: int = 1,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
@@ -421,7 +422,7 @@ def disc2_graph(
     """Two-set graph discrepancy: density in place of the entry mean."""
     M = _graph_centered(G)
     if mode == "exact":
-        return _search_exact(M, cap, threads, DEFAULT_BATCH_BITS)
+        return _search_exact(M, threads, DEFAULT_BATCH_BITS)
     if mode == "heuristic":
         return _search_heuristic(M, iterations, seed)
     raise ValueError(f"unknown mode {mode!r}")
@@ -443,7 +444,7 @@ def disc1_value_at(G: Graph, X) -> float:
     return abs(e_in - rho * size * (size - 1) / 2.0) / size
 
 
-def _disc1_exact(G: Graph, cap: int) -> tuple:
+def _disc1_exact(G: Graph) -> tuple:
     """(xmask, batches): the exact disc1 witness over the doubling-table
     batches of the adjacency, and the number of batches.
 
@@ -453,7 +454,7 @@ def _disc1_exact(G: Graph, cap: int) -> tuple:
     subset-sum table, those between the two parts. Ties keep the
     smallest mask: graph edge counts are exact in any summation order.
     """
-    batches = _Batches(G.n, cap, DEFAULT_BATCH_BITS)
+    batches = _Batches(G.n, DEFAULT_BATCH_BITS)
     bits = batches.bits
     a = G.adjacency.a
     rho = G.density()
@@ -480,13 +481,12 @@ def _disc1_exact(G: Graph, cap: int) -> tuple:
 def disc1_graph(
     G: Graph,
     mode: str = "exact",
-    cap: int = DEFAULT_EXACT_CAP,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
 ) -> DiscResult:
     """Thomason's single-set coefficient with witness X (Y mirrors X)."""
     if mode == "exact":
-        xmask, batches = _disc1_exact(G, cap)
+        xmask, batches = _disc1_exact(G)
         evaluations = (1 << G.n) - 1
     elif mode == "heuristic":
         a = G.adjacency.a

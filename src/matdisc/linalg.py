@@ -23,8 +23,8 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 #: parser rejects files whose data is asymmetric beyond this
 IO_SYMMETRY_TOL = 1e-9
-#: parser rejects entries larger than this in magnitude: the searches square
-#: sums of up to n^2 entries, and those squares must stay finite
+#: read_matrix and the discrepancy searches reject entries larger than this in
+#: magnitude: the searches square sums of up to n^2 entries, which must stay finite
 MAX_ABS_ENTRY = 1e100
 #: accepted decompositions must satisfy max ||A v - mu v|| <= this times sigma1
 RESIDUAL_REL_TOL = 1e-9

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import DiscResult, disc_exact, disc_heuristic, evaluate_pair
+from .discrepancy import DiscResult, disc_exact, evaluate_pair
 from .errors import (
     BadEpsilonError,
     CertificateLinkViolatedError,
@@ -381,26 +381,24 @@ def closed_form_bound(n: int, disc_value: float) -> float:
 def certify_sigma2(
     A: SymmetricMatrix,
     disc: DiscResult | None = None,
-    disc_mode: str = "exact",
-    cap: int = 24,
-    threads: int = 1,
-    iterations: int = 64,
-    seed: int = 0,
-    link_tol: float = LINK_TOL,
 ) -> Sigma2Certificate:
     """Run the constructive sigma2 <= const * disc * ln n pipeline.
 
-    Every link is checked numerically; a violation beyond link_tol
+    disc, the discrepancy the chain ends in, defaults to disc_exact(A).
+    A disc that is not exact, such as a disc_heuristic lower bound,
+    joins the class-pair values of the quantized partition in one
+    witness pool, so the last link max|c_ij| <= disc holds for it too.
+    Every link is checked numerically; a violation beyond LINK_TOL
     raises CertificateLinkViolatedError, which signals a bug rather
-    than a property of the input. When disc is supplied or computed
-    heuristically, the class-pair values join the witness pool so the
-    final link stays sound.
+    than a property of the input.
     """
     if A.is_complex:
         raise ValueError("the certificate pipeline supports real matrices only")
     n = A.n
     if n < 2:
         raise ValueError("certificate needs n >= 2")
+    if disc is None:
+        disc = disc_exact(A)
 
     spectrum_a = eig_symmetric(A)
     sigma2 = spectrum_a.sigma2
@@ -423,13 +421,6 @@ def certify_sigma2(
     m_realized = partition.class_count
     m_ceiling = certificate_m_ceiling(n)
 
-    if disc is None:
-        if disc_mode == "exact":
-            disc = disc_exact(A, cap=cap, threads=threads)
-        elif disc_mode == "heuristic":
-            disc = disc_heuristic(A, iterations=iterations, seed=seed)
-        else:
-            raise ValueError(f"unknown disc_mode {disc_mode!r}")
     if disc.mode != "exact":
         best_pair = None
         best_val = disc.value
@@ -456,10 +447,10 @@ def certify_sigma2(
         CertificateLink("max_c_le_disc", max_c, disc.value),
     )
     for link in links:
-        if link.lhs > link.rhs + link_tol:
+        if link.lhs > link.rhs + LINK_TOL:
             raise CertificateLinkViolatedError(
                 f"certificate link {link.name} violated: "
-                f"{link.lhs!r} > {link.rhs!r} + {link_tol}"
+                f"{link.lhs!r} > {link.rhs!r} + {LINK_TOL}"
             )
 
     bound = closed_form_bound(n, disc.value)
@@ -481,6 +472,6 @@ def certify_sigma2(
         links=links,
         closed_form_bound=bound,
         headline_bound=headline,
-        headline_holds=bool(sigma2 <= headline + link_tol),
+        headline_holds=bool(sigma2 <= headline + LINK_TOL),
         disc_is_exact=disc.mode == "exact",
     )

@@ -437,14 +437,13 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
 
 
 def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
-                      seed: int = 1,
-                      window: tuple[float, float] = (0.8, 1.2)) -> BoundReport:
+                      seed: int = 1) -> BoundReport:
     """Per-member spectral and discrepancy ratios for a growing family.
 
     For each member with empirical density p = 2m/n^2, reports
     sigma2/(pn), mu1/(pn) and the sampled discrepancy ratio
     max |e(X,Y) - p|X||Y|| / (p n^2).  The report passes when every
-    sigma2 ratio falls inside `window` and the discrepancy ratios
+    sigma2 ratio lies in [0.8, 1.2] and the discrepancy ratios
     strictly decrease along the family.
     """
     if len(members) < 3:
@@ -457,7 +456,7 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
         raise ValueError("family members must have distinct sizes")
 
     rows = []
-    lo, hi = window
+    lo, hi = 0.8, 1.2
     window_ok = True
     for idx, g in enumerate(ordered):
         if g.m == 0:

@@ -127,8 +127,7 @@ def _random_symmetric(rng: np.random.Generator, n: int, kind: int) -> SymmetricM
     return SymmetricMatrix(upper + upper.T)
 
 
-def check_certificates(trials: int = 200, seed: int = 2,
-                       n_low: int = 2, n_high: int = 16) -> dict:
+def check_certificates(trials: int = 200, seed: int = 2) -> dict:
     """Certificate chains on random symmetric matrices, links and headline."""
     failures: list = []
     min_link_slack = math.inf
@@ -137,7 +136,7 @@ def check_certificates(trials: int = 200, seed: int = 2,
     budget_ok = True
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        n = int(rng.integers(n_low, n_high + 1))
+        n = int(rng.integers(2, 17))
         mat = _random_symmetric(rng, n, trial % 3)
         cert = certify_sigma2(mat)
         for link in cert.links:
@@ -161,7 +160,7 @@ def check_certificates(trials: int = 200, seed: int = 2,
         "pass": not failures,
         "trials": trials,
         "seed": seed,
-        "n_range": [n_low, n_high],
+        "n_range": [2, 16],
         "min_link_slack": min_link_slack,
         "min_headline_margin": min_headline_margin,
         "max_m_realized": max_m_realized,
@@ -170,8 +169,7 @@ def check_certificates(trials: int = 200, seed: int = 2,
     }
 
 
-def check_quantization(vectors: int = 500, seed: int = 3,
-                       n_low: int = 4, n_high: int = 64) -> dict:
+def check_quantization(vectors: int = 500, seed: int = 3) -> dict:
     """Error and distinct-count ceilings over random unit vectors."""
     epsilons = (0.05, 1.0 / 3.0, 0.9)
     norms = (1.0, 2.0, 3.0)
@@ -182,7 +180,7 @@ def check_quantization(vectors: int = 500, seed: int = 3,
     max_count_ratio = 0.0
     for i in range(vectors):
         rng = np.random.default_rng([seed, i])
-        n = int(rng.integers(n_low, n_high + 1))
+        n = int(rng.integers(4, 65))
         if i % 2 == 0:
             base = np.abs(rng.normal(size=n))
         else:
@@ -233,15 +231,14 @@ def _random_partition(rng: np.random.Generator, n: int) -> Partition:
     )
 
 
-def check_compression(trials: int = 200, seed: int = 4,
-                      n_low: int = 2, n_high: int = 12) -> dict:
+def check_compression(trials: int = 200, seed: int = 4) -> dict:
     """Quadratic forms of class-constant vectors against compressed norms."""
     failures: list = []
     min_margin = math.inf
     identity_checks = 0
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        n = int(rng.integers(n_low, n_high + 1))
+        n = int(rng.integers(2, 13))
         m = rng.normal(size=(n, n))
         mat = SymmetricMatrix((m + m.T) / 2.0)
         part = _random_partition(rng, n)
@@ -466,20 +463,20 @@ def check_sparse_family(sizes: tuple[int, ...] = (50, 100, 200),
 
 
 def run_suite(*, max_k: int = 64, max_p: int | None = None,
-              trials: int = 200, vectors: int = 500,
               samples: int = 10_000, seed: int = 1,
               quick: bool = False) -> dict:
     """Run every check with one master seed and return a combined report.
 
     max_p caps the prime lists (both the residue sweep and the block
-    construction); max_k caps the tightness family.  quick shrinks all
-    the counts for a fast smoke run.  Results carry no timestamps, so
+    construction); max_k caps the tightness family.  The certificate and
+    compression checks run 200 trials and the quantization check 500
+    vectors; quick shrinks these and the other counts for a fast smoke
+    run.  Results carry no timestamps, so
     equal parameters give identical output.
     """
+    trials, vectors = (40, 60) if quick else (200, 500)
     if quick:
         max_k = min(max_k, 12)
-        trials = min(trials, 40)
-        vectors = min(vectors, 60)
         samples = min(samples, 1000)
     residue_primes = tuple(
         p for p in (13, 101, 199) if max_p is None or p <= max_p)

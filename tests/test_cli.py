@@ -99,16 +99,19 @@ def test_analyze_graph_extras(tmp_path, capsys):
 def test_analyze_heuristic_needs_seed(tmp_path, capsys):
     path = tmp_path / "t4.txt"
     write_matrix(tightness_matrix(4), path)
-    code, payload, err = run_cli(
-        capsys, ["analyze", str(path), "--heuristic"])
-    assert code == 2
-    assert payload is None
-    assert "--seed" in err
-    code, payload, _ = run_cli(
-        capsys, ["analyze", str(path), "--heuristic", "--seed", "3"])
-    assert code == 0
-    assert payload["results"]["disc"]["mode"] == "heuristic"
-    assert payload["seed"] == 3
+    for command in ("analyze", "certify"):
+        code, payload, err = run_cli(
+            capsys, [command, str(path), "--heuristic"])
+        assert code == 2
+        assert payload is None
+        assert "--seed" in err
+        code, payload, _ = run_cli(
+            capsys, [command, str(path), "--heuristic", "--seed", "3"])
+        assert code == 0
+        res = payload["results"]
+        disc = res["disc"] if command == "analyze" else res["certificate"]["disc"]
+        assert disc["mode"] == "heuristic"
+        assert payload["seed"] == 3
 
 
 def test_certify_headline(tmp_path, capsys):
@@ -135,13 +138,18 @@ def test_missing_file_exit_3(capsys):
     assert "i/o error" in err
 
 
-def test_too_large_exit_4(tmp_path, capsys):
+def test_too_large_exit_4(tmp_path, capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the exact search must fail before certify_sigma2")
+
+    monkeypatch.setattr(cli, "certify_sigma2", not_reached)
     path = tmp_path / "big.txt"
     write_matrix(all_ones(25), path)
-    code, payload, err = run_cli(capsys, ["analyze", str(path)])
-    assert code == 4
-    assert payload is None
-    assert "--heuristic" in err  # hint names the escape hatch
+    for command in ("analyze", "certify"):
+        code, payload, err = run_cli(capsys, [command, str(path)])
+        assert code == 4
+        assert payload is None
+        assert "--heuristic" in err  # hint names the escape hatch
 
 
 def test_huge_graph_header_exit_2(tmp_path, capsys):

@@ -224,6 +224,15 @@ def test_exact_cap():
         disc1_graph(complete_graph(25))
 
 
+def test_entries_above_max_abs_entry_rejected():
+    # The squared column sums of this matrix overflow to nan, and no row
+    # of the exact scan can tie a nan maximum.
+    mat = SymmetricMatrix([[6.87, -256.9], [-256.9, -1.66e226]])
+    for search in (disc_exact, disc_heuristic):
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            search(mat)
+
+
 def test_complex_matrix_rejected():
     h = SymmetricMatrix(np.array([[1.0, 1j], [-1j, 0.0]]))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Property tests: the exact engine against the brute-force oracle, and
-heuristic <= exact <= sigma1 of the centred matrix."""
+"""Property tests: the exact engine against the brute-force oracle,
+heuristic <= exact <= sigma1 of the centred matrix, and every link of
+the sigma2 certificate on either disc."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import naive_disc
 
 from matdisc import (
     SymmetricMatrix,
+    certify_sigma2,
     disc1_graph,
     disc2_graph,
     disc_exact,
@@ -101,3 +103,14 @@ def test_graph_heuristics_below_exact(n, p, graph_seed, iterations, seed):
     for search in (disc1_graph, disc2_graph):
         heur = search(g, mode="heuristic", iterations=iterations, seed=seed)
         assert _at_most(heur.value, search(g).value)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(a=small_matrices(max_n=8).filter(lambda a: a.shape[0] >= 2),
+                  seed=SEEDS)
+def test_certificate_links_hold(a, seed):
+    mat = SymmetricMatrix(a)
+    heur = disc_heuristic(mat, iterations=4, seed=seed)
+    for cert in (certify_sigma2(mat), certify_sigma2(mat, heur)):
+        for link in cert.links:
+            assert link.lhs <= link.rhs + 1e-8, link.name

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from matdisc import (
     closed_form_bound,
     complex_value_ceiling,
     disc_exact,
+    disc_heuristic,
     eig_symmetric,
     level_partition,
     nonneg_value_ceiling,
@@ -182,7 +185,7 @@ def test_certificate_heuristic_and_supplied_disc():
     rng = np.random.default_rng(101)
     m = rng.normal(size=(10, 10))
     A = SymmetricMatrix((m + m.T) / 2.0)
-    heur = certify_sigma2(A, disc_mode="heuristic", seed=4)
+    heur = certify_sigma2(A, disc=disc_heuristic(A, seed=4))
     assert not heur.disc_is_exact
     for link in heur.links:
         assert link.lhs <= link.rhs + 1e-8, link.name
@@ -192,11 +195,20 @@ def test_certificate_heuristic_and_supplied_disc():
     assert supplied.disc_is_exact
 
 
+def test_heuristic_certificate_pinned():
+    # A seeded heuristic certificate, every field pinned: the flip search,
+    # the class-pair pool and the chain's arithmetic decide it.
+    rng = np.random.default_rng(101)
+    m = rng.normal(size=(10, 10))
+    A = SymmetricMatrix((m + m.T) / 2.0)
+    pinned = Path(__file__).parent / "data" / "heuristic_certificate_n10.json"
+    got = certify_sigma2(A, disc=disc_heuristic(A, seed=4)).to_json_dict()
+    assert json.loads(json.dumps(got)) == json.loads(pinned.read_text())
+
+
 def test_certificate_rejects_bad_matrices():
     h = SymmetricMatrix(np.array([[1.0, 1j], [-1j, 0.0]]))
     with pytest.raises(ValueError):
         certify_sigma2(h)
     with pytest.raises(ValueError):
         certify_sigma2(SymmetricMatrix(np.zeros((1, 1))))
-    with pytest.raises(ValueError):
-        certify_sigma2(SymmetricMatrix(np.eye(4)), disc_mode="annealed")
