@@ -155,16 +155,6 @@ class DegreeCatalog:
             raise BadTError(f"t = {t} outside 1..{self.p}")
         return self.degree_by_t[t - 1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "degree_by_t": list(self.degree_by_t),
-            "achievable_degrees": list(self.achievable_degrees),
-            "smallest_t_for_degree": {
-                str(d): t for d, t in sorted(self.smallest_t_for_degree.items())
-            },
-        }
-
 
 def degree_catalog(p: int) -> DegreeCatalog:
     """Tabulate deg Q(p, t) = #{w in 1..p-1 : w^2 mod p <= t} for all t."""

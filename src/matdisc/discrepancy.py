@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError
-from .graphs import Graph
+from .graphs import Graph, _vertex_set
 from .linalg import MAX_ABS_ENTRY, SymmetricMatrix, rho_prime
 
 #: largest n the exact searches accept: they scan all 2^n - 1 masks
@@ -116,17 +116,13 @@ def _mask_to_set(mask: int) -> tuple:
     return tuple(out)
 
 
-def _set_to_indices(S) -> np.ndarray:
-    return np.array(sorted(int(v) - 1 for v in S), dtype=np.int64)
-
-
 def evaluate_pair(M: np.ndarray, X, Y) -> float:
     """The defining expression |sum over X x Y of M| / sqrt(|X||Y|).
 
-    M is already centered; X and Y are nonempty 1-based index sets.
+    M is already centered; X and Y are nonempty sets of 1-based labels
+    in 1..n, each counted once.
     """
-    xi = _set_to_indices(X)
-    yi = _set_to_indices(Y)
+    xi, yi = (_vertex_set(S, M.shape[0]) for S in (X, Y))
     if xi.size == 0 or yi.size == 0:
         raise ValueError("witness sets must be nonempty")
     total = float(M[np.ix_(xi, yi)].sum())
@@ -415,14 +411,14 @@ def _graph_centered(G: Graph) -> np.ndarray:
 def disc2_graph(
     G: Graph,
     mode: str = "exact",
-    threads: int = 1,
+    *,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
 ) -> DiscResult:
     """Two-set graph discrepancy: density in place of the entry mean."""
     M = _graph_centered(G)
     if mode == "exact":
-        return _search_exact(M, threads, DEFAULT_BATCH_BITS)
+        return _search_exact(M, 1, DEFAULT_BATCH_BITS)
     if mode == "heuristic":
         return _search_heuristic(M, iterations, seed)
     raise ValueError(f"unknown mode {mode!r}")
@@ -434,7 +430,7 @@ def disc2_value_at(G: Graph, X, Y) -> float:
 
 def disc1_value_at(G: Graph, X) -> float:
     """Single-set expression |e(X) - rho binom(|X|,2)| / |X|."""
-    xi = _set_to_indices(X)
+    xi = _vertex_set(X, G.n)
     if xi.size == 0:
         raise ValueError("witness set must be nonempty")
     a = G.adjacency.a

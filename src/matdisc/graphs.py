@@ -34,6 +34,15 @@ def _vertex_indices(labels, n: int) -> np.ndarray:
     return a.astype(np.intp) - 1
 
 
+def _vertex_set(labels, n: int) -> np.ndarray:
+    """Sorted 0-based indices of a collection of vertex labels, each once.
+
+    Read off the label counts: np.unique would import numpy.ma on its
+    first call, about 30 ms of a CLI run that needs no other np.unique.
+    """
+    return np.flatnonzero(np.bincount(_vertex_indices(list(labels), n), minlength=n))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple graph on vertices 1..n from a sequence or array of (u, v)
@@ -155,13 +164,13 @@ def e_xy(G: Graph, X, Y) -> int:
     Edges with both ends in X and Y contribute twice, once per
     orientation, matching the bilinear form 1_X^T A 1_Y.
     """
-    x, y = (np.unique(_vertex_indices(list(S), G.n)) for S in (X, Y))
+    x, y = (_vertex_set(S, G.n) for S in (X, Y))
     return int(np.count_nonzero(G._mask[np.ix_(x, y)]))
 
 
 def vol(G: Graph, X) -> int:
     """Sum of degrees over X."""
-    return int(G.degrees[np.unique(_vertex_indices(list(X), G.n))].sum())
+    return int(G.degrees[_vertex_set(X, G.n)].sum())
 
 
 def write_graph(G: Graph, path) -> None:

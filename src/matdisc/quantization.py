@@ -2,19 +2,24 @@
 
 The certificate pipeline bounds the second singular value of a symmetric
 matrix by a multiple of its discrepancy, constructively: center the
-matrix, grab the top singular direction, quantize it to few values,
-compress over the level sets, and read the bound off the small matrix.
-Every inequality used on the way is recorded with its numeric slack.
+matrix, grab the top singular direction, quantize it to few values (one
+level per greedy bucket, the buckets kept as stop indices), compress over
+the level sets (a Partition keeps each index's class label), and read the
+bound off the small matrix C. A disc that is not exact meets the witness
+pool read off |C|: the first class pair in row-major order whose |c_ij|
+is within TIE_RTOL max(1, max|C|) of max|C|, so the witness cannot flip
+with the summation order. Every inequality used on the way is recorded
+with its numeric slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DiscResult, disc_exact, evaluate_pair
+from .discrepancy import DiscResult, _tie_floor, disc_exact, evaluate_pair
 from .errors import (
     BadEpsilonError,
     CertificateLinkViolatedError,
@@ -90,79 +95,44 @@ def _p_norm(v: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
 
-def _bucket_spans(sorted_desc: np.ndarray, ratio: float, cap: int):
-    """Greedy geometric buckets over a descending array.
-
-    Each bucket keeps every entry >= ratio times its largest entry; at
-    most cap buckets are formed, the rest is left for the zero tail.
-    Returns a list of (start, stop) half-open index spans.
-    """
-    n = sorted_desc.shape[0]
-    spans = []
-    i = 0
-    while i < n and len(spans) < cap:
-        threshold = ratio * sorted_desc[i]
-        count = int(np.searchsorted(-sorted_desc[i:], -threshold, side="right"))
-        spans.append((i, i + count))
-        i += count
-    return spans
-
-
-def _values_from_spans(sorted_desc: np.ndarray, spans, drop_from: int) -> np.ndarray:
-    """Per-position quantized values: bucket minima, zero tail.
-
-    drop_from gives the number of leading buckets kept; later buckets
-    are zeroed along with the tail.
-    """
-    out = np.zeros_like(sorted_desc)
-    for start, stop in spans[:drop_from]:
-        out[start:stop] = sorted_desc[stop - 1]
-    return out
-
-
-def _merge_bottom(values: np.ndarray, spans, pair_at: int) -> np.ndarray:
-    """Copy of values with buckets pair_at and pair_at+1 sharing one value.
-
-    Both spans get the smaller bucket's minimum, so moduli still never
-    increase.
-    """
-    out = values.copy()
-    lo_start, _ = spans[pair_at]
-    _, hi_stop = spans[pair_at + 1]
-    out[lo_start:hi_stop] = values[hi_stop - 1]
-    return out
-
-
 def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     """Quantize a nonnegative array; returns (values array, repairs used).
 
+    Greedy geometric buckets over the entries in descending order, kept
+    as stop indices: each bucket holds every entry >= 1 - stage_epsilon/2
+    times its largest, at most cap buckets form, and the rest is the zero
+    tail. Each bucket takes one level, its minimum; the tail takes 0.
     The distinct count (zero included when it appears) must stay within
-    cap. The greedy bucketing can land exactly one value over budget
-    when it truncates; in that case the bottom bucket is zeroed, or two
-    bottom buckets merged, whichever first keeps the measured p-norm
-    error within stage_epsilon.
+    cap. The greedy bucketing can land exactly one value over budget when
+    it truncates; then level k takes level k + 1's value, for k from the
+    last bucket (zeroing it) down to the first, at the first k that keeps
+    the measured p-norm error within stage_epsilon.
     """
     order = np.argsort(-v, kind="stable")
     sorted_desc = v[order]
-    spans = _bucket_spans(sorted_desc, 1.0 - stage_epsilon / 2.0, cap)
-    quantized = _values_from_spans(sorted_desc, spans, len(spans))
+    neg = -sorted_desc
+    stops = [0]
+    while stops[-1] < v.size and len(stops) <= cap:
+        # entries before the bucket's first are >= it, so >= its threshold
+        threshold = (1.0 - stage_epsilon / 2.0) * neg[stops[-1]]
+        stops.append(int(np.searchsorted(neg, threshold, side="right")))
+    levels = np.append(sorted_desc[np.subtract(stops[1:], 1)], 0.0)
+    widths = np.diff(stops + [v.size])
+    quantized = np.repeat(levels, widths)
 
-    repairs = 0
-    if len(np.unique(quantized)) > cap:
-        candidates = [_values_from_spans(sorted_desc, spans, len(spans) - 1)]
-        for pair_at in range(len(spans) - 2, -1, -1):
-            candidates.append(_merge_bottom(quantized, spans, pair_at))
-        chosen = None
-        for cand in candidates:
+    repairs = int(len(np.unique(quantized)) > cap)
+    if repairs:
+        for k in range(len(stops) - 2, -1, -1):
+            edited = levels.copy()
+            edited[k] = levels[k + 1]
+            cand = np.repeat(edited, widths)
             if len(np.unique(cand)) <= cap and (
                 _p_norm(sorted_desc - cand, p) <= stage_epsilon
             ):
-                chosen = cand
                 break
-        if chosen is None:
+        else:
             raise InvariantError("bucket repair failed to reach the value budget")
-        quantized = chosen
-        repairs = 1
+        quantized = cand
     out = np.zeros_like(v)
     out[order] = quantized
     return out, repairs
@@ -195,23 +165,21 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
         case = "nonnegative"
         ceiling = nonneg_value_ceiling(n, epsilon)
         y, repairs = _quantize_nonneg(xv, epsilon, ceiling, p)
-    elif not np.iscomplexobj(xv):
-        case = "signed"
-        ceiling = complex_value_ceiling(n, epsilon)
-        moduli_cap = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
-        q, repairs = _quantize_nonneg(np.abs(xv), epsilon / 2.0, moduli_cap, p)
-        y = np.where(xv < 0.0, -q, q)
     else:
-        case = "complex"
         ceiling = complex_value_ceiling(n, epsilon)
         moduli_cap = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
-        phase_slots = math.ceil(8.0 * math.pi / epsilon)
         q, repairs = _quantize_nonneg(np.abs(xv), epsilon / 2.0, moduli_cap, p)
-        theta = np.angle(xv) / (2.0 * math.pi)
-        theta = np.where(theta < 0.0, theta + 1.0, theta)
-        theta[np.abs(xv) == 0.0] = 0.0
-        grid = np.floor(phase_slots * theta) / phase_slots
-        y = q * np.exp(2.0j * math.pi * grid)
+        if not np.iscomplexobj(xv):
+            case = "signed"
+            y = np.where(xv < 0.0, -q, q)
+        else:
+            case = "complex"
+            phase_slots = math.ceil(8.0 * math.pi / epsilon)
+            theta = np.angle(xv) / (2.0 * math.pi)
+            theta = np.where(theta < 0.0, theta + 1.0, theta)
+            theta[np.abs(xv) == 0.0] = 0.0
+            grid = np.floor(phase_slots * theta) / phase_slots
+            y = q * np.exp(2.0j * math.pi * grid)
 
     distinct = tuple(np.unique(y).tolist())
     if len(distinct) > ceiling:
@@ -239,11 +207,13 @@ class Partition:
 
     classes: tuple
     n: int
+    #: derived, read-only: labels[i] is the position in classes of index i + 1
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
+        labels = [None] * self.n
         normalized = []
-        for cls in self.classes:
+        for k, cls in enumerate(self.classes):
             cls = tuple(sorted(int(v) for v in cls))
             if not cls:
                 raise ImproperPartitionError("partition classes must be nonempty")
@@ -252,13 +222,16 @@ class Partition:
                     raise ImproperPartitionError(
                         f"index {v} outside 1..{self.n}"
                     )
-                if v in seen:
+                if labels[v - 1] is not None:
                     raise ImproperPartitionError(f"index {v} appears twice")
-                seen.add(v)
+                labels[v - 1] = k
             normalized.append(cls)
-        if len(seen) != self.n:
+        if None in labels:
             raise ImproperPartitionError("classes do not cover the index range")
+        labels = np.array(labels, dtype=np.intp)
+        labels.setflags(write=False)
         object.__setattr__(self, "classes", tuple(normalized))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def class_count(self) -> int:
@@ -271,12 +244,11 @@ class Partition:
 def level_partition(y) -> Partition:
     """Level sets of a vector, one class per distinct value, values ascending."""
     yv = np.asarray(y).reshape(-1)
-    values = np.unique(yv)
-    classes = []
-    for val in values:
-        members = tuple(int(i) + 1 for i in np.nonzero(yv == val)[0])
-        classes.append(members)
-    return Partition(classes=tuple(classes), n=yv.shape[0])
+    values, labels = np.unique(yv, return_inverse=True)
+    classes = [[] for _ in values]
+    for i, k in enumerate(labels.tolist(), start=1):
+        classes[k].append(i)
+    return Partition(classes=tuple(map(tuple, classes)), n=yv.shape[0])
 
 
 def quotient_compress(B: SymmetricMatrix, partition: Partition) -> SymmetricMatrix:
@@ -285,11 +257,9 @@ def quotient_compress(B: SymmetricMatrix, partition: Partition) -> SymmetricMatr
         raise ImproperPartitionError(
             f"partition covers {partition.n} indices, matrix has {B.n}"
         )
-    m = partition.class_count
-    sel = np.zeros((m, B.n), dtype=B.a.dtype)
-    for i, cls in enumerate(partition.classes):
-        idx = np.array(cls, dtype=np.int64) - 1
-        sel[i, idx] = 1.0 / math.sqrt(len(cls))
+    labels = partition.labels
+    sel = np.zeros((partition.class_count, B.n), dtype=B.a.dtype)
+    sel[labels, np.arange(B.n)] = 1.0 / np.sqrt(np.bincount(labels))[labels]
     C = sel @ B.a @ sel.conj().T
     C = (C + C.conj().T) / 2.0
     return SymmetricMatrix(C)
@@ -385,9 +355,10 @@ def certify_sigma2(
     """Run the constructive sigma2 <= const * disc * ln n pipeline.
 
     disc, the discrepancy the chain ends in, defaults to disc_exact(A).
-    A disc that is not exact, such as a disc_heuristic lower bound,
-    joins the class-pair values of the quantized partition in one
-    witness pool, so the last link max|c_ij| <= disc holds for it too.
+    A disc that is not exact, such as a disc_heuristic lower bound, is
+    replaced by the class pair of the quantized partition that the pool
+    picks off |C| when that pair's value is larger, so the last link
+    max|c_ij| <= disc holds for it too.
     Every link is checked numerically; a violation beyond LINK_TOL
     raises CertificateLinkViolatedError, which signals a bug rather
     than a property of the input.
@@ -417,24 +388,22 @@ def certify_sigma2(
     C = quotient_compress(B, partition)
     sigma1_c = eig_symmetric(C).sigma1
     byy = float(qy.y @ B.a @ qy.y)
-    max_c = float(np.max(np.abs(C.a)))
+    abs_c = np.abs(C.a)
+    max_c = float(abs_c.max())
     m_realized = partition.class_count
     m_ceiling = certificate_m_ceiling(n)
 
     if disc.mode != "exact":
-        best_pair = None
-        best_val = disc.value
-        for i, ci in enumerate(partition.classes):
-            for j, cj in enumerate(partition.classes):
-                val = evaluate_pair(B.a, ci, cj)
-                if val > best_val:
-                    best_val = val
-                    best_pair = (ci, cj)
-        if best_pair is not None:
+        # |C| holds every class-pair value; its first tie for the maximum
+        # in row-major order is the pool's pair
+        i, j = divmod(int(np.argmax(abs_c >= _tie_floor(max_c))), m_realized)
+        ci, cj = partition.classes[i], partition.classes[j]
+        value = evaluate_pair(B.a, ci, cj)
+        if value > disc.value:
             disc = DiscResult(
-                value=best_val,
-                witness_X=best_pair[0],
-                witness_Y=best_pair[1],
+                value=value,
+                witness_X=ci,
+                witness_Y=cj,
                 mode=disc.mode,
                 evaluations=disc.evaluations + m_realized * m_realized,
             )

@@ -77,14 +77,6 @@ class LaplacianSpectrum:
     lambdas: tuple[float, ...]
     lambda_bar: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "lambdas": list(self.lambdas),
-            "lambda_bar": self.lambda_bar,
-        }
-
 
 def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
     if not graph.is_regular():

@@ -247,10 +247,7 @@ def check_compression(trials: int = 200, seed: int = 4) -> dict:
             vals = rng.normal(size=k)
         else:
             vals = rng.normal(size=k) + 1j * rng.normal(size=k)
-        x = np.zeros(n, dtype=vals.dtype)
-        for ci, cls in enumerate(part.classes):
-            for v in cls:
-                x[v - 1] = vals[ci]
+        x = vals[part.labels]
         compressed = quotient_compress(mat, part)
         sigma1 = eig_symmetric(compressed).sigma1
         lhs = abs(complex(np.vdot(x, mat.a @ x)).real)

@@ -187,19 +187,38 @@ def test_quantizer_budget_check_exit_5(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_chung_exit_codes(tmp_path, capsys):
-    path = tmp_path / "k6.txt"
-    write_graph(complete_graph(6), path)
-    code, payload, _ = run_cli(
-        capsys, ["verify", "chung", "--input", str(path)])
-    assert code == 0
-    report = payload["results"]["report"]
-    assert report["params"]["alpha_min"] == pytest.approx(0.2, abs=1e-12)
+    # K6 as a graph file and as a 0/1 sym matrix file, which the CLI
+    # turns into a graph through from_adjacency
+    graph_path = tmp_path / "k6.txt"
+    write_graph(complete_graph(6), graph_path)
+    sym_path = tmp_path / "k6_sym.txt"
+    write_matrix(complete_graph(6).adjacency, sym_path)
+    for path in (graph_path, sym_path):
+        code, payload, _ = run_cli(
+            capsys, ["verify", "chung", "--input", str(path)])
+        assert code == 0
+        report = payload["results"]["report"]
+        assert report["params"]["alpha_min"] == pytest.approx(0.2, abs=1e-12)
+        code, payload, err = run_cli(
+            capsys, ["verify", "chung", "--input", str(path),
+                     "--alpha", "1e-6"])
+        assert code == 6
+        assert payload["results"]["report"]["pass"] is False
+        assert "FAIL" in err
+
+
+def test_verify_family(capsys):
     code, payload, err = run_cli(
-        capsys, ["verify", "chung", "--input", str(path),
-                 "--alpha", "1e-6"])
-    assert code == 6
-    assert payload["results"]["report"]["pass"] is False
-    assert "FAIL" in err
+        capsys, ["verify", "family", "--sizes", "20,40,80",
+                 "--samples", "500"])
+    assert code == 0
+    results = payload["results"]
+    assert results["pass"] is True
+    assert results["sizes"] == [20, 40, 80]
+    assert [m["n"] for m in results["members"]] == [27, 51, 98]
+    assert results["disc_ratio_decreasing"] is True
+    assert payload["seed"] == 7
+    assert err.startswith("family: PASS")
 
 
 def test_verify_thomason(tmp_path, capsys):

@@ -293,6 +293,10 @@ def test_disc2_heuristic_bounded_by_exact():
     assert heur.value <= exact.value + 1e-12
     with pytest.raises(ValueError):
         disc2_graph(g, mode="annealed")
+    # settings after mode are keyword-only: a positional third argument
+    # fails instead of landing in another parameter
+    with pytest.raises(TypeError):
+        disc2_graph(g, "heuristic", 16)
 
 
 def test_disc2_gap_bound_holds():
@@ -309,3 +313,22 @@ def test_empty_witness_rejected():
         disc1_value_at(g, ())
     with pytest.raises(ValueError):
         disc2_value_at(g, (), (1,))
+
+
+def test_witness_labels_validated():
+    # Labels are integers in 1..n and a set counts each label once, the
+    # rule e_xy and vol follow.
+    m = np.arange(9.0).reshape(3, 3)
+    A = SymmetricMatrix(m + m.T)
+    assert disc_value_at(A, [1, 1], [1]) == 8.0
+    assert disc_value_at(A, {1}, (1,)) == 8.0
+    for bad in ([0], [4], [1.7], [-1]):
+        with pytest.raises(ValueError):
+            disc_value_at(A, bad, [2])
+        with pytest.raises(ValueError):
+            disc_value_at(A, [2], bad)
+        with pytest.raises(ValueError):
+            disc1_value_at(complete_graph(3), bad)
+        with pytest.raises(ValueError):
+            disc2_value_at(complete_graph(3), bad, [1])
+    assert disc1_value_at(complete_graph(3), [1, 1, 2]) == 0.0

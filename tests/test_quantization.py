@@ -7,6 +7,7 @@ import pytest
 
 from matdisc import (
     BadEpsilonError,
+    DiscResult,
     ImproperPartitionError,
     NotNormalizedError,
     Partition,
@@ -22,6 +23,7 @@ from matdisc import (
     nonneg_value_ceiling,
     quantize,
     quotient_compress,
+    rho_prime,
 )
 
 
@@ -193,6 +195,53 @@ def test_certificate_heuristic_and_supplied_disc():
     supplied = certify_sigma2(A, disc=pre)
     assert supplied.disc.value == pre.value
     assert supplied.disc_is_exact
+
+
+def _weak_disc():
+    return DiscResult(value=0.0, witness_X=(1,), witness_Y=(1,),
+                      mode="heuristic", evaluations=1)
+
+
+def test_pool_replaces_weak_disc():
+    # A supplied disc of 0 is beaten by the class-pair pool, whose value
+    # must be the largest class-pair expression of B = A - rho, summed
+    # here entry by entry.
+    for seed in (1, 2, 3, 4, 5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 15))
+        m = rng.normal(size=(n, n))
+        A = SymmetricMatrix((m + m.T) / 2.0)
+        cert = certify_sigma2(A, disc=_weak_disc())
+        B = A.a - rho_prime(A)
+        classes = cert.partition.classes
+        pairs = {(X, Y): abs(math.fsum(B[i - 1, j - 1] for i in X for j in Y))
+                 / math.sqrt(len(X) * len(Y))
+                 for X in classes for Y in classes}
+        best = max(pairs.values())
+        got = cert.disc
+        assert got.value == pytest.approx(best, rel=1e-12)
+        assert pairs[(got.witness_X, got.witness_Y)] == pytest.approx(
+            best, rel=1e-12)
+        assert got.mode == "heuristic"
+        assert got.evaluations == 1 + cert.m_realized ** 2
+        for link in cert.links:
+            assert link.lhs <= link.rhs + 1e-8, link.name
+
+
+def test_pool_tie_takes_first_class_pair():
+    # Integer entries: the class pairs (5, 6) x (5, 6) and (1,) x (1,)
+    # both have value 7, but |C| reads 6.999999999999998 for the first,
+    # so a plain argmax of |C| would pick the second. The tie rule
+    # reports the first in row-major order.
+    rng = np.random.default_rng(149)
+    rng.integers(2, 15)
+    m = rng.integers(-3, 4, (6, 6))
+    A = SymmetricMatrix((m + m.T).astype(float))
+    cert = certify_sigma2(A, disc=_weak_disc())
+    assert cert.partition.classes == ((2,), (5, 6), (4,), (3,), (1,))
+    assert cert.disc.to_json_dict() == {
+        "value": 7.0, "witness_X": [5, 6], "witness_Y": [5, 6],
+        "mode": "heuristic", "evaluations": 26}
 
 
 def test_heuristic_certificate_pinned():
