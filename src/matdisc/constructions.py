@@ -210,7 +210,6 @@ class BlockPlan:
     k: int
     degrees: np.ndarray
     thresholds: np.ndarray
-    catalog: DegreeCatalog
     target_gap_violations: tuple[dict, ...]
 
     @property
@@ -238,36 +237,31 @@ def _fifth_root_ceiling(p: int) -> int:
     return k
 
 
+def _sqrt_products(k: int) -> np.ndarray:
+    """The (k, k) grid of sqrt(i * j) over block indices i, j in 1..k."""
+    idx = np.arange(1, k + 1, dtype=float)
+    return np.sqrt(np.outer(idx, idx))
+
+
 def block_plan(p: int) -> BlockPlan:
-    _require_prime(p)
+    _require_order(2 * p)  # first: n >= 2p bounds the prime test and the grid
     catalog = degree_catalog(p)
     k = _fifth_root_ceiling(p)
+    root = _sqrt_products(k)
     achievable = np.asarray(catalog.achievable_degrees, dtype=np.int64)
-    degrees = np.zeros((k, k), dtype=np.int64)
-    thresholds = np.zeros((k, k), dtype=np.int64)
-    violations = []
+    target = p / 2.0 + p / (2.0 * root)
+    # closest achievable degree; argmin keeps the first, so ties go down
+    degrees = achievable[np.argmin(np.abs(achievable - target[..., None]), axis=-1)]
+    # degree_by_t never decreases, so the first t of a degree is a search
+    thresholds = np.searchsorted(catalog.degree_by_t, degrees) + 1
+    gap = np.abs(2.0 * degrees - (p + p / root))
     allowance = 2.0 * math.sqrt(p) * math.log(p) ** 2
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            target = p / 2.0 + p / (2.0 * math.sqrt(i * j))
-            # closest achievable degree, smaller value on ties
-            dist = np.abs(achievable.astype(float) - target)
-            d = int(achievable[int(np.argmin(dist))])
-            degrees[i - 1, j - 1] = d
-            thresholds[i - 1, j - 1] = catalog.smallest_t_for_degree[d]
-            gap = abs(2.0 * d - (p + p / math.sqrt(i * j)))
-            if gap > allowance:
-                violations.append(
-                    {"i": i, "j": j, "gap": gap, "allowance": allowance}
-                )
-    return BlockPlan(
-        p=p,
-        k=k,
-        degrees=degrees,
-        thresholds=thresholds,
-        catalog=catalog,
-        target_gap_violations=tuple(violations),
+    violations = tuple(
+        {"i": i + 1, "j": j + 1, "gap": float(gap[i, j]), "allowance": allowance}
+        for i, j in np.argwhere(gap > allowance).tolist()
     )
+    return BlockPlan(p=p, k=k, degrees=degrees, thresholds=thresholds,
+                     target_gap_violations=violations)
 
 
 def block_matrix(plan: BlockPlan) -> SymmetricMatrix:
@@ -315,13 +309,8 @@ def block_rayleigh_closed_form(plan: BlockPlan) -> float:
     sum_ij (2 d_ij - p) / sqrt(ij) divided by H_k.  Kept as one fsum for
     reproducibility.
     """
-    k, p = plan.k, plan.p
-    terms = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            d = float(plan.degrees[i - 1, j - 1])
-            terms.append((2.0 * d - p) / math.sqrt(i * j))
-    return math.fsum(terms) / harmonic_number(k)
+    terms = (2.0 * plan.degrees - plan.p) / _sqrt_products(plan.k)
+    return math.fsum(terms.ravel().tolist()) / harmonic_number(plan.k)
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,7 @@ def _disc1_exact(G: Graph) -> tuple:
 def disc1_graph(
     G: Graph,
     mode: str = "exact",
+    *,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
 ) -> DiscResult:

@@ -27,6 +27,7 @@ from .errors import (
     InvariantError,
     NotNormalizedError,
 )
+from .graphs import _vertex_indices
 from .linalg import SymmetricMatrix, eig_symmetric, rho_prime
 
 CERT_EPSILON = 1.0 / 3.0
@@ -158,7 +159,7 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     if n < 1:
         raise ValueError("vector must be nonempty")
     norm = _p_norm(xv, p)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a nan norm fails too
         raise NotNormalizedError(f"input must be a unit vector in p-norm, got {norm}")
 
     if not np.iscomplexobj(xv) and bool(np.all(xv >= 0.0)):
@@ -211,26 +212,27 @@ class Partition:
     labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = [None] * self.n
-        normalized = []
-        for k, cls in enumerate(self.classes):
-            cls = tuple(sorted(int(v) for v in cls))
-            if not cls:
-                raise ImproperPartitionError("partition classes must be nonempty")
-            for v in cls:
-                if not 1 <= v <= self.n:
-                    raise ImproperPartitionError(
-                        f"index {v} outside 1..{self.n}"
-                    )
-                if labels[v - 1] is not None:
-                    raise ImproperPartitionError(f"index {v} appears twice")
-                labels[v - 1] = k
-            normalized.append(cls)
-        if None in labels:
+        sizes = [len(cls) for cls in self.classes]
+        if 0 in sizes:
+            raise ImproperPartitionError("partition classes must be nonempty")
+        try:  # the label rule of Graph and the disc evaluators
+            idx = _vertex_indices([v for cls in self.classes for v in cls], self.n)
+        except ValueError as exc:
+            raise ImproperPartitionError(str(exc)) from None
+        counts = np.bincount(idx, minlength=self.n)
+        if np.any(counts > 1):
+            raise ImproperPartitionError(
+                f"index {int(np.argmax(counts > 1)) + 1} appears twice")
+        if not np.all(counts):
             raise ImproperPartitionError("classes do not cover the index range")
-        labels = np.array(labels, dtype=np.intp)
+        labels = np.empty(self.n, dtype=np.intp)
+        labels[idx] = np.repeat(np.arange(len(sizes)), sizes)
         labels.setflags(write=False)
-        object.__setattr__(self, "classes", tuple(normalized))
+        # grouped by class, ascending within each: a stable sort of labels
+        order = (np.argsort(labels, kind="stable") + 1).tolist()
+        stops = np.cumsum([0] + sizes).tolist()
+        object.__setattr__(self, "classes", tuple(
+            tuple(order[a:b]) for a, b in zip(stops, stops[1:])))
         object.__setattr__(self, "labels", labels)
 
     @property

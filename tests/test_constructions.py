@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from matdisc import (
     BadTError,
     EmptyCliqueError,
     NotPrimeError,
+    TooManyVerticesError,
     block_graph,
     block_matrix,
     block_plan,
@@ -124,6 +126,48 @@ def test_block_plan_13():
     assert plan.thresholds.tolist() == [[12, 12], [12, 10]]
     with pytest.raises(NotPrimeError):
         block_plan(15)
+    # a prime too large for any block matrix fails before its catalog
+    with pytest.raises(TooManyVerticesError):
+        block_plan(10_000_019)
+
+
+def _block_plan_by_cell(p):
+    """Degrees, thresholds and gap violations of the block plan, one
+    (i, j) cell at a time."""
+    catalog = degree_catalog(p)
+    k = 1
+    while k ** 5 < p:
+        k += 1
+    achievable = catalog.achievable_degrees
+    allowance = 2.0 * math.sqrt(p) * math.log(p) ** 2
+    degrees, thresholds, violations = [], [], []
+    for i in range(1, k + 1):
+        degrees.append([])
+        thresholds.append([])
+        for j in range(1, k + 1):
+            target = p / 2.0 + p / (2.0 * math.sqrt(i * j))
+            # the closest achievable degree, the smaller one on a tie;
+            # achievable is sorted, so only the two around target compete
+            at = bisect.bisect_left(achievable, target)
+            d = min(achievable[max(at - 1, 0):at + 1],
+                    key=lambda a: (abs(a - target), a))
+            degrees[-1].append(d)
+            thresholds[-1].append(catalog.smallest_t_for_degree[d])
+            gap = abs(2.0 * d - (p + p / math.sqrt(i * j)))
+            if gap > allowance:
+                violations.append(
+                    {"i": i, "j": j, "gap": gap, "allowance": allowance})
+    return k, degrees, thresholds, violations
+
+
+def test_block_plan_matches_cell_reference():
+    for p in (p for p in range(2, 3000) if is_prime(p)):
+        k, degrees, thresholds, violations = _block_plan_by_cell(p)
+        plan = block_plan(p)
+        assert plan.k == k, p
+        assert plan.degrees.tolist() == degrees, p
+        assert plan.thresholds.tolist() == thresholds, p
+        assert list(plan.target_gap_violations) == violations, p
 
 
 def test_block_plan_fifth_root():

@@ -295,8 +295,9 @@ def test_disc2_heuristic_bounded_by_exact():
         disc2_graph(g, mode="annealed")
     # settings after mode are keyword-only: a positional third argument
     # fails instead of landing in another parameter
-    with pytest.raises(TypeError):
-        disc2_graph(g, "heuristic", 16)
+    for search in (disc1_graph, disc2_graph):
+        with pytest.raises(TypeError):
+            search(g, "heuristic", 16)
 
 
 def test_disc2_gap_bound_holds():

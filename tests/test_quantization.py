@@ -99,8 +99,10 @@ def test_complex_phase_grid():
 
 
 def test_quantize_rejects_bad_input():
-    with pytest.raises(NotNormalizedError):
-        quantize(np.array([1.0, 1.0]), p=2.0, epsilon=0.5)
+    # a nan norm fails the unit-norm check too
+    for x in ([1.0, 1.0], [np.nan], [0.6, np.nan, 0.8]):
+        with pytest.raises(NotNormalizedError):
+            quantize(np.array(x), p=2.0, epsilon=0.5)
     with pytest.raises(BadEpsilonError):
         quantize(np.array([1.0]), p=2.0, epsilon=0.0)
     with pytest.raises(BadEpsilonError):
@@ -129,6 +131,11 @@ def test_partition_validation():
         Partition(classes=((1,), ()), n=1)
     with pytest.raises(ImproperPartitionError):
         Partition(classes=((1, 4),), n=2)
+    # labels follow the vertex-label rule: integers, integral floats too
+    for classes in (((1.7, 2.2),), ((1, 2.5),), (("1", "2"),), ((0, 1),)):
+        with pytest.raises(ImproperPartitionError):
+            Partition(classes=classes, n=2)
+    assert Partition(classes=((2.0,), (1,)), n=2).classes == ((2,), (1,))
 
 
 def test_quotient_compress_identities():
