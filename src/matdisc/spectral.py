@@ -7,7 +7,8 @@ and the small-graph sweep run on one subset-pair engine:
   indicator rows of X and Y, shaped so that x @ w and y @ w broadcast
   against e.  The exhaustive source takes every nonempty X against
   chunks of Y sets as a grid (up to 14 vertices); the sampled source
-  pairs sets of log-uniform sizes from a seeded generator;
+  pairs sets of log-uniform sizes from a seeded generator, drawn one
+  bounded chunk at a time;
 - a bound turns a chunk into lhs and rhs arrays;
 - one recorder counts pairs and violations and keeps the first few.
 
@@ -155,31 +156,43 @@ def _exhaustive_pairs(a: np.ndarray) -> Iterator[tuple]:
 
 
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Boolean indicator rows of `count` subsets with log-uniform sizes."""
-    hi = math.log(n + 1)
-    rows = np.zeros((count, n), dtype=bool)
-    for r in range(count):
-        size = int(math.exp(rng.uniform(0.0, hi)))
-        size = min(max(size, 1), n)
-        rows[r, rng.choice(n, size=size, replace=False)] = True
-    return rows
+    """Boolean indicator rows of `count` subsets with log-uniform sizes.
+
+    One uniform vector on [0, log(n + 1)) gives the sizes (exp, truncated,
+    clipped to [1, n]); then one (count, n) matrix of uniform keys, and
+    row r holds the vertices whose key is at most the sizes[r]-th
+    smallest key of that row.  Two keys of a row tie only if two 53-bit
+    draws are equal, so each row holds exactly its drawn size.
+    """
+    sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
+    np.clip(sizes, 1, n, out=sizes)
+    keys = rng.random((count, n))
+    kth = np.sort(keys, axis=1)[np.arange(count), sizes - 1]
+    return keys <= kth[:, None]
 
 
 def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
                    whole: bool = False) -> Iterator[tuple]:
-    """`samples` X sets, then `samples` Y sets, drawn by _draw_subsets and
-    paired in order; `whole` appends the pair X = Y = V."""
+    """`samples` pairs streamed in chunks of at most _Y_CHUNK rows and
+    2^20 key cells: each chunk draws its X rows, then its Y rows, by
+    _draw_subsets from the one generator.  `whole` yields the pair
+    X = Y = V as a last one-row chunk."""
     n = a.shape[0]
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    xs = _draw_subsets(rng, n, samples)
-    ys = _draw_subsets(rng, n, samples)
+    rows = min(_Y_CHUNK, max(1, 2**20 // n))
+
+    def chunk(x: np.ndarray, y: np.ndarray) -> tuple:
+        return ((x @ a) * y).sum(axis=1), x, y
+
+    for lo in range(0, samples, rows):
+        count = min(rows, samples - lo)
+        x = _draw_subsets(rng, n, count)
+        y = _draw_subsets(rng, n, count)
+        yield chunk(x, y)
     if whole:
-        xs = np.vstack([xs, np.ones(n, dtype=bool)])
-        ys = np.vstack([ys, np.ones(n, dtype=bool)])
-    for lo in range(0, len(xs), _Y_CHUNK):
-        x, y = xs[lo:lo + _Y_CHUNK], ys[lo:lo + _Y_CHUNK]
-        yield ((x @ a) * y).sum(axis=1), x, y
+        v = np.ones((1, n), dtype=bool)
+        yield chunk(v, v)
 
 
 def _pairs(graph: Graph, mode: str, samples: int, seed: int, params: dict, *,

@@ -435,6 +435,8 @@ def check_sparse_family(sizes: tuple[int, ...] = (50, 100, 200),
     """Sparse random graphs with planted cliques: ratio window and decay."""
     members = []
     for n in sizes:
+        if n < 2:
+            raise ValueError(f"family sizes must be at least 2, got {n}")
         density = n ** (-1.0 / 3.0)
         base = gnp_random_graph(n, density, np.random.default_rng([seed, n]))
         members.append(sparse_union(base, density))

@@ -221,6 +221,15 @@ def test_verify_family(capsys):
     assert err.startswith("family: PASS")
 
 
+@pytest.mark.parametrize("sizes, bad", [("0,10,20", 0), ("1,2,3", 1)])
+def test_verify_family_rejects_tiny_sizes(capsys, sizes, bad):
+    code, payload, err = run_cli(
+        capsys, ["verify", "family", "--sizes", sizes, "--samples", "50"])
+    assert code == 2
+    assert payload is None
+    assert f"family sizes must be at least 2, got {bad}" in err
+
+
 def test_verify_thomason(tmp_path, capsys):
     path = tmp_path / "k8.txt"
     write_graph(complete_graph(8), path)

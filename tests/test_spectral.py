@@ -24,6 +24,7 @@ from matdisc import (
     thomason_report,
     thomason_small_graph_sweep,
 )
+from matdisc.spectral import _draw_subsets, _sampled_pairs
 
 
 def test_cycle_laplacian():
@@ -163,22 +164,80 @@ def test_family_report_shape():
     assert not rep.passed
 
 
+def _drawn_sizes(rng, n, count):
+    """The documented size law: exp of a uniform on [0, log(n + 1)),
+    truncated and clipped to [1, n]."""
+    sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
+    return np.clip(sizes, 1, n)
+
+
 def _drawn_pairs(n, samples, seed):
-    """The documented sampling rule, re-implemented: `samples` X sets and
-    then `samples` Y sets with log-uniform sizes, then the pair X = Y = V."""
+    """The documented sampling rule, re-implemented row by row: chunks of
+    min(2048, max(1, 2^20 // n)) pairs, each drawing its X sets and then
+    its Y sets (sizes, then a (count, n) key matrix whose `size` smallest
+    keys of a row pick its set), then the pair X = Y = V."""
     rng = np.random.default_rng(seed)
-    hi = math.log(n + 1)
+    rows = min(2048, max(1, 2**20 // n))
 
-    def draw():
-        sets = []
-        for _ in range(samples):
-            size = min(max(int(math.exp(rng.uniform(0.0, hi))), 1), n)
-            chosen = rng.choice(n, size=size, replace=False)
-            sets.append(sorted(int(v) + 1 for v in chosen))
-        return sets
+    def draw(count):
+        sizes = _drawn_sizes(rng, n, count)
+        keys = rng.random((count, n))
+        return [sorted(int(v) + 1 for v in np.argsort(keys[r])[:size])
+                for r, size in enumerate(sizes)]
 
+    xs, ys = [], []
+    for lo in range(0, samples, rows):
+        count = min(rows, samples - lo)
+        xs += draw(count)
+        ys += draw(count)
     whole = list(range(1, n + 1))
-    return draw() + [whole], draw() + [whole]
+    return xs + [whole], ys + [whole]
+
+
+@pytest.mark.parametrize("n", [1, 2, 52, 499])
+def test_drawn_rows_hold_their_sizes(n):
+    for seed in (0, 1, 2, 3):
+        rows = _draw_subsets(np.random.default_rng(seed), n, 300)
+        sizes = _drawn_sizes(np.random.default_rng(seed), n, 300)
+        assert rows.dtype == bool and rows.shape == (300, n)
+        assert rows.sum(axis=1).tolist() == sizes.tolist()
+
+
+def test_drawn_vertices_equally_likely():
+    """Given the sizes s_r, vertex v lies in row r with probability s_r / n,
+    so its inclusion count has mean sum p_r and variance sum p_r (1 - p_r)."""
+    n = 101
+    rows = _draw_subsets(np.random.default_rng(17), n, 20_000)
+    p = rows.sum(axis=1) / n
+    mean, sigma = p.sum(), math.sqrt((p * (1.0 - p)).sum())
+    assert np.all(np.abs(rows.sum(axis=0) - mean) <= 5.0 * sigma)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2047, 2048, 2049, 4097])
+def test_sampled_pairs_count_and_whole_last(samples):
+    a = cycle_graph(6).adjacency.a
+    for whole in (False, True):
+        chunks = list(_sampled_pairs(a, np.random.default_rng(2), samples,
+                                     whole))
+        assert sum(len(e) for e, _, _ in chunks) == samples + whole
+        for e, x, y in chunks:
+            assert 1 <= len(e) <= 2048 and x.shape == y.shape == (len(e), 6)
+            assert e.tolist() == [count_edges_between(a, np.flatnonzero(xr) + 1,
+                                                      np.flatnonzero(yr) + 1)
+                                  for xr, yr in zip(x, y)]
+        if whole:
+            e, x, y = chunks[-1]
+            assert x.shape == (1, 6) and x.all() and y.all()
+            assert e.tolist() == [a.sum()]
+
+
+@pytest.mark.parametrize("n, rows", [(101, 2048), (1024, 1024)])
+def test_sampled_pairs_stream_bounded_chunks(n, rows):
+    """A huge sample count draws one bounded chunk at a time, never the
+    whole sample up front."""
+    e, x, y = next(_sampled_pairs(np.zeros((n, n)), np.random.default_rng(1),
+                                  10**12))
+    assert e.shape == (rows,) and x.shape == y.shape == (rows, n)
 
 
 def test_chung_sampled_violations_counted_and_capped():
@@ -221,31 +280,32 @@ def test_sampled_scan_never_exceeds_exhaustive():
 
 
 def test_sampled_stream_pinned():
-    """Seeded sampled reports keep the values they had when each check
-    carried its own sampling loop."""
+    """Seeded sampled reports keep the values of the chunked stream of
+    _draw_subsets rows (sizes, then a key threshold per row)."""
     rep = chung_alpha_check(cycle_graph(20), samples=400, seed=3)
-    assert rep.params["alpha_min"] == 0.4444444444444445
-    assert rep.params["identity_pairs"] == 11
+    assert rep.params["alpha_min"] == 0.6882472016116853
+    assert rep.params["identity_pairs"] == 7
     g = gnp_random_graph(30, 0.4, np.random.default_rng(9))
     rep = chung_alpha_check(g, alpha=0.1, samples=500, seed=4)
-    assert rep.params["violation_count"] == 9
-    assert rep.max_slack == 1.4694960657696639
-    assert rep.params["alpha_min"] == 0.1221666640934032
-    assert rep.violations[0] == {"X": [16, 18, 29], "Y": [30],
-                                 "lhs": 1.8502994011976048,
-                                 "rhs": 1.8295764130518881}
+    assert rep.params["violation_count"] == 11
+    assert rep.max_slack == 2.8786104274091624
+    assert rep.params["alpha_min"] == 0.13968785855788363
+    assert rep.violations[0] == {"X": [9, 12, 19, 23],
+                                 "Y": [4, 11, 13, 14, 18, 20],
+                                 "lhs": 5.134730538922156,
+                                 "rhs": 4.543581584938204}
     rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11)
     assert rep.params["violation_count"] == 0
     assert rep.max_slack == -4.995831523312719
     rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11, tol=-6.0)
-    assert rep.params["violation_count"] == 21
-    assert rep.violations[0] == {"X": [24], "Y": [7], "lhs": 0.8,
+    assert rep.params["violation_count"] == 17
+    assert rep.violations[0] == {"X": [30], "Y": [29], "lhs": 0.8,
                                  "rhs": 5.795831523312719}
     family = [gnp_random_graph(n, 0.5, np.random.default_rng(n))
               for n in (16, 24, 32)]
     rep = family_properties(family, samples=300, seed=5)
     assert [m["disc_ratio"] for m in rep.params["members"]] == [
-        0.09318181818181819, 0.04513888888888889, 0.026242760617760617]
+        0.07386363636363637, 0.06666666666666667, 0.028716216216216218]
 
 
 def test_sweep_hypothesis_count_matches_direct():
