@@ -220,7 +220,8 @@ def _cmd_verify(args) -> tuple[dict, dict, str, int]:
         summary = (f"thomason: {'PASS' if report.passed else 'FAIL'} "
                    f"(hypotheses {'hold' if held else 'fail'}, "
                    f"instances={report.instances})")
-        return results, {"seed": args.seed}, summary, 0 if report.passed else 6
+        extra = {"seed": args.seed, "timing": {"grid_pairs": report.grid_pairs}}
+        return results, extra, summary, 0 if report.passed else 6
     if args.suite == "chung":
         graph = _as_graph(_load_input(args.input))
         report = chung_alpha_check(graph, alpha=args.alpha,
@@ -232,7 +233,8 @@ def _cmd_verify(args) -> tuple[dict, dict, str, int]:
                    f"(alpha_min={report.params['alpha_min']:.6g}"
                    + (f", lambda_bar/alpha={ratio:.4g}" if ratio else "")
                    + ")")
-        return results, {"seed": args.seed}, summary, 0 if report.passed else 6
+        extra = {"seed": args.seed, "timing": {"grid_pairs": report.grid_pairs}}
+        return results, extra, summary, 0 if report.passed else 6
     if args.suite == "family":
         sizes = tuple(int(s) for s in args.sizes.split(","))
         result = check_sparse_family(sizes=sizes, samples=args.samples,

@@ -5,10 +5,13 @@ and the small-graph sweep run on one subset-pair engine:
 
 - a source yields chunks (e, x, y) of e(X, Y) = 1_X^T A 1_Y and the
   indicator rows of X and Y, shaped so that x @ w and y @ w broadcast
-  against e.  The exhaustive source takes every nonempty X against
-  chunks of Y sets as a grid (up to 14 vertices); the sampled source
-  pairs sets of log-uniform sizes from a seeded generator, drawn one
-  bounded chunk at a time;
+  against e.  The sampled source pairs sets of log-uniform sizes from a
+  seeded generator, drawn one bounded chunk at a time.  The exhaustive
+  source (up to 14 vertices) holds every nonempty X with its column
+  sums; a per-row pass bounds each X row over every Y at once (Thomason
+  exactly, from the row's sorted column sums; Chung by Cauchy-Schwarz),
+  and only the rows that can still change the report are formed as a
+  grid against chunks of Y sets;
 - a bound turns a chunk into lhs and rhs arrays;
 - one recorder counts pairs and violations and keeps the first few.
 
@@ -24,6 +27,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +126,9 @@ class BoundReport:
     max_slack is the largest lhs - rhs seen (None when nothing was
     comparable); violations hold at most a fixed number of offending
     pairs, with the true count kept in params["violation_count"].
+    grid_pairs counts the pairs whose e(X, Y) was formed one by one
+    (every drawn pair of a sampled check, the scanned rows' pairs of an
+    exhaustive one); it is a work counter and stays out of the JSON.
     """
 
     bound_name: str
@@ -130,6 +137,7 @@ class BoundReport:
     violations: tuple[dict, ...]
     max_slack: float | None
     params: dict
+    grid_pairs: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,17 +150,45 @@ class BoundReport:
         }
 
 
-def _exhaustive_pairs(a: np.ndarray) -> Iterator[tuple]:
-    """Every nonempty X against chunks of _Y_CHUNK Y sets, in mask order."""
-    n = a.shape[0]
-    if n > EXACT_PAIR_CAP:
-        raise TooLargeError(f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}")
-    masks = np.arange(1, 1 << n, dtype=np.uint32)
-    ind = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-    ax = ind @ a
-    for lo in range(0, ind.shape[0], _Y_CHUNK):
-        y = ind[lo:lo + _Y_CHUNK]
-        yield ax @ y.T, ind[:, None], y[None]
+class _Exhaustive:
+    """Every nonempty X against every nonempty Y (up to EXACT_PAIR_CAP
+    vertices).
+
+    ind holds the N = 2^n - 1 indicator rows in mask order and ax =
+    ind @ a their column sums: integers held exactly in floats, so every
+    e(X, Y) formed from them, on the grid or from sorted prefix sums,
+    is exact.
+    """
+
+    def __init__(self, a: np.ndarray):
+        n = a.shape[0]
+        if n > EXACT_PAIR_CAP:
+            raise TooLargeError(
+                f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}")
+        masks = np.arange(1, 1 << n, dtype=np.uint32)
+        self.ind = ((masks[:, None] >> np.arange(n, dtype=np.uint32))
+                    & 1).astype(float)
+        self.ax = self.ind @ a
+        self.pairs = len(masks) ** 2
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """(2, N, n): for each X row and k = 1..n, the least and the
+        largest e(X, Y) over |Y| = k, read off the prefix sums of the
+        row's sorted column sums."""
+        s = np.sort(self.ax, axis=1)
+        return np.stack([np.cumsum(s, axis=1), np.cumsum(s[:, ::-1], axis=1)])
+
+    def grid(self, rows: np.ndarray) -> Iterator[tuple]:
+        """The X rows `rows` (ascending) against chunks of _Y_CHUNK Y
+        sets in mask order: the violations of the chosen rows come out
+        in the order of a scan of every row."""
+        if not len(rows):
+            return
+        ax, x = self.ax[rows], self.ind[rows][:, None]
+        for lo in range(0, len(self.ind), _Y_CHUNK):
+            y = self.ind[lo:lo + _Y_CHUNK]
+            yield ax @ y.T, x, y[None]
 
 
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -195,13 +231,23 @@ def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
         yield chunk(v, v)
 
 
+_MODES = ("auto", "exhaustive", "sampled")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {', '.join(_MODES)}, "
+                         f"got {mode!r}")
+
+
 def _pairs(graph: Graph, mode: str, samples: int, seed: int, params: dict, *,
-           whole: bool = False) -> Iterator[tuple]:
-    """Pair source of a report, named in its params.  "auto" is exhaustive
-    up to EXACT_PAIR_CAP vertices; modes but "exhaustive" sample."""
+           whole: bool = False) -> _Exhaustive | Iterator[tuple]:
+    """Pair source of a report, named in its params: the _Exhaustive
+    table ("auto" up to EXACT_PAIR_CAP vertices) or the sampled chunks.
+    The caller has checked the mode."""
     if mode == "exhaustive" or (mode == "auto" and graph.n <= EXACT_PAIR_CAP):
         params["mode"] = "exhaustive"
-        return _exhaustive_pairs(graph.adjacency.a)
+        return _Exhaustive(graph.adjacency.a)
     params.update(mode="sampled", samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
     return _sampled_pairs(graph.adjacency.a, rng, samples, whole)
@@ -209,7 +255,12 @@ def _pairs(graph: Graph, mode: str, samples: int, seed: int, params: dict, *,
 
 class _Recorder:
     """Counts pairs and violations (slack = lhs - rhs > tol) over chunks,
-    tracks the largest slack and keeps the first violations found."""
+    tracks the largest slack and keeps the first violations found.
+
+    pairs counts the pairs scanned; an exhaustive check scans only the
+    rows its per-row pass cannot rule out, and reports all of its
+    pairs as instances.
+    """
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -238,13 +289,16 @@ class _Recorder:
                 "lhs": float(lhs[idx]), "rhs": float(rhs[idx]),
             })
 
-    def report(self, name: str, params: dict, *,
-               asserted: bool = True) -> BoundReport:
-        """max_slack is None when nothing was scanned or asserted."""
+    def report(self, name: str, params: dict, instances: int | None = None,
+               *, asserted: bool = True) -> BoundReport:
+        """instances defaults to the pairs scanned; max_slack is None
+        when there were none or nothing was asserted."""
         params["violation_count"] = self.count
-        worst = self.worst if self.pairs and asserted else None
-        return BoundReport(name, self.count == 0, self.pairs,
-                           tuple(self.violations), worst, params)
+        instances = self.pairs if instances is None else instances
+        worst = self.worst if instances and asserted else None
+        return BoundReport(name, self.count == 0, instances,
+                           tuple(self.violations), worst, params,
+                           grid_pairs=self.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +339,50 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     }
 
 
-def _thomason_bound(e: np.ndarray, x: np.ndarray, y: np.ndarray, p: float,
-                    mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """lhs |e - p|X||Y|| and rhs eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|)),
-    both built in place: a grid chunk is tens of megabytes."""
-    n = x.shape[-1]
-    sx, sy = x @ np.ones(n), y @ np.ones(n)
+def _thomason_sides(e: np.ndarray, sx: np.ndarray, sy: np.ndarray, n: int,
+                    p: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """lhs |e - p|X||Y|| and rhs eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|))
+    from the set sizes, both built in place: a grid chunk is tens of
+    megabytes."""
     lhs = p * sx * sy - e  # reuses the product's buffer
     np.abs(lhs, out=lhs)
     rhs = sx * sy * (p * n + mu * sx)
     np.sqrt(rhs, out=rhs)
     np.add(rhs, sy, out=rhs, where=p * sx < 1.0)  # eps(X) = 1
     return lhs, rhs
+
+
+def _thomason_bound(e: np.ndarray, x: np.ndarray, y: np.ndarray, p: float,
+                    mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of a chunk of pairs (e, x, y)."""
+    n = x.shape[-1]
+    return _thomason_sides(e, x @ np.ones(n), y @ np.ones(n), n, p, mu)
+
+
+def _thomason_rows(ex: _Exhaustive, p: float, mu: float) -> np.ndarray:
+    """The largest slack of each X row over every Y, exactly.
+
+    For |Y| = k the right side is fixed and the float lhs |c - e| is
+    monotone on either side of c, so it peaks at the least or the
+    largest e(X, Y) of that size, both in ex.extremes; the sides are
+    the grid's own float expressions, so the values are the grid's.
+    """
+    n = ex.ind.shape[1]
+    sx = ex.ind.sum(axis=1, keepdims=True)
+    lhs, rhs = _thomason_sides(ex.extremes, sx, np.arange(1.0, n + 1), n,
+                               p, mu)
+    return (lhs.max(axis=0) - rhs).max(axis=1)
+
+
+def _thomason_scan(rec: _Recorder, ex: _Exhaustive, p: float, mu: float, /,
+                   **tags) -> None:
+    """Record the exhaustive check: the largest slack from the per-row
+    pass, the violations from the grid on the rows above tol only
+    (Thomason's theorem says there are none)."""
+    worst = _thomason_rows(ex, p, mu)
+    rec.worst = max(rec.worst, float(worst.max()))
+    for e, x, y in ex.grid(np.flatnonzero(worst > rec.tol)):
+        rec.scan(x, y, *_thomason_bound(e, x, y, p, mu), **tags)
 
 
 def thomason_report(graph: Graph, p: float, mu: float, *,
@@ -308,6 +394,7 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
     codegree hypotheses fail the report comes back with zero instances
     and params["hypotheses_hold"] = False; that is not a violation.
     """
+    _check_mode(mode)
     hyp = thomason_hypotheses(graph, p, mu)
     params: dict = {"p": p, "mu": mu, "n": graph.n, "hypotheses": hyp,
                     "hypotheses_hold": hyp["hold"], "tol": tol}
@@ -315,7 +402,11 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
     if not hyp["hold"]:
         return BoundReport(name, True, 0, (), None, params)
     rec = _Recorder(tol)
-    for e, x, y in _pairs(graph, mode, samples, seed, params):
+    source = _pairs(graph, mode, samples, seed, params)
+    if isinstance(source, _Exhaustive):
+        _thomason_scan(rec, source, p, mu)
+        return rec.report(name, params, source.pairs)
+    for e, x, y in source:
         rec.scan(x, y, *_thomason_bound(e, x, y, p, mu))
     return rec.report(name, params)
 
@@ -341,6 +432,7 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
     atlas = [(index, g) for index, g in enumerate(graph_atlas_g())
              if 1 <= g.number_of_nodes() <= max_n]
     combos_held = 0
+    instances = 0
     rec = _Recorder(tol)
     for index, g in atlas:
         n = g.number_of_nodes()
@@ -348,28 +440,26 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
         for u, v in g.edges():
             a[u, v] = a[v, u] = 1.0
         min_degree, max_codegree = _degree_codegree(a)  # once per graph
-        grid = None
+        ex = None
         for p, mu_spec in itertools.product(ps, mus):
             mu = float(n) if mu_spec == "n" else float(mu_spec)
             # thomason_hypotheses' comparisons
             if min_degree < p * n or max_codegree > p * p * n + mu:
                 continue
             combos_held += 1
-            if grid is None:  # 2^7 - 1 <= _Y_CHUNK: one chunk holds all pairs
-                grid = next(_exhaustive_pairs(a))
-            e, x, y = grid
-            rec.scan(x, y, *_thomason_bound(e, x, y, p, mu),
-                     atlas_index=index, p=p, mu=mu)
+            ex = ex or _Exhaustive(a)
+            instances += ex.pairs
+            _thomason_scan(rec, ex, p, mu, atlas_index=index, p=p, mu=mu)
     params = {
         "max_n": max_n,
         "ps": list(ps),
         "mus": [str(m) if m == "n" else float(m) for m in mus],
         "graphs_seen": len(atlas),
         "combinations_with_hypotheses": combos_held,
-        "pairs_checked": rec.pairs,
+        "pairs_checked": instances,
         "tol": tol,
     }
-    return rec.report("thomason_small_graphs", params)
+    return rec.report("thomason_small_graphs", params, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +480,48 @@ def _chung_terms(e: np.ndarray, x: np.ndarray, y: np.ndarray,
     return lhs, denom
 
 
+def _chung_ratio(lhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """lhs / denom, 0 at the identity pairs (denom = 0)."""
+    return np.divide(lhs, denom, out=np.zeros_like(lhs), where=denom != 0.0)
+
+
+def _chung_rows(ex: _Exhaustive, degs: np.ndarray, alpha: float | None,
+                tol: float) -> tuple[np.ndarray, int]:
+    """The X rows the grid must scan, and the identity pairs of the rest.
+
+    With V = vol V, vX = vol X and w_j = vX d_j / V - e(X, {j}), the w_j
+    sum to 0 and lhs = |sum_{j in Y} w_j|, so Cauchy-Schwarz with weights
+    d_j bounds every ratio lhs / denom of row X by
+    UB_X = sqrt(V sum_{d_j > 0} w_j^2 / d_j / (vX (V - vX))), 0 when
+    vX (V - vX) = 0 (then every pair of the row is an identity pair).
+    The row of largest UB_X gives a first alpha_min, best0.  A row with
+    UB_X below min(best0, alpha) (1 - 1e-9) has every ratio below
+    alpha_min and every slack below 0; its pair Y = V has slack 0, as
+    every row's does, so it moves nothing unless tol < 0, when every
+    row is scanned.  The 1e-9 covers rounding: V w_j is an integer held
+    exactly, and up to 14 vertices a float ratio is within a relative
+    1e-11 of its true value.
+    """
+    if tol < 0:
+        return np.arange(len(ex.ind)), 0
+    vol_v = float(degs.sum())
+    vx = ex.ind @ degs
+    spread = vx * (vol_v - vx)
+    live = spread > 0
+    t = vx[:, None] * degs - vol_v * ex.ax  # V w_j
+    d = degs > 0
+    weighted = (t[:, d] ** 2 / degs[d]).sum(axis=1)
+    ub = np.sqrt(np.divide(weighted, spread * vol_v,
+                           out=np.zeros_like(weighted), where=live))
+    top = int(np.argmax(ub))
+    lhs, denom = _chung_terms(ex.ind @ ex.ax[top], ex.ind[top], ex.ind, degs)
+    best0 = float(_chung_ratio(lhs, denom).max())
+    cut = (best0 if alpha is None else min(best0, alpha)) * (1.0 - 1e-9)
+    keep = ub >= cut
+    per_row = np.where(live, len(vx) - np.count_nonzero(live), len(vx))
+    return np.flatnonzero(keep), int(per_row[~keep].sum())
+
+
 def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
                       mode: str = "auto", samples: int = DEFAULT_SAMPLES,
                       seed: int = 1, tol: float = BOUND_TOL) -> BoundReport:
@@ -401,13 +533,15 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     scanned pair satisfy the bound.  Pairs where the right side
     vanishes (X or Y is all of V, or a set of isolated vertices) are
     identity checks: the left side must be 0 there, and for X = V it is
-    exactly 0 because e(V, Y) counts vol Y directly.
+    exactly 0 because e(V, Y) counts vol Y directly.  The exhaustive
+    check scans on the grid only the rows _chung_rows keeps.
 
     For a regular input the report also carries the normalized
     Laplacian gap and its ratio to alpha_min.
     """
-    if alpha is not None and not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    if alpha is not None and not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError("alpha must be finite and nonnegative")
+    _check_mode(mode)
     if graph.m == 0:
         raise EmptyGraphError("volume bound needs at least one edge")
     degs = graph.degrees.astype(float)
@@ -415,12 +549,16 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     rec = _Recorder(tol)
     alpha_min = 0.0
     identity_pairs = 0
-    for e, x, y in _pairs(graph, mode, samples, seed, params, whole=True):
+    instances = None
+    source = _pairs(graph, mode, samples, seed, params, whole=True)
+    if isinstance(source, _Exhaustive):
+        rows, identity_pairs = _chung_rows(source, degs, alpha, tol)
+        instances, source = source.pairs, source.grid(rows)
+    for e, x, y in source:
         lhs, denom = _chung_terms(e, x, y, degs)
         zero = denom == 0.0
         identity_pairs += int(np.count_nonzero(zero))
-        alpha_min = max(alpha_min, float(np.divide(
-            lhs, denom, out=np.zeros_like(lhs), where=~zero).max()))
+        alpha_min = max(alpha_min, float(_chung_ratio(lhs, denom).max()))
         rhs = (np.where(zero, 0.0, math.inf) if alpha is None
                else np.multiply(denom, alpha, out=denom))
         rec.scan(x, y, lhs, rhs)
@@ -432,7 +570,7 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
         params["lambda_bar_over_alpha_min"] = (
             lam_bar / alpha_min if alpha_min > 0 else None
         )
-    return rec.report("chung_volume_bound", params,
+    return rec.report("chung_volume_bound", params, instances,
                       asserted=alpha is not None)
 
 

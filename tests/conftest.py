@@ -110,3 +110,93 @@ def count_edges_between(adjacency, xs, ys):
     """Ordered-pair edge count between two 1-based vertex collections."""
     a = np.asarray(adjacency)
     return int(sum(a[x - 1, y - 1] for x in xs for y in ys))
+
+
+def _grid_chunks(adjacency, chunk=2048, block=512):
+    """Every nonempty X against chunks of `chunk` Y sets, both in mask
+    order: (e, x, y) with e[i, j] = e(X_i, Y_j), x of shape (rows, 1, n)
+    and y of shape (1, chunk, n).  Each Y chunk is met by blocks of
+    `block` X rows in turn, which keeps the order of the pairs and
+    bounds memory."""
+    a = np.asarray(adjacency, dtype=float)
+    n = a.shape[0]
+    masks = np.arange(1, 1 << n)
+    ind = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    ax = ind @ a
+    for lo in range(0, len(masks), chunk):
+        y = ind[lo:lo + chunk]
+        for top in range(0, len(masks), block):
+            yield (ax[top:top + block] @ y.T, ind[top:top + block, None],
+                   y[None])
+
+
+def _grid_scan(chunks, sides, tol, limit=100):
+    """Slack lhs - rhs of every pair, chunk by chunk: the pair count, the
+    violation count (slack > tol), the first `limit` violations in chunk
+    order (row-major within a chunk) and the largest slack."""
+    pairs = count = 0
+    worst = -math.inf
+    violations = []
+    for e, x, y in chunks:
+        lhs, rhs = sides(e, x, y)
+        slack = lhs - rhs
+        pairs += slack.size
+        worst = max(worst, float(slack.max()))
+        bad = slack > tol
+        count += int(np.count_nonzero(bad))
+        x, y = np.broadcast_arrays(x, y)
+        for idx in map(tuple, np.argwhere(bad)[:limit - len(violations)]):
+            violations.append({
+                "X": (np.flatnonzero(x[idx]) + 1).tolist(),
+                "Y": (np.flatnonzero(y[idx]) + 1).tolist(),
+                "lhs": float(lhs[idx]), "rhs": float(rhs[idx]),
+            })
+    return pairs, count, worst, violations
+
+
+def grid_thomason(adjacency, p, mu, tol):
+    """The full-grid Thomason scan: instances, violation_count, the first
+    100 violations and max_slack, with the slack of every pair formed
+    from |e - p|X||Y|| and eps(X)|Y| + sqrt(|X||Y|(pn + mu|X|))."""
+    n = np.asarray(adjacency).shape[0]
+
+    def sides(e, x, y):
+        sx, sy = x.sum(axis=-1), y.sum(axis=-1)
+        lhs = np.abs(p * sx * sy - e)
+        rhs = np.sqrt(sx * sy * (p * n + mu * sx))
+        return lhs, np.where(p * sx < 1.0, rhs + sy, rhs)
+
+    pairs, count, worst, violations = _grid_scan(
+        _grid_chunks(adjacency), sides, tol)
+    return {"instances": pairs, "violation_count": count,
+            "violations": violations, "max_slack": worst}
+
+
+def grid_chung(adjacency, alpha, tol):
+    """The full-grid Chung scan: instances, violation_count, the first
+    100 violations, max_slack (None without alpha), alpha_min (the
+    largest lhs / denom off the identity pairs) and identity_pairs
+    (denom = 0)."""
+    a = np.asarray(adjacency, dtype=float)
+    degs = a.sum(axis=1)
+    vol_v = degs.sum()
+    alpha_min, identity = 0.0, 0
+
+    def sides(e, x, y):
+        nonlocal alpha_min, identity
+        vx, vy = x @ degs, y @ degs
+        lhs = np.abs(vx * vy / vol_v - e)
+        denom = np.sqrt((vx * (vol_v - vx)) * (vy * (vol_v - vy))) / vol_v
+        zero = denom == 0.0
+        identity += int(np.count_nonzero(zero))
+        ratio = np.divide(lhs, denom, out=np.zeros_like(lhs), where=~zero)
+        alpha_min = max(alpha_min, float(ratio.max()))
+        rhs = np.where(zero, 0.0, math.inf) if alpha is None else denom * alpha
+        return lhs, rhs
+
+    pairs, count, worst, violations = _grid_scan(
+        _grid_chunks(a), sides, tol)
+    return {"instances": pairs, "violation_count": count,
+            "violations": violations,
+            "max_slack": None if alpha is None else worst,
+            "alpha_min": alpha_min, "identity_pairs": identity}

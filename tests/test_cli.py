@@ -240,6 +240,17 @@ def test_verify_thomason(tmp_path, capsys):
     report = payload["results"]["report"]
     assert report["pass"] is True
     assert report["instances"] == 255 * 255
+    assert payload["timing"]["grid_pairs"] == 0  # no row above tol
+
+
+def test_verify_grid_pairs_in_timing_only(tmp_path, capsys):
+    path = tmp_path / "k6.txt"
+    write_graph(complete_graph(6), path)
+    code, payload, _ = run_cli(capsys, ["verify", "chung", "--input", str(path)])
+    assert code == 0
+    report = payload["results"]["report"]
+    assert "grid_pairs" not in report and "grid_pairs" not in report["params"]
+    assert 0 < payload["timing"]["grid_pairs"] < 63 * 63
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,7 +259,9 @@ def test_verify_thomason(tmp_path, capsys):
     ["thomason", "--p", "0.3", "--mu", "nan"],
     ["thomason", "--p", "0.3", "--mu", "inf"],
     ["thomason", "--p", "nan", "--mu", "1"],
-], ids=["alpha-nan", "alpha-inf", "mu-nan", "mu-inf", "p-nan"])
+    ["chung", "--alpha", "-1"],
+], ids=["alpha-nan", "alpha-inf", "mu-nan", "mu-inf", "p-nan",
+        "alpha-negative"])
 def test_verify_non_finite_parameter_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "q13.txt"
     write_graph(qpt_graph(13, 6), path)

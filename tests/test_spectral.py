@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from conftest import count_edges_between
+from conftest import count_edges_between, grid_chung, grid_thomason
 
 from matdisc import (
     EmptyGraphError,
@@ -24,7 +25,13 @@ from matdisc import (
     thomason_report,
     thomason_small_graph_sweep,
 )
-from matdisc.spectral import _draw_subsets, _sampled_pairs
+from matdisc.spectral import (
+    _draw_subsets,
+    _Exhaustive,
+    _Recorder,
+    _sampled_pairs,
+    _thomason_scan,
+)
 
 
 def test_cycle_laplacian():
@@ -320,3 +327,150 @@ def test_sweep_hypothesis_count_matches_direct():
     assert rep.params["graphs_seen"] == len(graphs)
     assert rep.params["combinations_with_hypotheses"] == held > 0
     assert rep.passed
+
+
+def _small_graphs(n):
+    """Random, complete, star and cycle graphs on n vertices, and one
+    with isolated vertices."""
+    rng = np.random.default_rng(n)
+    graphs = [gnp_random_graph(n, 0.3, rng), gnp_random_graph(n, 0.7, rng),
+              complete_graph(n)]
+    if n >= 2:
+        graphs.append(star_graph(n - 1))
+    if n >= 3:
+        graphs += [cycle_graph(n), Graph(n, [(1, 2), (2, 3)])]
+    return graphs
+
+
+def _same_as_grid(report, scan):
+    """The report's JSON, and the same with every field the scan sets
+    taken from the full-grid oracle instead."""
+    got = report.to_json_dict()
+    want = json.loads(json.dumps(got))
+    want.update({"pass": scan["violation_count"] == 0,
+                 "instances": scan["instances"],
+                 "violations": scan["violations"],
+                 "max_slack": scan["max_slack"]})
+    params = want["params"]
+    params["violation_count"] = scan["violation_count"]
+    if "alpha_min" in scan:
+        params.update(alpha_min=scan["alpha_min"],
+                      identity_pairs=scan["identity_pairs"])
+    if "lambda_bar" in params:
+        params["lambda_bar_over_alpha_min"] = (
+            params["lambda_bar"] / scan["alpha_min"]
+            if scan["alpha_min"] > 0 else None)
+    return json.dumps(got, sort_keys=True), json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_thomason_rows_match_full_grid(n):
+    """Reports with the hypotheses holding, at p = min degree / n and
+    half of it (p|X| < 1 takes the eps branch), equal the full grid's
+    byte for byte; tol = -1 makes the scanned rows record violations."""
+    for g in _small_graphs(n):
+        a = g.adjacency.a
+        min_degree = int(g.degrees.min())
+        if min_degree == 0:
+            continue
+        mu = float(int((a @ a - np.diag(g.degrees)).max()))
+        for p in (min_degree / n, min_degree / (2 * n)):
+            for tol in (1e-8, -1.0):
+                rep = thomason_report(g, p, mu, tol=tol)
+                assert rep.params["hypotheses_hold"]
+                got, want = _same_as_grid(rep, grid_thomason(a, p, mu, tol))
+                assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_thomason_row_path_violations_match_full_grid(n):
+    """The row path's violation branch, which Thomason's theorem keeps
+    out of reach when the hypotheses hold: p = 0.5 and mu = 0 on any
+    graph, as the sweep's helper runs it."""
+    for g in _small_graphs(n):
+        ex = _Exhaustive(g.adjacency.a)
+        rec = _Recorder(1e-8)
+        _thomason_scan(rec, ex, 0.5, 0.0)
+        rep = rec.report("row_path", {}, ex.pairs)
+        scan = grid_thomason(g.adjacency.a, 0.5, 0.0, 1e-8)
+        got, want = _same_as_grid(rep, scan)
+        assert got == want
+        assert rep.grid_pairs <= rep.instances
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chung_rows_match_full_grid(n):
+    """alpha = None, an alpha above alpha_min and one below it (more than
+    100 violations on the larger graphs, so the cap and their order
+    count), and a negative tol, under which every row is scanned."""
+    formed = covered = 0
+    for g in _small_graphs(n):
+        if g.m == 0:
+            continue
+        a = g.adjacency.a
+        alpha_min = grid_chung(a, None, 1e-8)["alpha_min"]
+        for alpha in (None, 1.25 * alpha_min + 0.01, 0.5 * alpha_min):
+            for tol in (1e-8, -0.25):
+                rep = chung_alpha_check(g, alpha, tol=tol)
+                got, want = _same_as_grid(rep, grid_chung(a, alpha, tol))
+                assert got == want
+                formed += rep.grid_pairs
+                covered += rep.instances
+    assert formed < covered  # some rows were pruned
+
+
+def test_chung_rows_match_full_grid_across_y_chunks():
+    """n = 13: 8191 Y sets in four chunks of 2048.  At 0.9 alpha_min
+    148 pairs violate, and the first 100 come from several chunks."""
+    g = gnp_random_graph(13, 0.3, np.random.default_rng(13))
+    alpha = 0.9 * 0.7619047619047619
+    rep = chung_alpha_check(g, alpha)
+    scan = grid_chung(g.adjacency.a, alpha, 1e-8)
+    got, want = _same_as_grid(rep, scan)
+    assert got == want
+    assert scan["alpha_min"] == 0.7619047619047619
+    assert scan["violation_count"] == 148
+    chunks = {sum(1 << (v - 1) for v in found["Y"]) // 2048
+              for found in scan["violations"]}
+    assert len(chunks) > 1
+    assert rep.grid_pairs < rep.instances == 8191 ** 2
+
+
+def test_sweep_report_pinned():
+    rep = thomason_small_graph_sweep()
+    assert rep.passed and rep.violations == ()
+    assert rep.max_slack == -0.5472135954999578
+    assert rep.instances == rep.params["pairs_checked"] == 30894693
+    assert rep.params["combinations_with_hypotheses"] == 2333
+    assert rep.grid_pairs == 0
+
+
+def test_unknown_mode_rejected():
+    k8 = complete_graph(8)
+    for p in (7.0 / 8.0, 0.99):  # hypotheses hold, and fail
+        with pytest.raises(ValueError, match="mode must be one of"):
+            thomason_report(k8, p, 0.0, mode="exhaustiv")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        chung_alpha_check(k8, mode="sample")
+
+
+def test_chung_rejects_negative_alpha():
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        chung_alpha_check(complete_graph(6), alpha=-1.0)
+    zero = chung_alpha_check(complete_graph(6), alpha=0.0)
+    assert not zero.passed and zero.grid_pairs == zero.instances
+    got, want = _same_as_grid(zero, grid_chung(complete_graph(6).adjacency.a,
+                                               0.0, 1e-8))
+    assert got == want
+
+
+def test_grid_pairs_count_formed_pairs():
+    k6 = complete_graph(6)
+    rep = chung_alpha_check(k6)
+    assert rep.to_json_dict().keys() == {"bound_name", "pass", "instances",
+                                         "violations", "max_slack", "params"}
+    assert 0 < rep.grid_pairs < rep.instances and rep.grid_pairs % 63 == 0
+    assert chung_alpha_check(k6, tol=-1.0).grid_pairs == 63 * 63
+    assert thomason_report(k6, 5.0 / 6.0, 0.0).grid_pairs == 0
+    sampled = chung_alpha_check(cycle_graph(20), samples=400, seed=3)
+    assert sampled.grid_pairs == sampled.instances == 401
