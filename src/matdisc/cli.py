@@ -245,13 +245,15 @@ def _cmd_verify(args) -> tuple[dict, dict, str, int]:
                    f"decreasing={result['disc_ratio_decreasing']})")
         return result, {"seed": args.seed}, summary, 0 if result["pass"] else 6
     # paper-suite
+    check_seconds: dict = {}
     result = run_suite(max_k=args.max_k, max_p=args.max_p,
                        samples=args.samples, seed=args.seed,
-                       quick=args.quick)
+                       quick=args.quick, timing=check_seconds)
     failed = [k for k, v in result["checks"].items() if not v["pass"]]
     summary = ("suite: PASS (9 checks)" if result["pass"]
                else f"suite: FAIL ({', '.join(failed)})")
-    return result, {"seed": args.seed}, summary, 0 if result["pass"] else 6
+    extra = {"seed": args.seed, "timing": {"check_seconds": check_seconds}}
+    return result, extra, summary, 0 if result["pass"] else 6
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,13 @@ def _require_order(n: int) -> None:
 def _vertex_indices(labels, n: int) -> np.ndarray:
     """0-based indices of 1-based vertex labels, which must be integers in 1..n."""
     a = np.asarray(labels)
-    if a.dtype.kind not in "iuf" or not np.isin(a, np.arange(1, n + 1)).all():
+    kind = a.dtype.kind
+    if kind == "f" and a.dtype.itemsize < 8:
+        a = a.astype(np.float64)  # where n is exact: it may not be in float32
+    # nan fails the range test; inf fails it too, where floor would pass it
+    if kind not in "iuf" or not (
+            ((a >= 1) & (a <= n)).all()
+            and (kind != "f" or np.array_equal(a, np.floor(a)))):
         raise ValueError(f"vertex labels must be integers in 1..{n}")
     return a.astype(np.intp) - 1
 

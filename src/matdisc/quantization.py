@@ -112,22 +112,28 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     order = np.argsort(-v, kind="stable")
     sorted_desc = v[order]
     neg = -sorted_desc
+    # nxt[i]: where a bucket starting at entry i stops; entries before
+    # the bucket's first are >= it, so >= its threshold
+    nxt = np.searchsorted(neg, (1.0 - stage_epsilon / 2.0) * neg,
+                          side="right").tolist()
     stops = [0]
     while stops[-1] < v.size and len(stops) <= cap:
-        # entries before the bucket's first are >= it, so >= its threshold
-        threshold = (1.0 - stage_epsilon / 2.0) * neg[stops[-1]]
-        stops.append(int(np.searchsorted(neg, threshold, side="right")))
+        stops.append(nxt[stops[-1]])
     levels = np.append(sorted_desc[np.subtract(stops[1:], 1)], 0.0)
     widths = np.diff(stops + [v.size])
-    quantized = np.repeat(levels, widths)
+    shown = widths > 0  # only the zero tail can be empty
 
-    repairs = int(len(np.unique(quantized)) > cap)
+    def distinct(lv: np.ndarray) -> int:  # np.unique's count of repeat(lv, widths)
+        return len(set(lv[shown].tolist()))
+
+    repairs = int(distinct(levels) > cap)
+    quantized = np.repeat(levels, widths)
     if repairs:
         for k in range(len(stops) - 2, -1, -1):
             edited = levels.copy()
             edited[k] = levels[k + 1]
             cand = np.repeat(edited, widths)
-            if len(np.unique(cand)) <= cap and (
+            if distinct(edited) <= cap and (
                 _p_norm(sorted_desc - cand, p) <= stage_epsilon
             ):
                 break

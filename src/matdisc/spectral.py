@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .atlas import atlas_adjacencies
 from .errors import (
     EmptyGraphError,
     FamilyTooSmallError,
@@ -418,8 +419,8 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
                                tol: float = BOUND_TOL) -> BoundReport:
     """Run the edge-distribution check on every graph with <= max_n vertices.
 
-    Graphs come from the connected-and-disconnected isomorphism-class
-    atlas (max_n <= 7), so checking one representative per class covers
+    Graphs come from the frozen graph atlas in matdisc.atlas, one per
+    isomorphism class (max_n <= 7), so checking one representative covers
     all small graphs: both sides of the inequality are invariant under
     relabeling.  A mu entry equal to the string "n" means mu = n for
     each graph.  Combinations whose hypotheses fail are counted but not
@@ -427,18 +428,13 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
     """
     if not 1 <= max_n <= 7:
         raise ValueError("the graph atlas covers n from 1 to 7")
-    from networkx.generators.atlas import graph_atlas_g
-
-    atlas = [(index, g) for index, g in enumerate(graph_atlas_g())
-             if 1 <= g.number_of_nodes() <= max_n]
+    atlas = [(index, a) for n in range(1, max_n + 1)
+             for index, a in zip(*atlas_adjacencies(n))]
     combos_held = 0
     instances = 0
     rec = _Recorder(tol)
-    for index, g in atlas:
-        n = g.number_of_nodes()
-        a = np.zeros((n, n))
-        for u, v in g.edges():
-            a[u, v] = a[v, u] = 1.0
+    for index, a in atlas:
+        n = a.shape[0]
         min_degree, max_codegree = _degree_codegree(a)  # once per graph
         ex = None
         for p, mu_spec in itertools.product(ps, mus):

@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -277,8 +278,20 @@ def check_compression(trials: int = 200, seed: int = 4) -> dict:
     }
 
 
+def _circulant_codegrees(first_rows) -> np.ndarray:
+    """Codegrees of circulant graphs, one per row of first adjacency rows
+    r (k x p): entry j - 1 is the common neighbours of u and u + j mod p,
+    j = 1..p-1.  That count is entry j of the cyclic self-convolution of
+    r, read off one FFT of each row and rounded to the integer it is."""
+    spectra = np.fft.rfft(first_rows, axis=1)
+    p = np.shape(first_rows)[1]
+    return np.rint(np.fft.irfft(spectra * spectra, p, axis=1))[:, 1:]
+
+
 def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
-    """Regularity and degree catalog for every threshold of each prime."""
+    """Regularity, degree catalog and codegree spread for every threshold
+    of each prime; each graph must be the circulant of its first row,
+    whose codegrees are then read off _circulant_codegrees."""
     failures: list = []
     per_prime = []
     for p in primes:
@@ -287,6 +300,9 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
         degree_gap_violations = 0
         codegree_violations = 0
         max_codegree_gap = 0.0
+        # shift[u, v] = (v - u) mod p: a circulant adjacency is r[shift]
+        shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+        thresholds, first_rows = [], []
         for t in range(1, p + 1):
             g = qpt_graph(p, t)
             if not g.is_regular():
@@ -299,13 +315,18 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
             if abs(d - t) > allowance:
                 degree_gap_violations += 1
             a = g.adjacency.a
-            prod = a @ a
-            mask = ~np.eye(p, dtype=bool)
-            codeg = prod[mask]
-            gap = float(np.abs(codeg - t * t / p).max())
-            max_codegree_gap = max(max_codegree_gap, gap)
-            if gap > allowance:
-                codegree_violations += 1
+            r = a[0]
+            if not np.array_equal(a, r[shift]):
+                _record_failure(failures, kind="circulant", p=p, t=t)
+                continue
+            thresholds.append(t)
+            first_rows.append(r.copy())  # a view would keep all of a alive
+        if first_rows:
+            for t, codeg in zip(thresholds, _circulant_codegrees(first_rows)):
+                gap = float(np.abs(codeg - t * t / p).max())
+                max_codegree_gap = max(max_codegree_gap, gap)
+                if gap > allowance:
+                    codegree_violations += 1
         complete_t = catalog.smallest_t_for_degree.get(p - 1)
         if complete_t is not None:
             kp = qpt_graph(p, complete_t)
@@ -456,15 +477,16 @@ def check_sparse_family(sizes: tuple[int, ...] = (50, 100, 200),
 
 def run_suite(*, max_k: int = 64, max_p: int | None = None,
               samples: int = 10_000, seed: int = 1,
-              quick: bool = False) -> dict:
+              quick: bool = False, timing: dict | None = None) -> dict:
     """Run every check with one master seed and return a combined report.
 
     max_p caps the prime lists (both the residue sweep and the block
     construction); max_k caps the tightness family.  The certificate and
     compression checks run 200 trials and the quantization check 500
     vectors; quick shrinks these and the other counts for a fast smoke
-    run.  Results carry no timestamps, so
-    equal parameters give identical output.
+    run.  Results carry no timestamps, so equal parameters give
+    identical output; a timing dict, when given, receives the seconds
+    each check took, by check name.
     """
     trials, vectors = (40, 60) if quick else (200, 500)
     if quick:
@@ -479,22 +501,28 @@ def run_suite(*, max_k: int = 64, max_p: int | None = None,
     family_sizes = (40, 80, 160) if quick else (50, 100, 200)
     sweep_n = 6 if quick else 7
 
-    checks = {
-        "tightness_family": check_tightness_family(max_k=max_k),
-        "certificates": check_certificates(
+    runs = {
+        "tightness_family": lambda: check_tightness_family(max_k=max_k),
+        "certificates": lambda: check_certificates(
             trials=trials, seed=seed * 1000 + 2),
-        "quantization": check_quantization(
+        "quantization": lambda: check_quantization(
             vectors=vectors, seed=seed * 1000 + 3),
-        "compression": check_compression(
+        "compression": lambda: check_compression(
             trials=trials, seed=seed * 1000 + 4),
-        "residue_graphs": check_residue_graphs(primes=residue_primes),
-        "block_matrices": check_block_matrices(primes=block_primes),
-        "block_spectral_gap": check_block_spectral_gap(
+        "residue_graphs": lambda: check_residue_graphs(primes=residue_primes),
+        "block_matrices": lambda: check_block_matrices(primes=block_primes),
+        "block_spectral_gap": lambda: check_block_spectral_gap(
             p=block_primes[0], samples=samples, seed=seed * 1000 + 6),
-        "small_graph_bound": check_small_graph_bound(max_n=sweep_n),
-        "sparse_family": check_sparse_family(
+        "small_graph_bound": lambda: check_small_graph_bound(max_n=sweep_n),
+        "sparse_family": lambda: check_sparse_family(
             sizes=family_sizes, samples=samples, seed=seed * 1000 + 7),
     }
+    checks = {}
+    for name, run in runs.items():
+        started = time.perf_counter()
+        checks[name] = run()
+        if timing is not None:
+            timing[name] = time.perf_counter() - started
     return {
         "pass": all(c["pass"] for c in checks.values()),
         "parameters": {

@@ -106,6 +106,61 @@ def direct_rayleigh(matrix, vector):
     return num / den
 
 
+def dense_codegrees(adjacency):
+    """Off-diagonal entries of A @ A, row by row: the codegree of every
+    ordered pair of distinct vertices."""
+    a = np.asarray(adjacency, dtype=float)
+    return (a @ a)[~np.eye(a.shape[0], dtype=bool)]
+
+
+def reference_vertex_indices(labels, n):
+    """0-based indices of 1-based vertex labels by membership in 1..n."""
+    a = np.asarray(labels)
+    if a.dtype.kind not in "iuf" or not np.isin(a, np.arange(1, n + 1)).all():
+        raise ValueError(f"vertex labels must be integers in 1..{n}")
+    return a.astype(np.intp) - 1
+
+
+def reference_quantize_nonneg(v, stage_epsilon, cap, p):
+    """Greedy bucket quantizer with one searchsorted per bucket and the
+    distinct values counted by np.unique on the quantized vector.
+
+    Same contract as quantization._quantize_nonneg: returns (values,
+    repairs) and raises InvariantError when no repair fits the budget.
+    """
+    from matdisc.errors import InvariantError
+
+    def p_norm(w):
+        return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
+
+    order = np.argsort(-v, kind="stable")
+    sorted_desc = v[order]
+    neg = -sorted_desc
+    stops = [0]
+    while stops[-1] < v.size and len(stops) <= cap:
+        threshold = (1.0 - stage_epsilon / 2.0) * neg[stops[-1]]
+        stops.append(int(np.searchsorted(neg, threshold, side="right")))
+    levels = np.append(sorted_desc[np.subtract(stops[1:], 1)], 0.0)
+    widths = np.diff(stops + [v.size])
+    quantized = np.repeat(levels, widths)
+    repairs = int(len(np.unique(quantized)) > cap)
+    if repairs:
+        for k in range(len(stops) - 2, -1, -1):
+            edited = levels.copy()
+            edited[k] = levels[k + 1]
+            cand = np.repeat(edited, widths)
+            if len(np.unique(cand)) <= cap and (
+                p_norm(sorted_desc - cand) <= stage_epsilon
+            ):
+                break
+        else:
+            raise InvariantError("bucket repair failed to reach the value budget")
+        quantized = cand
+    out = np.zeros_like(v)
+    out[order] = quantized
+    return out, repairs
+
+
 def count_edges_between(adjacency, xs, ys):
     """Ordered-pair edge count between two 1-based vertex collections."""
     a = np.asarray(adjacency)

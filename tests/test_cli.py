@@ -1,7 +1,10 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,34 @@ def test_results_deterministic(tmp_path, capsys):
         del payload["timing"]
         runs.append(json.dumps(payload, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+#: results of `verify paper-suite --quick --seed 1`, dumped with sort_keys
+SUITE_PIN = Path(__file__).parent / "data" / "suite_quick_seed1.json"
+
+
+@pytest.fixture(scope="module")
+def quick_suite_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "paper-suite", "--quick", "--seed", "1"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def test_quick_suite_results_match_pin(quick_suite_report):
+    results = json.dumps(quick_suite_report["results"], sort_keys=True,
+                         indent=1) + "\n"
+    assert results == SUITE_PIN.read_text()
+
+
+def test_suite_check_seconds_in_timing_only(quick_suite_report):
+    seconds = quick_suite_report["timing"]["check_seconds"]
+    assert len(seconds) == 9
+    assert set(seconds) == set(quick_suite_report["results"]["checks"])
+    assert all(0.0 <= s <= quick_suite_report["timing"]["seconds"]
+               for s in seconds.values())
+    assert "check_seconds" not in json.dumps(quick_suite_report["results"])
 
 
 def test_sym_file_within_io_tolerance_is_symmetrized(tmp_path, capsys):

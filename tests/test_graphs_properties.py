@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import reference_vertex_indices
+
 from matdisc import FormatError, Graph, from_adjacency, read_graph, write_graph
 from matdisc.cli import main
+from matdisc.graphs import _vertex_indices
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -138,3 +141,69 @@ def test_malformed_graph_files_never_raise(text):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+#: labels that sit on or just past the edges of 1..n, or are not numbers
+EDGE_LABELS = (0, 1, -1, 1.5, 0.0, -0.0, 1.0, float("nan"), float("inf"),
+               -float("inf"), 1e300, -1e300, 2 ** 40)
+DTYPES = (None, np.int8, np.uint8, np.int64, np.uint64, np.float16,
+          np.float32, np.float64)
+
+
+@st.composite
+def label_arrays(draw):
+    """(labels, n): a small list or array of vertex labels, mostly in
+    range, with edge cases mixed in, cast to one of DTYPES when it fits."""
+    n = draw(st.integers(0, 12))
+    pieces = st.one_of(st.integers(-3, n + 3), st.sampled_from(EDGE_LABELS),
+                       st.sampled_from((n, n + 1, n + 0.5, float(n))),
+                       st.floats(-2.0, n + 2.0))
+    labels = draw(st.lists(pieces, max_size=8))
+    dtype = draw(st.sampled_from(DTYPES))
+    if dtype is None:
+        return labels, n
+    with np.errstate(all="ignore"):
+        try:
+            arr = np.array(labels, dtype=dtype)
+        except (OverflowError, ValueError):
+            hypothesis.assume(False)
+    if draw(st.booleans()) and arr.size % 2 == 0:
+        arr = arr.reshape(-1, 2)
+    return arr, n
+
+
+def _indices_or_error(fn, labels, n):
+    try:
+        return fn(labels, n).tolist()
+    except ValueError:
+        return "rejected"
+
+
+@hypothesis.settings(deadline=None, max_examples=400)
+@hypothesis.given(label_arrays())
+def test_label_check_matches_membership_reference(case):
+    labels, n = case
+    assert (_indices_or_error(_vertex_indices, labels, n)
+            == _indices_or_error(reference_vertex_indices, labels, n))
+
+
+@pytest.mark.parametrize("label", [0, 14, 1.5, 0.5, 13.5, float("nan"),
+                                   float("inf"), -float("inf"), -1, 1e300])
+def test_label_edge_cases_rejected(label):
+    for labels in ([label], [1, label], np.array([2.0, label])):
+        with pytest.raises(ValueError):
+            _vertex_indices(labels, 13)
+        with pytest.raises(ValueError):
+            reference_vertex_indices(labels, 13)
+
+
+def test_label_range_exact_beyond_narrow_dtypes():
+    # 2**24 + 3 rounds up to 2**24 + 4 in float32, and 1000 overflows int8
+    n = 2 ** 24 + 3
+    with pytest.raises(ValueError):
+        _vertex_indices(np.array([2 ** 24 + 4], dtype=np.float32), n)
+    assert _vertex_indices(np.array([2 ** 24], dtype=np.float32), n).tolist() == [2 ** 24 - 1]
+    assert _vertex_indices(np.array([5, 127], dtype=np.int8), 1000).tolist() == [4, 126]
+    assert _vertex_indices(np.array([255], dtype=np.uint8), 300).tolist() == [254]
+    with pytest.raises(ValueError):
+        _vertex_indices(np.array([0], dtype=np.uint8), 300)

@@ -25,6 +25,7 @@ from matdisc import (
     thomason_report,
     thomason_small_graph_sweep,
 )
+from matdisc.atlas import MASKS, STARTS, atlas_adjacencies
 from matdisc.spectral import (
     _draw_subsets,
     _Exhaustive,
@@ -313,6 +314,20 @@ def test_sampled_stream_pinned():
     rep = family_properties(family, samples=300, seed=5)
     assert [m["disc_ratio"] for m in rep.params["members"]] == [
         0.07386363636363637, 0.06666666666666667, 0.028716216216216218]
+
+
+def test_frozen_atlas_matches_networkx():
+    atlas = pytest.importorskip("networkx.generators.atlas").graph_atlas_g()
+    assert len(atlas) == len(MASKS) == STARTS[-1] == 1253
+    for n in range(8):
+        indices, adjacencies = atlas_adjacencies(n)
+        for index, a in zip(indices, adjacencies):
+            g = atlas[index]
+            assert g.number_of_nodes() == n, index
+            assert np.array_equal(a, a.T) and not a.diagonal().any()
+            got = {(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(a)))}
+            want = {(min(e), max(e)) for e in g.edges()}
+            assert got == want, index
 
 
 def test_sweep_hypothesis_count_matches_direct():

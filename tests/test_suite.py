@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from matdisc.constructions import block_matrix, block_plan
-from matdisc.suite import check_block_matrices, run_suite
+from conftest import dense_codegrees
+
+from matdisc.constructions import block_matrix, block_plan, qpt_graph
+from matdisc.suite import (
+    _circulant_codegrees,
+    check_block_matrices,
+    check_residue_graphs,
+    run_suite,
+)
 
 
 def test_quick_suite_passes():
@@ -33,3 +40,26 @@ def test_block_cap_is_sigma1_of_centered_matrix():
     assert abs(row["disc_upper"] - np.linalg.norm(a - a.mean(), 2)) <= 1e-9
     # the cap bounds every disc value, the pinned heuristic one included
     assert row["disc_upper"] >= 10.0
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_residue_codegrees_match_dense_products(p):
+    adjacencies = [qpt_graph(p, t).adjacency.a for t in range(1, p + 1)]
+    codegrees = _circulant_codegrees([a[0] for a in adjacencies])
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    off = ~np.eye(p, dtype=bool)
+    gap = 0.0
+    for t, (a, codeg) in enumerate(zip(adjacencies, codegrees), start=1):
+        dense = dense_codegrees(a)
+        # codegree of (u, v) is entry (v - u) mod p - 1 of the row's values
+        assert np.array_equal(codeg[shift[off] - 1], dense), t
+        gap = max(gap, float(np.abs(dense - t * t / p).max()))
+    assert check_residue_graphs((p,))["per_prime"][0]["max_codegree_gap"] == gap
+
+
+def test_run_suite_timing_outside_results():
+    timing = {}
+    report = run_suite(quick=True, max_p=13, max_k=4, samples=100,
+                       timing=timing)
+    assert list(timing) == list(report["checks"])
+    assert all(seconds >= 0.0 for seconds in timing.values())
