@@ -15,6 +15,7 @@ code (MatdiscError.exit_code).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -144,24 +145,34 @@ def _cmd_construct(args) -> tuple[dict, dict, str, int]:
     return results, {}, f"{summary} -> {args.output}", 0
 
 
-def _search_counts(disc: DiscResult) -> dict:
-    """The exact scan's work counters, for the report's timing block."""
-    return {"disc_batches": disc.batches, "disc_rows_sorted": disc.rows_sorted}
+def _search_timing(disc: DiscResult, stage_seconds: dict) -> dict:
+    """The report's timing block: the exact scan's work counters and the
+    seconds of each stage."""
+    return {"disc_batches": disc.batches, "disc_rows_sorted": disc.rows_sorted,
+            "stage_seconds": stage_seconds}
 
 
-def _disc_for(mat: SymmetricMatrix, args):
+def _disc_for(mat: SymmetricMatrix, args, stage_seconds: dict) -> DiscResult:
+    """The search the flags ask for; its seconds go to stage_seconds["disc"]."""
+    started = time.perf_counter()
     if args.heuristic:
         if args.seed is None:
             raise ValueError("--heuristic needs --seed for reproducibility")
-        return disc_heuristic(mat, iterations=args.iters, seed=args.seed)
-    return disc_exact(mat, threads=args.threads)
+        disc = disc_heuristic(mat, iterations=args.iters, seed=args.seed)
+    else:
+        disc = disc_exact(mat, threads=args.threads)
+    stage_seconds["disc"] = time.perf_counter() - started
+    return disc
 
 
 def _cmd_analyze(args) -> tuple[dict, dict, str, int]:
     obj = _load_input(args.input)
     mat = _as_matrix(obj)
-    disc = _disc_for(mat, args)
+    stage_seconds: dict = {}
+    disc = _disc_for(mat, args, stage_seconds)
+    started = time.perf_counter()
     spectrum = eig_symmetric(mat)
+    stage_seconds["eig"] = time.perf_counter() - started
     n = mat.n
     sigma2 = spectrum.sigma2 if n >= 2 else None
     denom_ln = disc.value * math.log(n) if n >= 2 else 0.0
@@ -188,14 +199,16 @@ def _cmd_analyze(args) -> tuple[dict, dict, str, int]:
     summary = (f"disc ({disc.mode}) = {disc.value:.6g} at |X|={len(disc.witness_X)}"
                f" |Y|={len(disc.witness_Y)}; sigma2 = "
                f"{'n/a' if sigma2 is None else format(sigma2, '.6g')}")
-    extra = {"seed": args.seed, "timing": _search_counts(disc)}
+    extra = {"seed": args.seed, "timing": _search_timing(disc, stage_seconds)}
     return results, extra, summary, 0
 
 
 def _cmd_certify(args) -> tuple[dict, dict, str, int]:
     obj = _load_input(args.input)
     mat = _as_matrix(obj)
-    cert = certify_sigma2(mat, _disc_for(mat, args))
+    stage_seconds: dict = {}
+    cert = certify_sigma2(mat, _disc_for(mat, args, stage_seconds),
+                          timing=stage_seconds)
     results = {
         "certificate": cert.to_json_dict(),
         "input": _digest(args.input),
@@ -205,7 +218,8 @@ def _cmd_certify(args) -> tuple[dict, dict, str, int]:
                f"disc ({cert.disc.mode}) = {cert.disc.value:.6g}, "
                f"min link slack = {min_slack:.3g}, "
                f"headline bound {'holds' if cert.headline_holds else 'OPEN'}")
-    extra = {"seed": args.seed, "timing": _search_counts(cert.disc)}
+    extra = {"seed": args.seed,
+             "timing": _search_timing(cert.disc, stage_seconds)}
     return results, extra, summary, 0
 
 
@@ -261,7 +275,9 @@ def _cmd_verify(args) -> tuple[dict, dict, str, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="matdisc",
         description=("Matrix discrepancy, second singular values, and "

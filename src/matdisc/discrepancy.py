@@ -7,26 +7,34 @@ density; disc1 is the single-set (Thomason) form.
 The exact engine scans every X bitmask in batches of 2^b masks that
 share their high bits (b = min(batch_bits, n)), in four steps.
 
-1. Table. The column sums s_X of every subset X of the low b rows are
-   built once per search by doubling, low[2^k:2^(k+1)] = low[:2^k] +
-   M[k], and the sizes |X| alike (Knuth, TAOCP 4A 7.2.1.1). A batch is
-   that table plus one row: the column sums of its high bits.
+1. Tables. Nothing of size 2^b x n is built. The column sums s_X of a
+   subset X of the low b rows are T1[X mod 2^b1] + T2[X >> b1], where
+   T1 and T2 hold the subset sums of the low b1 = ceil(b/2) rows and of
+   the other b - b1 (the half-and-half split of Horowitz and Sahni, JACM
+   1974). Each half is built by doubling, T[2^k:2^(k+1)] = T[:2^k] + M[k]
+   (Knuth, TAOCP 4A 7.2.1.1). The squared norms ||s_X||^2 and the sizes
+   |X| are tabled for every X in one dimension; the norms double from
+   the Gram matrix G of the low rows, ||s_(X + k)||^2 = ||s_X||^2 +
+   2 sum_(i in X) G[i, k] + G[k, k]. A batch adds one row, the column
+   sums of its high bits, which it folds into T2 once.
 2. Bound. For a fixed X, Cauchy-Schwarz gives
 
        max_Y |sum_Y s_X| / sqrt(|X| |Y|) <= ||s_X||_2 / sqrt(|X|),
 
    an O(1) bound per row: ||low + high||^2 = ||low||^2 + 2 low.high +
    ||high||^2, with ||low||^2 tabled once per search and low.high a
-   subset-sum table of M[:b] @ high. A running lower bound L on disc is
-   shared by all batches and threads; each batch first scores its
-   SEED_ROWS rows of largest bound to raise it. Rows whose bound is
-   below L - PRUNE_RTOL max(1, L) cannot reach the maximum and are
-   dropped. The rows left get their column sums and face the same test
-   with the sharper max(||s_X+||_2, ||s_X-||_2) / sqrt(|X|): a best Y
-   holds entries of one sign only, so Cauchy-Schwarz applies to each
-   sign part. On the benchmark's inputs at n = 20 to 22 this leaves
-   between one row in 10^3 and one in 10^5 to sort, against one in 5
-   to one in 10^2 after the first test.
+   subset-sum table of M[:b] @ high. Each worker thread keeps one
+   buffer of 2^b bounds for all its batches. A running lower bound L on
+   disc is shared by all batches and threads; each batch first scores
+   the row of largest bound in each of SEED_ROWS equal blocks to raise
+   it. Rows whose bound is below L - PRUNE_RTOL max(1, L) cannot reach
+   the maximum and are dropped. The rows left get their column sums,
+   SCORE_ROWS at a time, and face the same test with the sharper
+   max(||s_X+||_2, ||s_X-||_2) / sqrt(|X|): a best Y holds entries of
+   one sign only, so Cauchy-Schwarz applies to each sign part. On the
+   benchmark's inputs at n = 20 to 22 this leaves between one row in
+   10^3 and one in 10^5 to sort, against one in 5 to one in 10^2 after
+   the first test.
 3. Sort and one cumsum. For the surviving rows the best Y of size m
    holds the m smallest or the m largest entries of s_X, so one sort and
    one prefix sum P give both: bottom_m = P_m, top_m = P_n - P_(n-m).
@@ -51,6 +59,7 @@ disc1 scores |e(X) - rho binom(|X|,2)| / |X| and counts one.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +80,11 @@ TIE_RTOL = 1e-12
 #: rows whose bound falls this far (times max(1, L)) below the running lower
 #: bound L are dropped; must exceed TIE_RTOL and the bound's float error
 PRUNE_RTOL = 1e-9
-#: rows of largest bound each batch scores first to raise the lower bound
+#: each batch first scores the row of largest bound in each of this many
+#: equal blocks (a power of two), to raise the lower bound
 SEED_ROWS = 64
+#: rows a batch gathers at once to test and score, which bounds its memory
+SCORE_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,15 +181,40 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     return ymask
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """The sum of every subset of `rows` (along axis 0), indexed by bitmask.
+def _subset_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of every subset of `rows` (along axis 0), indexed by bitmask,
+    written into `out` when one is given.
 
     Row k doubles the table: out[2^k:2^(k+1)] = out[:2^k] + rows[k].
     """
-    out = np.zeros((1 << len(rows),) + rows.shape[1:])
+    if out is None:
+        out = np.empty((1 << len(rows),) + rows.shape[1:])
+    out[0] = 0.0
     for k, row in enumerate(rows):
         half = 1 << k
         np.add(out[:half], row, out=out[half:2 * half])
+    return out
+
+
+def _subset_norms2(rows: np.ndarray) -> np.ndarray:
+    """||sum of every subset of `rows`||^2, indexed by bitmask, doubled in
+    one dimension from the Gram matrix G of the rows:
+    out[2^k + X] = out[X] + 2 sum_(i in X) G[i, k] + G[k, k]."""
+    gram = rows @ rows.T
+    out = np.zeros(1 << len(rows))
+    for k in range(len(rows)):
+        half = 1 << k
+        grown = _subset_sums(2.0 * gram[:k, k], out[half:2 * half])
+        grown += gram[k, k]
+        grown += out[:half]
+    return out
+
+
+@functools.cache
+def _subset_sizes(bits: int) -> np.ndarray:
+    """|X| for every bitmask X of `bits` bits, as a read-only uint8 table."""
+    out = _subset_sums(np.ones(bits)).astype(np.uint8)
+    out.flags.writeable = False
     return out
 
 
@@ -196,14 +233,12 @@ class _Batches:
         self.n = n
         self.bits = min(batch_bits, n)
         self.highs = range(1 << (n - self.bits))
-        self.low_size = _subset_sums(np.ones(self.bits))
 
     def part(self, h: int) -> tuple:
-        """(rows, first, size): the rows h selects, the low part of the
-        batch's first mask (mask 0 is empty) and |X| for masks from there."""
+        """(rows, first): the rows h selects and the low part of the
+        batch's first mask (mask 0 is empty)."""
         rows = self.bits + np.flatnonzero((h >> np.arange(self.n - self.bits)) & 1)
-        first = 1 if h == 0 else 0
-        return rows, first, self.low_size[first:] + rows.size
+        return rows, 1 if h == 0 else 0
 
 
 def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -218,16 +253,32 @@ def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 class _ExactScan:
-    """One exact search: the subset table of the low rows and the running
-    lower bound L on disc, which the batches share under a lock."""
+    """One exact search: the half tables and squared norms of the low
+    rows' subset sums, and the running lower bound L on disc, which the
+    batches share under a lock."""
 
     def __init__(self, M: np.ndarray, batch_bits: int):
         self.M = M
         self.batches = _Batches(M.shape[0], batch_bits)
-        self.low = _subset_sums(M[:self.batches.bits])
-        self.low_norm2 = np.einsum("ij,ij->i", self.low, self.low)
+        bits = self.batches.bits
+        self.split = (bits + 1) // 2
+        self.half_lo = _subset_sums(M[:self.split])
+        self.half_hi = _subset_sums(M[self.split:bits])
+        self.low_norm2 = _subset_norms2(M[:bits])
         self.L = 0.0
         self._lock = threading.Lock()
+        self._todo = iter(self.batches.highs)
+
+    def run(self, parts: list) -> None:
+        """Scan the batches left in the shared queue into parts[h], all
+        with one bound buffer, until none is left."""
+        out = np.empty(1 << self.batches.bits)
+        while True:
+            with self._lock:
+                h = next(self._todo, None)
+            if h is None:
+                return
+            parts[h] = self.batch(h, out)
 
     def _raise_to(self, vals: np.ndarray) -> None:
         if vals.size:
@@ -240,51 +291,69 @@ class _ExactScan:
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
-    def batch(self, h: int) -> tuple:
-        """Scan the X masks whose high part is h.
+    def batch(self, h: int, out: np.ndarray) -> tuple:
+        """Scan the X masks whose high part is h, with the bound of every
+        row written into `out`.
 
         Returns (masks, values, rows_sorted): masks and values are the
         rows that can still tie the maximum and beat every such row at a
         smaller mask of the batch, in mask order; both are empty when
         the bound dropped every row.
         """
-        rows, first, size = self.batches.part(h)
-        low = self.low[first:]
+        rows, first = self.batches.part(h)
         high = self.M[rows].sum(axis=0)
-        # The expansion's float error is at most ~(n + 2) eps n^3 max|M|^2,
-        # far below the PRUNE_RTOL margin 2e-9 disc^2 >= 2e-9 max|M|^2.
-        cross = _subset_sums(self.M[:self.batches.bits] @ high)[first:]
-        norm2 = self.low_norm2[first:] + 2.0 * cross + high @ high
-        bound2 = norm2 / size
+        # bound2[X] = ||s_X||^2 / |X| for every low mask X of the batch.
+        # ||low||^2 sums at most b^2 Gram entries, each n products of size
+        # <= max|M|^2, so with the expansion the float error is at most
+        # ~(n + 2b) eps n^3 max|M|^2, below the PRUNE_RTOL margin
+        # 2e-9 disc^2 >= 2e-9 max|M|^2 for every n <= EXACT_CAP.
+        bound2 = _subset_sums(self.M[:self.batches.bits] @ high, out)
+        bound2 *= 2.0
+        bound2 += self.low_norm2
+        bound2 += high @ high
+        low_size = _subset_sizes(self.batches.bits)
+        bound2[first:] /= low_size[first:] + np.uint8(rows.size)
+        bound2[:first] = -math.inf  # mask 0 is empty
+        split = self.split
+        half_hi = self.half_hi + high
 
-        def score(idx):
-            """The rows idx that pass the sign-split bound, and their values."""
-            S = low[idx] + high
-            pos = np.maximum(S, 0.0)
+        def score(low):
+            """The low masks that pass the sign-split bound, and their values."""
+            S = self.half_lo[low & ((1 << split) - 1)]
+            pos = half_hi[low >> split]
+            S += pos
+            np.maximum(S, 0.0, out=pos)
             pos2 = np.einsum("ij,ij->i", pos, pos)
-            split2 = np.maximum(pos2, norm2[idx] - pos2)  # ||s+||^2, ||s-||^2
-            ok = split2 / size[idx] >= self._prune_floor2()
-            vals = _row_values(S[ok], size[idx][ok])
+            size = low_size[low] + float(rows.size)
+            # ||s+||^2 and ||s-||^2 = ||s||^2 - ||s+||^2
+            split2 = np.maximum(pos2, bound2[low] * size - pos2)
+            ok = split2 / size >= self._prune_floor2()
+            vals = _row_values(S[ok], size[ok])
             self._raise_to(vals)
-            return idx[ok], vals
+            return low[ok], vals
 
+        # Scored once, the seeds leave the rest.
         if bound2.size > SEED_ROWS:
-            seeds = np.argpartition(bound2, -SEED_ROWS)[-SEED_ROWS:]
+            width = bound2.size // SEED_ROWS
+            seeds = (np.arange(0, bound2.size, width)
+                     + bound2.reshape(SEED_ROWS, width).argmax(axis=1))
         else:
             seeds = np.arange(bound2.size)
-        seed_idx, seed_vals = score(seeds)
-        keep = bound2 >= self._prune_floor2()
-        keep[seeds] = False
-        rest_idx, rest_vals = score(np.flatnonzero(keep))
-        idx = np.concatenate((seed_idx, rest_idx))
-        vals = np.concatenate((seed_vals, rest_vals))
+        seeds = seeds[seeds >= first]
+        scored = [score(seeds)]
+        bound2[seeds] = -math.inf
+        rest = np.flatnonzero(bound2 >= self._prune_floor2())
+        scored += [score(rest[i:i + SCORE_ROWS])
+                   for i in range(0, rest.size, SCORE_ROWS)]
+        idx = np.concatenate([part[0] for part in scored])
+        vals = np.concatenate([part[1] for part in scored])
         rows_sorted = vals.size
         near = vals >= _tie_floor(self.L)
         order = np.argsort(idx[near])
         idx, vals = idx[near][order], vals[near][order]
         ahead = np.maximum.accumulate(np.concatenate(([-math.inf], vals)))[:-1]
         record = vals > ahead
-        masks = (h << self.batches.bits) + first + idx[record]
+        masks = (h << self.batches.bits) + idx[record]
         return masks, vals[record], rows_sorted
 
 
@@ -306,11 +375,14 @@ def _search_exact(
     n = M.shape[0]
     scan = _ExactScan(M, batch_bits)
     batches = scan.batches
-    if threads > 1 and len(batches.highs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan.batch, batches.highs))
+    parts = [None] * len(batches.highs)
+    workers = min(threads, len(batches.highs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(scan.run, parts) for _ in range(workers)]:
+                done.result()
     else:
-        parts = [scan.batch(h) for h in batches.highs]
+        scan.run(parts)
     cut = _tie_floor(scan.L)
     xmask = next(int(masks[vals >= cut][0])
                  for masks, vals, _ in parts if (vals >= cut).any())
@@ -462,7 +534,8 @@ def _disc1_exact(G: Graph) -> tuple:
     best_val = -1.0
     best_mask = 1
     for h in batches.highs:
-        rows, first, size = batches.part(h)
+        rows, first = batches.part(h)
+        size = _subset_sizes(bits)[first:] + float(rows.size)
         e_high = a[np.ix_(rows, rows)].sum() / 2.0
         cross = _subset_sums(a[:bits, rows].sum(axis=1))
         e_in = (e_low + cross + e_high)[first:]

@@ -15,6 +15,7 @@ with its numeric slack.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,6 +360,7 @@ def closed_form_bound(n: int, disc_value: float) -> float:
 def certify_sigma2(
     A: SymmetricMatrix,
     disc: DiscResult | None = None,
+    timing: dict | None = None,
 ) -> Sigma2Certificate:
     """Run the constructive sigma2 <= const * disc * ln n pipeline.
 
@@ -370,17 +372,34 @@ def certify_sigma2(
     Every link is checked numerically; a violation beyond LINK_TOL
     raises CertificateLinkViolatedError, which signals a bug rather
     than a property of the input.
+    A timing dict, when given, receives the seconds of each stage:
+    disc (only when the search runs here), eig_A, eig_B (with the top
+    singular direction), quantize, compress (the level partition, C and
+    <By, y>), eig_C, and pool (|C|, its maximum and the pool's pair, near 0 for an
+    exact disc). The certificate does not depend on it.
     """
     if A.is_complex:
         raise ValueError("the certificate pipeline supports real matrices only")
     n = A.n
     if n < 2:
         raise ValueError("certificate needs n >= 2")
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        """Charge the seconds since the previous lap to `stage`."""
+        nonlocal last
+        now = time.perf_counter()
+        if timing is not None:
+            timing[stage] = now - last
+        last = now
+
     if disc is None:
         disc = disc_exact(A)
+        lap("disc")
 
     spectrum_a = eig_symmetric(A)
     sigma2 = spectrum_a.sigma2
+    lap("eig_A")
     B = SymmetricMatrix(A.a - rho_prime(A))
     spectrum_b = eig_symmetric(B)
     sigma1_b = spectrum_b.sigma1
@@ -390,12 +409,16 @@ def certify_sigma2(
     else:
         x = spectrum_b.eigenvectors[:, -1].copy()
     x /= float(np.linalg.norm(x))
+    lap("eig_B")
 
     qy = quantize(x, p=2.0, epsilon=CERT_EPSILON)
+    lap("quantize")
     partition = level_partition(qy.y)
     C = quotient_compress(B, partition)
-    sigma1_c = eig_symmetric(C).sigma1
     byy = float(qy.y @ B.a @ qy.y)
+    lap("compress")
+    sigma1_c = eig_symmetric(C).sigma1
+    lap("eig_C")
     abs_c = np.abs(C.a)
     max_c = float(abs_c.max())
     m_realized = partition.class_count
@@ -415,6 +438,7 @@ def certify_sigma2(
                 mode=disc.mode,
                 evaluations=disc.evaluations + m_realized * m_realized,
             )
+    lap("pool")
 
     links = (
         CertificateLink("sigma2_le_sigma1_B", sigma2, sigma1_b),

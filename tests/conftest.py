@@ -48,6 +48,18 @@ def naive_disc(matrix):
             tuple(j + 1 for j in range(n) if ind[y, j]))
 
 
+def reference_subset_sums(rows):
+    """The full 2^b x n table of subset sums of b rows, indexed by
+    bitmask and built by doubling: the table the exact scan used to keep
+    for every search, and the one its half tables and norms must match."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros((1 << len(rows),) + rows.shape[1:])
+    for k, row in enumerate(rows):
+        half = 1 << k
+        out[half:2 * half] = out[:half] + row
+    return out
+
+
 def naive_disc1(adjacency):
     """Brute-force single-set discrepancy of a graph adjacency matrix."""
     a = np.asarray(adjacency, dtype=float)

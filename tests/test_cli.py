@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -285,6 +286,61 @@ def test_exact_scan_counters_in_timing(tmp_path, capsys, command):
     assert timing["disc_batches"] == 1
     assert 0 < timing["disc_rows_sorted"] <= 2 ** 10 - 1
     assert "disc_rows_sorted" not in json.dumps(payload["results"])
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("analyze", {"disc", "eig"}),
+    ("certify", {"disc", "eig_A", "eig_B", "quantize", "compress", "eig_C",
+                 "pool"}),
+])
+def test_stage_seconds_in_timing_only(tmp_path, capsys, command, stages):
+    path = tmp_path / "t5.txt"
+    write_matrix(tightness_matrix(5), path)
+    runs = []
+    for _ in range(2):
+        code, payload, _ = run_cli(capsys, [command, str(path)])
+        assert code == 0
+        seconds = payload["timing"]["stage_seconds"]
+        assert set(seconds) == stages
+        assert all(0.0 <= s <= payload["timing"]["seconds"]
+                   for s in seconds.values())
+        runs.append(json.dumps(payload["results"], sort_keys=True))
+    assert '"stage_seconds"' not in runs[0]
+    assert runs[0] == runs[1]
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    path = tmp_path / "t4.txt"
+    code, _, _ = run_cli(capsys, ["construct", "tightness", "--k", "4",
+                                  "-o", str(path)])
+    assert code == 0
+    code, payload, _ = run_cli(
+        capsys, ["analyze", str(path), "--heuristic", "--seed", "3"])
+    assert code == 0 and payload["seed"] == 3
+    # No flag of the previous call leaks into the next one.
+    code, payload, _ = run_cli(capsys, ["certify", str(path)])
+    assert code == 0
+    assert payload["seed"] is None
+    assert payload["results"]["certificate"]["disc"]["mode"] == "exact"
+
+
+def test_bad_argv_exits_2_and_next_call_works(tmp_path, capsys):
+    path = tmp_path / "t3.txt"
+    write_matrix(tightness_matrix(3), path)
+    for argv in (["analyze", str(path), "--threads", "two"], ["frobnicate"],
+                 ["analyze"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, payload, _ = run_cli(capsys, ["analyze", str(path)])
+        assert code == 0 and payload["results"]["n"] == 6
+
+
+def test_threads_default_is_cpu_count():
+    args = cli._build_parser().parse_args(["analyze", "m.txt"])
+    assert args.threads == (os.cpu_count() or 1)
 
 
 def test_results_deterministic(tmp_path, capsys):

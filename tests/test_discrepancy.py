@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -188,7 +189,8 @@ def test_threads_do_not_change_result():
 
 def test_shared_lower_bound_survives_thread_switching():
     # 8 threads over 512 batches, switching every microsecond: a lost
-    # update would leave the shared lower bound below a scored value.
+    # update would leave the shared lower bound below a scored value, and
+    # a batch taken twice or never from the shared queue a part unset.
     # Entries grow with the index, so later batches keep raising it.
     w = np.arange(1.0, 13.0) ** 2
     M = centered_matrix(SymmetricMatrix(np.outer(w, w)))
@@ -198,8 +200,10 @@ def test_shared_lower_bound_survives_thread_switching():
         started = time.monotonic()
         while time.monotonic() - started < 1.0:
             scan = _ExactScan(M, 3)
+            parts = [None] * (1 << 9)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                parts = list(pool.map(scan.batch, range(1 << 9)))
+                for done in [pool.submit(scan.run, parts) for _ in range(8)]:
+                    done.result(timeout=60)
             assert scan.L == max(vals.max() for _, vals, _ in parts if vals.size)
     finally:
         sys.setswitchinterval(interval)
@@ -333,3 +337,17 @@ def test_witness_labels_validated():
         with pytest.raises(ValueError):
             disc2_value_at(complete_graph(3), bad, [1])
     assert disc1_value_at(complete_graph(3), [1, 1, 2]) == 0.0
+
+
+def test_exact_scan_memory_stays_below_subset_table():
+    # The full 2^17 x 22 subset table alone would take 24 MB.
+    rng = np.random.default_rng(47)
+    m = rng.normal(size=(22, 22))
+    mat = SymmetricMatrix((m + m.T) / 2.0)
+    tracemalloc.start()
+    try:
+        disc_exact(mat, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

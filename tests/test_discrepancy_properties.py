@@ -2,10 +2,12 @@
 heuristic <= exact <= sigma1 of the centred matrix, and every link of
 the sigma2 certificate on either disc."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from conftest import naive_disc
+from conftest import naive_disc, reference_subset_sums
 
 from matdisc import (
     SymmetricMatrix,
@@ -17,6 +19,8 @@ from matdisc import (
     disc_value_at,
     gnp_random_graph,
 )
+from matdisc import discrepancy
+from matdisc.discrepancy import _ExactScan, _subset_norms2
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -69,6 +73,78 @@ TIED_BY_ROUNDING = np.array([
 def test_exact_equals_naive_disc(a, batch_bits, threads):
     want_val, want_x, want_y = naive_disc(a)
     got = disc_exact(SymmetricMatrix(a), threads=threads, batch_bits=batch_bits)
+    assert got.value == pytest.approx(want_val, abs=1e-12)
+    assert got.witness_X == want_x
+    assert got.witness_Y == want_y
+
+
+TABLE_KINDS = ("gauss", "small-int", "binary", "rank-1", "huge")
+
+
+@st.composite
+def table_rows(draw):
+    """A symmetric n x n matrix and a batch size b <= n, b <= 10; 'huge'
+    entries are Gaussian times 1e100, the largest size the search takes."""
+    b = draw(st.integers(0, 10))
+    n = draw(st.integers(max(b, 1), 12))
+    kind = draw(st.sampled_from(TABLE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("gauss", "huge"):
+        m = rng.normal(size=(n, n)) * (1e100 if kind == "huge" else 1.0)
+        return (m + m.T) / 2.0, b
+    if kind == "rank-1":
+        v = rng.integers(-3, 4, size=n).astype(float)
+        return np.outer(v, v), b
+    lo, hi = (-3, 3) if kind == "small-int" else (0, 1)
+    upper = np.triu(rng.integers(lo, hi + 1, size=(n, n)).astype(float))
+    return upper + np.triu(upper, 1).T, b
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(case=table_rows())
+def test_low_norm2_matches_full_table(case):
+    a, b = case
+    ref = reference_subset_sums(a[:b])
+    want = np.einsum("ij,ij->i", ref, ref)
+    got = _subset_norms2(a[:b])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want.max())
+    assert np.array_equal(_ExactScan(a, b).low_norm2, got)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(case=table_rows())
+def test_half_tables_match_full_table(case):
+    a, b = case
+    scan = _ExactScan(a, b)
+    split = scan.split
+    assert split == (b + 1) // 2
+    assert scan.half_lo.shape == (1 << split, a.shape[0])
+    assert scan.half_hi.shape == (1 << (b - split), a.shape[0])
+    ref = reference_subset_sums(a[:b])
+    # Each half sums its rows in the full table's order, bit for bit.
+    assert np.array_equal(scan.half_lo, ref[:1 << split])
+    assert np.array_equal(scan.half_hi, ref[::1 << split])
+    # Their sum adds the two parts in another order: within b ulps of
+    # the sum of magnitudes, on each side.
+    masks = np.arange(1 << b)
+    got = scan.half_lo[masks & ((1 << split) - 1)] + scan.half_hi[masks >> split]
+    scale = reference_subset_sums(np.abs(a[:b]))
+    assert np.all(np.abs(got - ref) <= 2 * b * np.finfo(float).eps * scale)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(a=small_matrices(), batch_bits=st.integers(0, 8),
+                  threads=st.integers(1, 3))
+def test_exact_equals_naive_disc_in_small_blocks(a, batch_bits, threads):
+    # Two seed blocks and three rows a chunk: the default sizes reach the
+    # block seeds only past 64 masks a batch and a second chunk only past
+    # 4096 surviving rows, beyond the oracle's reach.
+    with mock.patch.object(discrepancy, "SEED_ROWS", 2), \
+            mock.patch.object(discrepancy, "SCORE_ROWS", 3):
+        got = disc_exact(SymmetricMatrix(a), threads=threads,
+                         batch_bits=batch_bits)
+    want_val, want_x, want_y = naive_disc(a)
     assert got.value == pytest.approx(want_val, abs=1e-12)
     assert got.witness_X == want_x
     assert got.witness_Y == want_y

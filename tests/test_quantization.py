@@ -204,6 +204,26 @@ def test_certificate_heuristic_and_supplied_disc():
     assert supplied.disc_is_exact
 
 
+CERT_STAGES = {"eig_A", "eig_B", "quantize", "compress", "eig_C", "pool"}
+
+
+def test_certificate_stage_seconds_leave_results_alone():
+    rng = np.random.default_rng(103)
+    m = rng.normal(size=(9, 9))
+    A = SymmetricMatrix((m + m.T) / 2.0)
+    plain = json.dumps(certify_sigma2(A).to_json_dict(), sort_keys=True)
+    for disc, stages in ((None, CERT_STAGES | {"disc"}),
+                         (disc_heuristic(A, seed=2), CERT_STAGES)):
+        timing = {}
+        cert = certify_sigma2(A, disc, timing=timing)
+        assert set(timing) == stages
+        assert all(seconds >= 0.0 for seconds in timing.values())
+        if disc is None:
+            assert json.dumps(cert.to_json_dict(), sort_keys=True) == plain
+        else:
+            assert cert.to_json_dict() == certify_sigma2(A, disc).to_json_dict()
+
+
 def _weak_disc():
     return DiscResult(value=0.0, witness_X=(1,), witness_Y=(1,),
                       mode="heuristic", evaluations=1)
