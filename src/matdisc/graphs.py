@@ -8,6 +8,7 @@ Graphs are dense, so no graph may exceed MAX_VERTICES vertices.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,12 +182,18 @@ def vol(G: Graph, X) -> int:
 
 def write_graph(G: Graph, path) -> None:
     """Write the text format: 'graph <n> <m>' then one 'u v' line per edge."""
-    np.savetxt(path, np.argwhere(np.triu(G._mask, k=1)) + 1, fmt="%d",
-               header=f"graph {G.n} {G.m}", comments="")
+    pairs = np.argwhere(np.triu(G._mask, k=1)) + 1
+    with open(path, "w") as fh:
+        fh.write(f"graph {G.n} {G.m}\n"
+                 + ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
 
 
 def read_graph(path) -> Graph:
-    """Parse the 'graph' text format, rejecting loops and repeats."""
+    """Parse the 'graph' text format, rejecting loops and repeats.
+
+    The edge list is parsed in one np.loadtxt call, as rows of
+    whitespace-separated decimal labels with the same count on every
+    nonblank line."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "graph":
@@ -198,10 +205,18 @@ def read_graph(path) -> Graph:
         if n < 1 or m < 0:
             raise FormatError("graph header out of range")
         _require_order(n)
-        tokens = fh.read().split()
-    if len(tokens) != 2 * m:
-        raise FormatError(f"expected {m} edges, found {len(tokens) // 2} lines of data")
+        try:
+            with warnings.catch_warnings():
+                # an edge list with no labels is the valid body of 'graph n 0'
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # older numpy reads '1.5' as 1 under a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                labels = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError(f"bad edge list: {exc}") from exc
+    if labels.size != 2 * m:
+        raise FormatError(f"expected {m} edges, found {labels.size // 2} lines of data")
     try:
-        return Graph(n, np.array(tokens, dtype=np.int64).reshape(m, 2))
-    except (ValueError, OverflowError) as exc:
+        return Graph(n, labels.reshape(m, 2))
+    except ValueError as exc:
         raise FormatError(f"bad edge list: {exc}") from exc

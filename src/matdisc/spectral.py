@@ -15,6 +15,17 @@ and the small-graph sweep run on one subset-pair engine:
 - a bound turns a chunk into lhs and rhs arrays;
 - one recorder counts pairs and violations and keeps the first few.
 
+The sampled source forms x @ a in float32.  The indicator rows and the
+adjacency hold only 0 and 1, so every partial sum of an entry of x @ a
+is an integer at most n <= MAX_VERTICES = 10^4 < 2^24: exact in float32
+in any summation order.  e(X, Y) = sum_j (x a)_j y_j is accumulated in
+float64, which holds every integer up to n^2 exactly, so the values are
+those of a float64 product bit for bit.  The float32 adjacency is built
+once per check and lives as long as its stream; at n^2 * 4 bytes (400
+MB at MAX_VERTICES) it is half the float64 adjacency the graph already
+holds.  Set sizes are counted with np.count_nonzero and volumes summed
+by einsum, with no float copy of the boolean rows.
+
 Slack is always lhs - rhs: negative slack means the inequality holds
 with room, and an instance only counts as a violation when its slack
 exceeds a small positive tolerance.  The checks share one report shape,
@@ -218,9 +229,11 @@ def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     rows = min(_Y_CHUNK, max(1, 2**20 // n))
+    a32 = a.astype(np.float32)  # exact: see the module docstring
 
     def chunk(x: np.ndarray, y: np.ndarray) -> tuple:
-        return ((x @ a) * y).sum(axis=1), x, y
+        # the bool rows are cast to float32 for the product
+        return np.einsum("ij,ij->i", x @ a32, y, dtype=np.float64), x, y
 
     for lo in range(0, samples, rows):
         count = min(rows, samples - lo)
@@ -356,8 +369,8 @@ def _thomason_sides(e: np.ndarray, sx: np.ndarray, sy: np.ndarray, n: int,
 def _thomason_bound(e: np.ndarray, x: np.ndarray, y: np.ndarray, p: float,
                     mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of a chunk of pairs (e, x, y)."""
-    n = x.shape[-1]
-    return _thomason_sides(e, x @ np.ones(n), y @ np.ones(n), n, p, mu)
+    return _thomason_sides(e, np.count_nonzero(x, axis=-1),
+                           np.count_nonzero(y, axis=-1), x.shape[-1], p, mu)
 
 
 def _thomason_rows(ex: _Exhaustive, p: float, mu: float) -> np.ndarray:
@@ -467,7 +480,8 @@ def _chung_terms(e: np.ndarray, x: np.ndarray, y: np.ndarray,
                  degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lhs |e - volX volY / volV| and sqrt(volX volY vol(V-X) vol(V-Y)) / volV."""
     vol_v = float(degs.sum())
-    vx, vy = x @ degs, y @ degs
+    # einsum casts the bool rows a block at a time: no full float copy
+    vx, vy = (np.einsum("...j,j->...", s, degs) for s in (x, y))
     lhs = vx * vy / vol_v - e  # reuses the product's buffer
     np.abs(lhs, out=lhs)
     denom = (vx * (vol_v - vx)) * (vy * (vol_v - vy))

@@ -173,6 +173,14 @@ def reference_quantize_nonneg(v, stage_epsilon, cap, p):
     return out, repairs
 
 
+def reference_write_graph(graph, path):
+    """The 'graph' text format as np.savetxt writes it: the header line
+    'graph <n> <m>', then one '%d %d' row per pair of graph.edges."""
+    pairs = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    np.savetxt(path, pairs, fmt="%d", header=f"graph {graph.n} {graph.m}",
+               comments="")
+
+
 def count_edges_between(adjacency, xs, ys):
     """Ordered-pair edge count between two 1-based vertex collections."""
     a = np.asarray(adjacency)

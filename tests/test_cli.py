@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,3 +422,47 @@ def test_every_package_error_has_its_exit_code(cls, monkeypatch, capsys):
     assert code == _EXPECTED_CODES.get(cls.__name__, 2)
     assert payload is None
     assert "error: boom" in err
+
+
+#: graph files the reader must reject: (header, edge list)
+BAD_GRAPH_FILES = {
+    "fraction": ("graph 3 1", "1 1.5"),
+    "float-integer": ("graph 3 1", "1 2.0"),
+    "exponent": ("graph 3 1", "1e3 2"),
+    "odd-token-count": ("graph 3 2", "1 2\n3"),
+    "wrong-m": ("graph 3 2", "1 2"),
+    "labels-after-no-edges": ("graph 3 0", "1 2"),
+    "20-digit-label": ("graph 3 1", "1 12345678901234567890"),
+    "loop": ("graph 3 1", "2 2"),
+    "repeat": ("graph 3 2", "1 2\n2 1"),
+    "ragged-lines": ("graph 4 2", "1 2 3\n4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRAPH_FILES))
+def test_graph_file_rejections(tmp_path, capsys, name):
+    """Each rejection is a FormatError, and exit 2 with one error line
+    through the CLI; no numpy warning is raised on the way."""
+    header, body = BAD_GRAPH_FILES[name]
+    path = tmp_path / "g.txt"
+    path.write_text(f"{header}\n{body}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(errors.FormatError):
+            read_graph(path)
+        code, payload, err = run_cli(
+            capsys, ["verify", "chung", "--input", str(path)])
+    assert not caught
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("body", ["", "\n", "  \n\t\n"])
+def test_graph_without_edges_reads_quietly(tmp_path, body):
+    path = tmp_path / "g.txt"
+    path.write_text(f"graph 4 0\n{body}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = read_graph(path)
+    assert not caught
+    assert g.n == 4 and g.m == 0

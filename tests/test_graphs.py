@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_edges_between
+from conftest import count_edges_between, reference_write_graph
 
 from matdisc import (
     FormatError,
@@ -14,6 +14,7 @@ from matdisc import (
     e_xy,
     from_adjacency,
     gnp_random_graph,
+    qpt_graph,
     read_graph,
     star_graph,
     vol,
@@ -133,6 +134,19 @@ def test_write_read_round_trip(tmp_path):
     write_graph(g, path)
     back = read_graph(path)
     assert back.n == g.n and back.edges == g.edges
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(5, []), Graph(1, []), complete_graph(6), qpt_graph(101, 25),
+    qpt_graph(499, 124),
+], ids=["edgeless", "one-vertex", "K6", "Q101-25", "Q499-124"])
+def test_write_graph_matches_savetxt(tmp_path, graph):
+    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+    write_graph(graph, ours)
+    reference_write_graph(graph, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    back = read_graph(ours)
+    assert back.n == graph.n and back.edges == graph.edges
 
 
 def test_read_graph_rejects(tmp_path):

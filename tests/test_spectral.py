@@ -15,6 +15,7 @@ from matdisc import (
     chung_alpha_check,
     complete_graph,
     cycle_graph,
+    e_xy,
     family_properties,
     gnp_random_graph,
     lambda_bar_from_adjacency,
@@ -246,6 +247,29 @@ def test_sampled_pairs_stream_bounded_chunks(n, rows):
     e, x, y = next(_sampled_pairs(np.zeros((n, n)), np.random.default_rng(1),
                                   10**12))
     assert e.shape == (rows,) and x.shape == y.shape == (rows, n)
+
+
+@pytest.mark.parametrize("graph", [
+    gnp_random_graph(60, 0.3, np.random.default_rng(40)),
+    complete_graph(50),
+    # edges among the first 12 of 40 vertices: 28 zero rows
+    Graph(40, gnp_random_graph(12, 0.5, np.random.default_rng(6)).edges),
+    gnp_random_graph(600, 0.5, np.random.default_rng(41)),
+    complete_graph(600),
+], ids=["gnp60", "K50", "isolated", "gnp600", "K600"])
+def test_float32_pair_products_exact(graph):
+    """e(X, Y) from the float32 product equals the float64 product
+    ((x @ a) * y).sum(1) bit for bit, and the direct count of e_xy."""
+    a = graph.adjacency.a
+    chunks = list(_sampled_pairs(a, np.random.default_rng(8), 2500,
+                                 whole=True))
+    for e, x, y in chunks:
+        assert e.dtype == np.float64
+        assert e.tobytes() == ((x @ a) * y).sum(axis=1).tobytes()
+        for r in range(0, len(e), 61):
+            assert e[r] == e_xy(graph, np.flatnonzero(x[r]) + 1,
+                                np.flatnonzero(y[r]) + 1)
+    assert chunks[-1][0].tolist() == [2 * graph.m]
 
 
 def test_chung_sampled_violations_counted_and_capped():
