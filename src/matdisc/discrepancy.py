@@ -45,7 +45,11 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    within that tolerance for that X. The pruning margin is wider than
    this tolerance and than the float error of the bound, so no tied row
    is dropped, and the witness does not depend on the summation order,
-   the thread count or the batch size.
+   the thread count or the batch size. Y is decided in one pass over
+   s_X: every prefix s[:j] is sorted at once, as one (n + 1) x n table
+   padded with +-inf, both prefix-sum tables take one cumsum each, and
+   bit j, from the top down, stays clear when some extension read off
+   row j reaches the tie floor.
 
 The exact disc1 search walks the same batches with the edge counts
 e(X + k) = e(X) + s_X[k] + a_kk / 2 doubled alongside the column sums.
@@ -146,35 +150,41 @@ def _tie_floor(value: float) -> float:
     return value - TIE_RTOL * max(1.0, value)
 
 
-def _best_extension(free: np.ndarray, fixed: float, count: int) -> float:
-    """max |fixed + sum_T free| / sqrt(count + |T|) over T with count + |T| >= 1.
-
-    For each |T| the extremes are the |T| smallest or largest entries.
-    """
-    srt = np.sort(free)
-    lo = fixed + np.concatenate(([0.0], np.cumsum(srt)))
-    hi = fixed + np.concatenate(([0.0], np.cumsum(srt[::-1])))
-    size = count + np.arange(free.size + 1)
-    ok = size > 0
-    if not ok.any():
-        return -math.inf
-    return float((np.maximum(np.abs(lo), np.abs(hi))[ok] / np.sqrt(size[ok])).max())
-
-
 def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     """The smallest ymask whose value ties the best Y for a fixed X.
 
     Decides the bits from the highest down: a bit stays clear when the
-    lower bits can still reach the tie floor without it.
+    lower bits can still reach the tie floor without it.  With the bits
+    chosen above j summing to `fixed`, `count` of them, the best
+    extension T of each size inside s[:j] takes its smallest or its
+    largest entries, so every step reads row j of two tables built
+    once: the prefix sums of s[:j] sorted up and sorted down (each row
+    padded with +-inf to sort last).  A value is
+    max(|fixed + lo|, |fixed + hi|) / sqrt(count + |T|), formed in that
+    order, and a step stops at the first one that reaches the floor.
     """
     n = M.shape[0]
     xs = [j for j in range(n) if (xmask >> j) & 1]
     s = M[xs].sum(axis=0)
+    below = np.tri(n + 1, n, -1, dtype=bool)  # row j: s[:j]
+    sums = np.zeros((2, n + 1, n + 1))  # [up or down, j, |T|]
+    np.cumsum(np.sort(np.where(below, s, math.inf)), axis=1,
+              out=sums[0, :, 1:])
+    np.cumsum(np.sort(np.where(below, s, -math.inf))[:, ::-1], axis=1,
+              out=sums[1, :, 1:])
+    up, down = sums.tolist()
+    roots = np.sqrt(np.arange(n + 1)).tolist()
+    best = max(max(abs(lo), abs(hi)) / r
+               for lo, hi, r in zip(up[n][1:], down[n][1:], roots[1:]))
     root = math.sqrt(len(xs))
-    cut = _tie_floor(_best_extension(s, 0.0, 0) / root) * root
+    cut = _tie_floor(best / root) * root
     ymask, fixed, count = 0, 0.0, 0
     for j in range(n - 1, -1, -1):
-        if _best_extension(s[:j], fixed, count) < cut:
+        first = 0 if count else 1  # T may be empty once a bit is chosen
+        if not any(max(abs(fixed + lo), abs(fixed + hi)) / r >= cut
+                   for lo, hi, r in zip(up[j][first:j + 1],
+                                        down[j][first:j + 1],
+                                        roots[count + first:])):
             ymask |= 1 << j
             fixed += float(s[j])
             count += 1

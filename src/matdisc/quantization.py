@@ -93,8 +93,10 @@ class QuantizedVector:
         }
 
 
-def _p_norm(v: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+def _p_norm(mag: np.ndarray, p: float) -> float:
+    """The p-norm of a vector from the magnitudes of its entries (the
+    reduction of ndarray.sum, without its wrapper)."""
+    return float(np.add.reduce(mag ** p) ** (1.0 / p))
 
 
 def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
@@ -110,38 +112,40 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     last bucket (zeroing it) down to the first, at the first k that keeps
     the measured p-norm error within stage_epsilon.
     """
-    order = np.argsort(-v, kind="stable")
+    order = (-v).argsort(kind="stable")
     sorted_desc = v[order]
     neg = -sorted_desc
     # nxt[i]: where a bucket starting at entry i stops; entries before
     # the bucket's first are >= it, so >= its threshold
-    nxt = np.searchsorted(neg, (1.0 - stage_epsilon / 2.0) * neg,
-                          side="right").tolist()
+    nxt = neg.searchsorted((1.0 - stage_epsilon / 2.0) * neg,
+                           side="right").tolist()
     stops = [0]
-    while stops[-1] < v.size and len(stops) <= cap:
+    for _ in range(cap):  # at most cap buckets
+        if stops[-1] >= v.size:
+            break
         stops.append(nxt[stops[-1]])
-    levels = np.append(sorted_desc[np.subtract(stops[1:], 1)], 0.0)
-    widths = np.diff(stops + [v.size])
-    shown = widths > 0  # only the zero tail can be empty
+    values = sorted_desc.tolist()
+    levels = [values[stop - 1] for stop in stops[1:]] + [0.0]
+    widths = [b - a for a, b in zip(stops, stops[1:] + [v.size])]
 
-    def distinct(lv: np.ndarray) -> int:  # np.unique's count of repeat(lv, widths)
-        return len(set(lv[shown].tolist()))
+    def distinct(lv: list) -> int:  # np.unique's count of repeat(lv, widths)
+        return len({level for level, width in zip(lv, widths) if width})
 
     repairs = int(distinct(levels) > cap)
-    quantized = np.repeat(levels, widths)
+    quantized = np.array(levels).repeat(widths)
     if repairs:
         for k in range(len(stops) - 2, -1, -1):
             edited = levels.copy()
             edited[k] = levels[k + 1]
-            cand = np.repeat(edited, widths)
+            cand = np.array(edited).repeat(widths)
             if distinct(edited) <= cap and (
-                _p_norm(sorted_desc - cand, p) <= stage_epsilon
+                _p_norm(np.abs(sorted_desc - cand), p) <= stage_epsilon
             ):
                 break
         else:
             raise InvariantError("bucket repair failed to reach the value budget")
         quantized = cand
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     out[order] = quantized
     return out, repairs
 
@@ -158,26 +162,27 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     if p < 1.0:
         raise ValueError(f"norm order must be >= 1, got {p}")
     xv = np.asarray(x)
-    if np.iscomplexobj(xv):
-        xv = xv.astype(np.complex128).reshape(-1)
-    else:
-        xv = xv.astype(np.float64).reshape(-1)
+    is_complex = np.iscomplexobj(xv)
+    xv = xv.astype(np.complex128 if is_complex else np.float64,
+                   copy=False).reshape(-1)
     n = xv.shape[0]
     if n < 1:
         raise ValueError("vector must be nonempty")
-    norm = _p_norm(xv, p)
+    mag = np.abs(xv)
+    norm = _p_norm(mag, p)
     if not abs(norm - 1.0) <= 1e-12:  # a nan norm fails too
         raise NotNormalizedError(f"input must be a unit vector in p-norm, got {norm}")
 
-    if not np.iscomplexobj(xv) and bool(np.all(xv >= 0.0)):
+    # the norm is finite, so xv holds no nan
+    if not is_complex and np.minimum.reduce(xv) >= 0.0:
         case = "nonnegative"
         ceiling = nonneg_value_ceiling(n, epsilon)
         y, repairs = _quantize_nonneg(xv, epsilon, ceiling, p)
     else:
         ceiling = complex_value_ceiling(n, epsilon)
         moduli_cap = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
-        q, repairs = _quantize_nonneg(np.abs(xv), epsilon / 2.0, moduli_cap, p)
-        if not np.iscomplexobj(xv):
+        q, repairs = _quantize_nonneg(mag, epsilon / 2.0, moduli_cap, p)
+        if not is_complex:
             case = "signed"
             y = np.where(xv < 0.0, -q, q)
         else:
@@ -185,18 +190,19 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
             phase_slots = math.ceil(8.0 * math.pi / epsilon)
             theta = np.angle(xv) / (2.0 * math.pi)
             theta = np.where(theta < 0.0, theta + 1.0, theta)
-            theta[np.abs(xv) == 0.0] = 0.0
+            theta[mag == 0.0] = 0.0
             grid = np.floor(phase_slots * theta) / phase_slots
             y = q * np.exp(2.0j * math.pi * grid)
 
+    # np.unique, not a set of the levels: when y holds both -0.0 and 0.0
+    # it keeps one of them, and which one is part of the report
     distinct = tuple(np.unique(y).tolist())
     if len(distinct) > ceiling:
         raise InvariantError(
             f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"
         )
-    error = _p_norm(xv - y, p)
-    y = y.copy()
-    y.setflags(write=False)
+    error = _p_norm(np.abs(xv - y), p)
+    y.setflags(write=False)  # a fresh array on every path
     return QuantizedVector(
         y=y,
         distinct_values=distinct,

@@ -11,7 +11,10 @@ and the small-graph sweep run on one subset-pair engine:
   sums; a per-row pass bounds each X row over every Y at once (Thomason
   exactly, from the row's sorted column sums; Chung by Cauchy-Schwarz),
   and only the rows that can still change the report are formed as a
-  grid against chunks of Y sets;
+  grid against chunks of Y sets, in blocks of at most _X_BLOCK rows.
+  The small-graph sweep runs the Thomason per-row pass on stacks of
+  atlas graphs of one size, _SWEEP_BLOCK at a time, which bounds its
+  memory;
 - a bound turns a chunk into lhs and rhs arrays;
 - one recorder counts pairs and violations and keeps the first few.
 
@@ -34,11 +37,9 @@ BoundReport, so that the command line can print any of them uniformly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,9 @@ DEFAULT_SAMPLES = 10_000
 BOUND_TOL = 1e-8
 
 _Y_CHUNK = 2048
+_X_BLOCK = 512
+#: atlas graphs whose prefix extremes the sweep holds at once
+_SWEEP_BLOCK = 64
 _MAX_RECORDED_VIOLATIONS = 100
 
 
@@ -162,6 +166,26 @@ class BoundReport:
         }
 
 
+def _indicators(n: int) -> np.ndarray:
+    """The float 0/1 indicator rows of every nonempty subset of n
+    vertices, in mask order."""
+    masks = np.arange(1, 1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+
+
+def _prefix_extremes(ax_t: np.ndarray) -> np.ndarray:
+    """(2, ..., n, N) from column sums ax_t (..., n, N), one column per
+    X row: for each k = 1..n and X row, the least and the largest
+    e(X, Y) over |Y| = k, read off the prefix sums of the row's sorted
+    column sums.  X rows run along the last axis, so the reductions
+    over k run on whole rows of X."""
+    s = np.sort(ax_t, axis=-2)
+    out = np.empty((2,) + s.shape)
+    np.cumsum(s, axis=-2, out=out[0])
+    np.cumsum(s[..., ::-1, :], axis=-2, out=out[1])
+    return out
+
+
 class _Exhaustive:
     """Every nonempty X against every nonempty Y (up to EXACT_PAIR_CAP
     vertices).
@@ -177,30 +201,22 @@ class _Exhaustive:
         if n > EXACT_PAIR_CAP:
             raise TooLargeError(
                 f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}")
-        masks = np.arange(1, 1 << n, dtype=np.uint32)
-        self.ind = ((masks[:, None] >> np.arange(n, dtype=np.uint32))
-                    & 1).astype(float)
+        self.ind = _indicators(n)
         self.ax = self.ind @ a
-        self.pairs = len(masks) ** 2
-
-    @cached_property
-    def extremes(self) -> np.ndarray:
-        """(2, N, n): for each X row and k = 1..n, the least and the
-        largest e(X, Y) over |Y| = k, read off the prefix sums of the
-        row's sorted column sums."""
-        s = np.sort(self.ax, axis=1)
-        return np.stack([np.cumsum(s, axis=1), np.cumsum(s[:, ::-1], axis=1)])
+        self.pairs = len(self.ind) ** 2
 
     def grid(self, rows: np.ndarray) -> Iterator[tuple]:
         """The X rows `rows` (ascending) against chunks of _Y_CHUNK Y
-        sets in mask order: the violations of the chosen rows come out
-        in the order of a scan of every row."""
-        if not len(rows):
-            return
+        sets in mask order, each chunk met by blocks of at most _X_BLOCK
+        of the rows in turn: a chunk holds at most _X_BLOCK x _Y_CHUNK
+        pairs, and the violations of the chosen rows come out in the
+        order of a scan of every row."""
         ax, x = self.ax[rows], self.ind[rows][:, None]
         for lo in range(0, len(self.ind), _Y_CHUNK):
             y = self.ind[lo:lo + _Y_CHUNK]
-            yield ax @ y.T, x, y[None]
+            for top in range(0, len(rows), _X_BLOCK):
+                yield (ax[top:top + _X_BLOCK] @ y.T, x[top:top + _X_BLOCK],
+                       y[None])
 
 
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -295,7 +311,12 @@ class _Recorder:
         if not found or budget <= 0:
             return
         x, y = np.broadcast_arrays(x, y)  # views: one row pair per index
-        for idx in map(tuple, np.argwhere(bad)[:budget].tolist()):
+        # the first `budget` violations lie in the first `budget` rows
+        # that hold one: index those rows only, not every violation
+        rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[:budget]
+        first = np.argwhere(bad[rows])[:budget]
+        first[:, 0] = rows[first[:, 0]]
+        for idx in map(tuple, first.tolist()):
             self.violations.append({
                 **tags,
                 "X": (np.flatnonzero(x[idx]) + 1).tolist(),
@@ -320,11 +341,14 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _degree_codegree(a: np.ndarray) -> tuple[int, int]:
-    """Minimum degree and the most common neighbours of two distinct vertices."""
+def _degree_codegree(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum degree and the most common neighbours of two distinct
+    vertices, of one adjacency or of each of a stack (..., n, n)."""
     prod = a @ a
-    np.fill_diagonal(prod, -1.0)
-    return int(a.sum(axis=1).min()), max(int(prod.max()), 0)  # n = 1: no pair
+    n = a.shape[-1]
+    prod[..., range(n), range(n)] = -1.0
+    return (a.sum(axis=-1).min(axis=-1),
+            np.maximum(prod.max(axis=(-2, -1)), 0.0))  # n = 1: no pair
 
 
 def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
@@ -339,7 +363,7 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError("mu must be finite and nonnegative")
     n = graph.n
-    min_degree, max_codegree = _degree_codegree(graph.adjacency.a)
+    min_degree, max_codegree = map(int, _degree_codegree(graph.adjacency.a))
     degrees_ok = bool(min_degree >= p * n)
     codegrees_ok = bool(max_codegree <= p * p * n + mu)
     return {
@@ -353,39 +377,55 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     }
 
 
-def _thomason_sides(e: np.ndarray, sx: np.ndarray, sy: np.ndarray, n: int,
-                    p: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """lhs |e - p|X||Y|| and rhs eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|))
-    from the set sizes, both built in place: a grid chunk is tens of
-    megabytes."""
-    lhs = p * sx * sy - e  # reuses the product's buffer
+def _thomason_lhs(e: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                  p: float) -> np.ndarray:
+    """|e - p|X||Y|| from the set sizes, in one fresh array."""
+    lhs = p * sx * sy - e
     np.abs(lhs, out=lhs)
+    return lhs
+
+
+def _thomason_rhs(sx: np.ndarray, sy: np.ndarray, n: int, p: float,
+                  mu: float) -> np.ndarray:
+    """eps(X)*|Y| + sqrt(|X||Y|(pn + mu|X|)) from the set sizes."""
     rhs = sx * sy * (p * n + mu * sx)
     np.sqrt(rhs, out=rhs)
     np.add(rhs, sy, out=rhs, where=p * sx < 1.0)  # eps(X) = 1
-    return lhs, rhs
+    return rhs
 
 
 def _thomason_bound(e: np.ndarray, x: np.ndarray, y: np.ndarray, p: float,
                     mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of a chunk of pairs (e, x, y)."""
-    return _thomason_sides(e, np.count_nonzero(x, axis=-1),
-                           np.count_nonzero(y, axis=-1), x.shape[-1], p, mu)
+    sx, sy = np.count_nonzero(x, axis=-1), np.count_nonzero(y, axis=-1)
+    return (_thomason_lhs(e, sx, sy, p),
+            _thomason_rhs(sx, sy, x.shape[-1], p, mu))
 
 
-def _thomason_rows(ex: _Exhaustive, p: float, mu: float) -> np.ndarray:
-    """The largest slack of each X row over every Y, exactly.
+def _thomason_rows(extremes: np.ndarray, sx: np.ndarray, p: float,
+                   mus: list[float]) -> list[np.ndarray]:
+    """For each mu, the largest slack of each X row over every Y, exactly.
 
+    extremes is _prefix_extremes of one graph's column sums, or of a
+    stack of graphs on the same vertices, and sx the rows' set sizes.
     For |Y| = k the right side is fixed and the float lhs |c - e| is
     monotone on either side of c, so it peaks at the least or the
-    largest e(X, Y) of that size, both in ex.extremes; the sides are
-    the grid's own float expressions, so the values are the grid's.
+    largest e(X, Y) of that size; the sides are the grid's own float
+    expressions, so the values are the grid's.  The lhs depends on p
+    alone and is formed once for all mus.
     """
-    n = ex.ind.shape[1]
-    sx = ex.ind.sum(axis=1, keepdims=True)
-    lhs, rhs = _thomason_sides(ex.extremes, sx, np.arange(1.0, n + 1), n,
-                               p, mu)
-    return (lhs.max(axis=0) - rhs).max(axis=1)
+    n = extremes.shape[-2]
+    sy = np.arange(1.0, n + 1)[:, None]
+    lhs = _thomason_lhs(extremes, sx, sy, p).max(axis=0)
+    return [(lhs - _thomason_rhs(sx, sy, n, p, mu)).max(axis=-2)
+            for mu in mus]
+
+
+def _thomason_grid(rec: _Recorder, ex: _Exhaustive, rows: np.ndarray,
+                   p: float, mu: float, /, **tags) -> None:
+    """Scan the X rows `rows` of ex on the grid."""
+    for e, x, y in ex.grid(rows):
+        rec.scan(x, y, *_thomason_bound(e, x, y, p, mu), **tags)
 
 
 def _thomason_scan(rec: _Recorder, ex: _Exhaustive, p: float, mu: float, /,
@@ -393,10 +433,10 @@ def _thomason_scan(rec: _Recorder, ex: _Exhaustive, p: float, mu: float, /,
     """Record the exhaustive check: the largest slack from the per-row
     pass, the violations from the grid on the rows above tol only
     (Thomason's theorem says there are none)."""
-    worst = _thomason_rows(ex, p, mu)
+    worst, = _thomason_rows(_prefix_extremes(ex.ax.T), ex.ind.sum(axis=1),
+                            p, [mu])
     rec.worst = max(rec.worst, float(worst.max()))
-    for e, x, y in ex.grid(np.flatnonzero(worst > rec.tol)):
-        rec.scan(x, y, *_thomason_bound(e, x, y, p, mu), **tags)
+    _thomason_grid(rec, ex, np.flatnonzero(worst > rec.tol), p, mu, **tags)
 
 
 def thomason_report(graph: Graph, p: float, mu: float, *,
@@ -438,32 +478,67 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
     relabeling.  A mu entry equal to the string "n" means mu = n for
     each graph.  Combinations whose hypotheses fail are counted but not
     tested.
+
+    The graphs of one size share their X rows, so the per-row pass runs
+    on stacks of _SWEEP_BLOCK graphs at a time: their prefix extremes
+    once, the lhs once per p and the rhs once per (p, mu).  The rows
+    above tol then go to the grid one combination at a time, in the
+    order of a loop over atlas index, then p, then mu entry.
     """
     if not 1 <= max_n <= 7:
         raise ValueError("the graph atlas covers n from 1 to 7")
-    atlas = [(index, a) for n in range(1, max_n + 1)
-             for index, a in zip(*atlas_adjacencies(n))]
     combos_held = 0
     instances = 0
+    graphs_seen = 0
     rec = _Recorder(tol)
-    for index, a in atlas:
-        n = a.shape[0]
-        min_degree, max_codegree = _degree_codegree(a)  # once per graph
-        ex = None
-        for p, mu_spec in itertools.product(ps, mus):
-            mu = float(n) if mu_spec == "n" else float(mu_spec)
-            # thomason_hypotheses' comparisons
-            if min_degree < p * n or max_codegree > p * p * n + mu:
-                continue
-            combos_held += 1
-            ex = ex or _Exhaustive(a)
-            instances += ex.pairs
-            _thomason_scan(rec, ex, p, mu, atlas_index=index, p=p, mu=mu)
+    for n in range(1, max_n + 1):
+        indices, adjacency = atlas_adjacencies(n)
+        graphs_seen += len(indices)
+        ind = _indicators(n)
+        sx = ind.sum(axis=1)
+        mu_values = [float(n) if m == "n" else float(m) for m in mus]
+        # thomason_hypotheses' comparisons: held[graph, p, mu entry]
+        min_degree, max_codegree = _degree_codegree(adjacency)
+        degree_cut = np.array([p * n for p in ps])
+        codegree_cut = np.array([[p * p * n + mu for mu in mu_values]
+                                 for p in ps]).reshape(len(ps), len(mus))
+        held = ~((min_degree[:, None, None] < degree_cut[:, None])
+                 | (max_codegree[:, None, None] > codegree_cut))
+        count = int(np.count_nonzero(held))
+        combos_held += count
+        instances += count * len(ind) ** 2
+        for lo in range(0, len(indices), _SWEEP_BLOCK):
+            block = held[lo:lo + _SWEEP_BLOCK]
+            # a is symmetric: a @ ind.T holds the column sums of every X
+            extremes = _prefix_extremes(adjacency[lo:lo + _SWEEP_BLOCK]
+                                        @ ind.T)
+            hot = []  # (graph, p entry, mu entry, rows above tol)
+            for pi, p in enumerate(ps):
+                graphs = np.flatnonzero(block[:, pi].any(axis=1))
+                if not graphs.size:
+                    continue
+                worsts = _thomason_rows(extremes[:, graphs], sx, p, mu_values)
+                for mi, worst in enumerate(worsts):
+                    keep = block[graphs, pi, mi]
+                    if not keep.any():
+                        continue
+                    kept, worst = graphs[keep], worst[keep]
+                    rec.worst = max(rec.worst, float(worst.max()))
+                    above = worst > tol
+                    for i in np.flatnonzero(above.any(axis=1)).tolist():
+                        hot.append((int(kept[i]), pi, mi,
+                                    np.flatnonzero(above[i])))
+            hot.sort(key=lambda h: h[:3])
+            for g, pi, mi, rows in hot:
+                _thomason_grid(rec, _Exhaustive(adjacency[lo + g]), rows,
+                               ps[pi], mu_values[mi],
+                               atlas_index=indices[lo + g], p=ps[pi],
+                               mu=mu_values[mi])
     params = {
         "max_n": max_n,
         "ps": list(ps),
         "mus": [str(m) if m == "n" else float(m) for m in mus],
-        "graphs_seen": len(atlas),
+        "graphs_seen": graphs_seen,
         "combinations_with_hypotheses": combos_held,
         "pairs_checked": instances,
         "tol": tol,

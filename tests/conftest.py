@@ -60,6 +60,45 @@ def reference_subset_sums(rows):
     return out
 
 
+def _reference_best_extension(free, fixed, count):
+    """max |fixed + sum_T free| / sqrt(count + |T|) over T with count + |T| >= 1.
+
+    For each |T| the extremes are the |T| smallest or largest entries.
+    """
+    srt = np.sort(free)
+    lo = fixed + np.concatenate(([0.0], np.cumsum(srt)))
+    hi = fixed + np.concatenate(([0.0], np.cumsum(srt[::-1])))
+    size = count + np.arange(free.size + 1)
+    ok = size > 0
+    if not ok.any():
+        return -math.inf
+    return float((np.maximum(np.abs(lo), np.abs(hi))[ok] / np.sqrt(size[ok])).max())
+
+
+def reference_best_y_for_x(M, xmask):
+    """The smallest ymask whose value ties the best Y for a fixed X, one
+    sort and two cumsums of s[:j] per bit: the exact search's witness
+    pass before it read presorted prefix tables.
+
+    Decides the bits from the highest down: a bit stays clear when the
+    lower bits can still reach the tie floor without it.
+    """
+    from matdisc.discrepancy import _tie_floor
+
+    n = M.shape[0]
+    xs = [j for j in range(n) if (xmask >> j) & 1]
+    s = M[xs].sum(axis=0)
+    root = math.sqrt(len(xs))
+    cut = _tie_floor(_reference_best_extension(s, 0.0, 0) / root) * root
+    ymask, fixed, count = 0, 0.0, 0
+    for j in range(n - 1, -1, -1):
+        if _reference_best_extension(s[:j], fixed, count) < cut:
+            ymask |= 1 << j
+            fixed += float(s[j])
+            count += 1
+    return ymask
+
+
 def naive_disc1(adjacency):
     """Brute-force single-set discrepancy of a graph adjacency matrix."""
     a = np.asarray(adjacency, dtype=float)
@@ -171,6 +210,141 @@ def reference_quantize_nonneg(v, stage_epsilon, cap, p):
     out = np.zeros_like(v)
     out[order] = quantized
     return out, repairs
+
+
+def _reference_p_norm(v, p):
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def reference_quantize(x, p, epsilon):
+    """quantization.quantize as it was before its call path was cut: an
+    astype copy of the input, np.abs taken twice, np.sum in every norm,
+    with the bucket walk of reference_quantize_nonneg (which the
+    package's walk matches bit for bit, tests/test_quantization_properties.py)."""
+    from matdisc import quantization as qz
+    from matdisc.errors import BadEpsilonError, InvariantError, NotNormalizedError
+
+    if not 0.0 < epsilon < 1.0:
+        raise BadEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if p < 1.0:
+        raise ValueError(f"norm order must be >= 1, got {p}")
+    xv = np.asarray(x)
+    if np.iscomplexobj(xv):
+        xv = xv.astype(np.complex128).reshape(-1)
+    else:
+        xv = xv.astype(np.float64).reshape(-1)
+    n = xv.shape[0]
+    if n < 1:
+        raise ValueError("vector must be nonempty")
+    norm = _reference_p_norm(xv, p)
+    if not abs(norm - 1.0) <= 1e-12:
+        raise NotNormalizedError(f"input must be a unit vector in p-norm, got {norm}")
+
+    if not np.iscomplexobj(xv) and bool(np.all(xv >= 0.0)):
+        case = "nonnegative"
+        ceiling = qz.nonneg_value_ceiling(n, epsilon)
+        y, repairs = reference_quantize_nonneg(xv, epsilon, ceiling, p)
+    else:
+        ceiling = qz.complex_value_ceiling(n, epsilon)
+        moduli_cap = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
+        q, repairs = reference_quantize_nonneg(np.abs(xv), epsilon / 2.0,
+                                               moduli_cap, p)
+        if not np.iscomplexobj(xv):
+            case = "signed"
+            y = np.where(xv < 0.0, -q, q)
+        else:
+            case = "complex"
+            phase_slots = math.ceil(8.0 * math.pi / epsilon)
+            theta = np.angle(xv) / (2.0 * math.pi)
+            theta = np.where(theta < 0.0, theta + 1.0, theta)
+            theta[np.abs(xv) == 0.0] = 0.0
+            grid = np.floor(phase_slots * theta) / phase_slots
+            y = q * np.exp(2.0j * math.pi * grid)
+
+    distinct = tuple(np.unique(y).tolist())
+    if len(distinct) > ceiling:
+        raise InvariantError(
+            f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"
+        )
+    error = _reference_p_norm(xv - y, p)
+    y = y.copy()
+    y.setflags(write=False)
+    return qz.QuantizedVector(
+        y=y,
+        distinct_values=distinct,
+        epsilon=epsilon,
+        p_norm=p,
+        case=case,
+        value_ceiling=ceiling,
+        error=error,
+        repairs=repairs,
+    )
+
+
+def reference_small_graph_sweep(*, max_n=7,
+                                ps=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                    0.9),
+                                mus=(0.0, 1.0, "n"), tol=1e-8):
+    """thomason_small_graph_sweep as one per-row pass and grid per
+    (graph, p, mu entry): a loop over the atlas graphs, then p, then mu,
+    on the package's single-graph _Exhaustive, _thomason_scan and
+    _Recorder."""
+    import itertools
+
+    from matdisc.atlas import atlas_adjacencies
+    from matdisc.spectral import _Exhaustive, _Recorder, _thomason_scan
+
+    if not 1 <= max_n <= 7:
+        raise ValueError("the graph atlas covers n from 1 to 7")
+    atlas = [(index, a) for n in range(1, max_n + 1)
+             for index, a in zip(*atlas_adjacencies(n))]
+    combos_held = 0
+    instances = 0
+    rec = _Recorder(tol)
+    for index, a in atlas:
+        n = a.shape[0]
+        prod = a @ a
+        np.fill_diagonal(prod, -1.0)
+        min_degree = int(a.sum(axis=1).min())
+        max_codegree = max(int(prod.max()), 0)
+        ex = None
+        for p, mu_spec in itertools.product(ps, mus):
+            mu = float(n) if mu_spec == "n" else float(mu_spec)
+            if min_degree < p * n or max_codegree > p * p * n + mu:
+                continue
+            combos_held += 1
+            ex = ex or _Exhaustive(a)
+            instances += ex.pairs
+            _thomason_scan(rec, ex, p, mu, atlas_index=index, p=p, mu=mu)
+    params = {
+        "max_n": max_n,
+        "ps": list(ps),
+        "mus": [str(m) if m == "n" else float(m) for m in mus],
+        "graphs_seen": len(atlas),
+        "combinations_with_hypotheses": combos_held,
+        "pairs_checked": instances,
+        "tol": tol,
+    }
+    return rec.report("thomason_small_graphs", params, instances)
+
+
+def rank_one_disc(matrix):
+    """disc of a symmetric matrix of rank one, s v v^T with s = +-1, in
+    O(n log n): |v(X)| |v(Y)| / sqrt(|X| |Y|) splits into one factor per
+    set, and the largest factor of size m sums the m largest or the m
+    smallest entries of v.  Raises ValueError when the matrix is not
+    s v v^T to 1e-12 of its largest entry."""
+    m = np.asarray(matrix, dtype=float)
+    i = int(np.argmax(np.abs(np.diagonal(m))))
+    v = m[:, i] / math.sqrt(abs(m[i, i]))
+    if not np.allclose(m, np.sign(m[i, i]) * np.outer(v, v), rtol=0.0,
+                       atol=1e-12 * np.abs(m).max()):
+        raise ValueError("matrix is not of rank one")
+    srt = np.sort(v)
+    sizes = np.arange(1, v.size + 1)
+    factor = np.maximum(np.abs(np.cumsum(srt)),
+                        np.abs(np.cumsum(srt[::-1]))) / np.sqrt(sizes)
+    return float(factor.max()) ** 2
 
 
 def reference_write_graph(graph, path):

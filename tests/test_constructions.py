@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import direct_rayleigh, jacobi_eigenvalues, squares_degree
+from conftest import (direct_rayleigh, jacobi_eigenvalues, naive_disc,
+                      rank_one_disc, squares_degree)
 
 from matdisc import (
     BadTError,
@@ -20,6 +21,7 @@ from matdisc import (
     complete_graph,
     degree_catalog,
     disc_exact,
+    disc_value_at,
     eig_symmetric,
     harmonic_number,
     is_prime,
@@ -76,6 +78,33 @@ def test_tightness_disc_closed_form_matches_search():
         assert structured.witness_X == full.witness_X
         assert structured.evaluations == k
     assert tightness_disc_structured(512).value < 4.0
+
+
+def test_tightness_disc_closed_form_matches_rank_one_oracle():
+    """Every k <= 64: the centred tightness matrix is u u^T with u =
+    (w, -w), so its disc is the rank-one oracle's, and the structured
+    witness attains it."""
+    for k in range(1, 65):
+        mat = tightness_matrix(k)
+        structured = tightness_disc_structured(k)
+        assert structured.value == pytest.approx(
+            rank_one_disc(mat.a - mat.a.mean()), rel=1e-12, abs=0.0)
+        assert disc_value_at(mat, structured.witness_X,
+                             structured.witness_Y) == pytest.approx(
+            structured.value, rel=1e-12, abs=0.0)
+
+
+def test_rank_one_oracle_matches_brute_force():
+    """Vectors summing to 0 give outer products of mean 0, which the
+    brute force's centring leaves alone."""
+    for v in ([1.0, 2.0, -3.0], [0.5, -0.25, -0.25, 1.0, -1.0],
+              [3.0, -1.0, -1.0, -1.0, 2.0, -2.0]):
+        for sign in (1.0, -1.0):
+            m = sign * np.outer(v, v)
+            assert rank_one_disc(m) == pytest.approx(naive_disc(m)[0],
+                                                     rel=1e-12)
+    with pytest.raises(ValueError, match="rank one"):
+        rank_one_disc(np.eye(3))
 
 
 def test_is_prime():

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import naive_disc, reference_subset_sums
+from conftest import naive_disc, reference_best_y_for_x, reference_subset_sums
 
 from matdisc import (
     SymmetricMatrix,
@@ -20,7 +20,7 @@ from matdisc import (
     gnp_random_graph,
 )
 from matdisc import discrepancy
-from matdisc.discrepancy import _ExactScan, _subset_norms2
+from matdisc.discrepancy import _best_y_for_x, _ExactScan, _subset_norms2
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -148,6 +148,27 @@ def test_exact_equals_naive_disc_in_small_blocks(a, batch_bits, threads):
     assert got.value == pytest.approx(want_val, abs=1e-12)
     assert got.witness_X == want_x
     assert got.witness_Y == want_y
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(case=table_rows(), xbits=st.integers(1, 2**12 - 1))
+def test_witness_pass_matches_per_bit_search(case, xbits):
+    """The presorted one-pass witness picks the ymask of one sort and two
+    cumsums per bit, on integer, 0/1 and rank-one matrices full of ties
+    as well as Gaussian ones."""
+    a, _ = case
+    M = a - a.mean()
+    xmask = xbits & ((1 << a.shape[0]) - 1) or 1
+    assert _best_y_for_x(M, xmask) == reference_best_y_for_x(M, xmask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 24])
+def test_witness_pass_on_constant_and_zero_matrices(n):
+    """Every Y ties at value 0 (or at every size on a constant row), so
+    the smallest ymask decides."""
+    for M in (np.zeros((n, n)), np.full((n, n), 2.0), np.eye(n)):
+        for xmask in (1, (1 << n) - 1, 1 << (n - 1), 0b101 & ((1 << n) - 1) or 1):
+            assert _best_y_for_x(M, xmask) == reference_best_y_for_x(M, xmask)
 
 
 def _at_most(lower, upper):

@@ -1,13 +1,17 @@
 """Property tests: the quantizer's bucket walk over precomputed stops agrees
 bit for bit with one searchsorted per bucket, on vectors with ties,
-zeros, all-equal entries and truncation at the value budget."""
+zeros, all-equal entries and truncation at the value budget; and quantize
+agrees bit for bit with its numpy call path before the per-call costs
+were cut, on -0.0 entries, signs, phases and forced repairs."""
+
+import json
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import reference_quantize_nonneg
+from conftest import reference_quantize, reference_quantize_nonneg
 
 from matdisc import quantization, quantize
 from matdisc.errors import InvariantError
@@ -88,3 +92,69 @@ def test_quantize_matches_reference_quantizer(v, eps, p, case):
         assert got == want
         return
     assert _fields(got) == _fields(want)
+
+
+def _report(q):
+    if isinstance(q, str):
+        return q
+    return (_fields(q), q.y.dtype.str, q.y.flags.writeable,
+            json.dumps(q.to_json_dict(), sort_keys=True))
+
+
+@st.composite
+def unit_vectors(draw):
+    """(x, p): a unit vector in p-norm built from nonneg_vectors, kept
+    nonnegative with some zeros made -0.0, given random signs (zeros
+    turn into -0.0 too), or given random phases."""
+    v = draw(nonneg_vectors())
+    hypothesis.assume(np.any(v > 0.0))
+    flips = np.array(draw(st.lists(st.booleans(), min_size=v.size,
+                                   max_size=v.size)))
+    case = draw(st.sampled_from(("nonnegative", "signed", "complex")))
+    if case == "nonnegative":
+        v = np.where(flips & (v == 0.0), -0.0, v)
+    elif case == "signed":
+        v = np.where(flips, -v, v)
+    else:
+        phases = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.5, 3.0, 5.0)),
+                               min_size=v.size, max_size=v.size))
+        v = v * np.exp(1j * np.array(phases))
+    p = draw(st.sampled_from((1.0, 2.0, 3.0)))
+    norm = np.sum(np.abs(v) ** p) ** (1.0 / p)
+    hypothesis.assume(norm > 0.0)  # 1e-300 entries underflow to 0
+    return v / norm, p
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(case=unit_vectors(),
+                  eps=st.sampled_from((0.05, 1.0 / 3.0, 0.5, 0.9)))
+def test_quantize_matches_reference_call_path(case, eps):
+    x, p = case
+    assert _report(_outcome(quantize, x, p, eps)) == _report(
+        _outcome(reference_quantize, x, p, eps))
+
+
+@pytest.mark.parametrize("case", ["nonnegative", "signed", "complex"])
+def test_quantize_forced_repairs_match_reference(case):
+    """Entries halving at every step each open a bucket, so the budget
+    truncates and a repair runs; -0.0 and 0.0 entries ride along."""
+    v = 0.5 ** np.arange(40.0)
+    v[[7, 21]] = 0.0
+    v[30] = -0.0
+    if case == "signed":
+        v = v * np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
+    elif case == "complex":
+        v = v * np.exp(1j * np.arange(40))
+    for p in (1.0, 2.0, 3.0):
+        x = v / np.sum(np.abs(v) ** p) ** (1.0 / p)
+        for eps in (0.7, 0.9):
+            got = quantize(x, p, eps)
+            assert got.repairs == 1
+            assert _report(got) == _report(reference_quantize(x, p, eps))
+    # list and float32 input convert as before
+    x = v.real / np.sum(np.abs(v.real) ** 2.0) ** 0.5
+    assert _report(quantize(x.tolist(), 2.0, 0.9)) == _report(
+        reference_quantize(x.tolist(), 2.0, 0.9))
+    x32 = np.float32([0.5, -0.0, 0.5, 0.5, 0.5])  # unit in either width
+    assert _report(quantize(x32, 2.0, 0.9)) == _report(
+        reference_quantize(x32, 2.0, 0.9))

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import count_edges_between, grid_chung, grid_thomason
+from conftest import (count_edges_between, grid_chung, grid_thomason,
+                      reference_small_graph_sweep)
 
 from matdisc import (
     EmptyGraphError,
@@ -482,6 +484,51 @@ def test_sweep_report_pinned():
     assert rep.instances == rep.params["pairs_checked"] == 30894693
     assert rep.params["combinations_with_hypotheses"] == 2333
     assert rep.grid_pairs == 0
+
+
+def _sweep_bytes(report):
+    return (json.dumps(report.to_json_dict(), sort_keys=True),
+            report.grid_pairs)
+
+
+@pytest.mark.parametrize("max_n", range(1, 8))
+def test_sweep_matches_per_graph_reference(max_n):
+    got = thomason_small_graph_sweep(max_n=max_n)
+    assert _sweep_bytes(got) == _sweep_bytes(
+        reference_small_graph_sweep(max_n=max_n))
+
+
+@pytest.mark.parametrize("max_n, tol, ps, mus", [
+    (3, -1.0, (0.1, 0.5, 0.9), (0.0, 1.0, "n")),
+    (5, -2.0, (0.2, 0.5, 0.8), (0.0, 1.0, "n")),
+    (5, -4.0, (0.5, 0.3), ("n", 0.0, 2.5)),
+    (6, -1.2, (0.5, 0.3), (0.0, "n")),
+])
+def test_sweep_violations_match_per_graph_reference(max_n, tol, ps, mus):
+    """A negative tol sends rows of many (graph, p, mu) to the grid: the
+    count, the first 100 violations in loop order and grid_pairs are
+    the per-graph loop's."""
+    got = thomason_small_graph_sweep(max_n=max_n, tol=tol, ps=ps, mus=mus)
+    assert _sweep_bytes(got) == _sweep_bytes(reference_small_graph_sweep(
+        max_n=max_n, tol=tol, ps=ps, mus=mus))
+    assert got.params["violation_count"] > 0 and got.violations
+
+
+def test_exhaustive_grid_memory_is_bounded_by_row_blocks():
+    """Q(13, 3) at alpha = 0.01 keeps 8190 of 8191 X rows; the grid meets
+    each chunk of Y sets in blocks of at most 512 of them (a whole chunk
+    of rows peaked at about 1 GB), and the report is the full grid's."""
+    g = qpt_graph(13, 3)
+    tracemalloc.start()
+    try:
+        rep = chung_alpha_check(g, alpha=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    got, want = _same_as_grid(rep, grid_chung(g.adjacency.a, 0.01, 1e-8))
+    assert got == want
+    assert not rep.passed and rep.grid_pairs > 512 * 2048
 
 
 def test_unknown_mode_rejected():
