@@ -177,15 +177,22 @@ def qpt_graph(p: int, t: int) -> Graph:
     The rule is symmetric because w and p - w share a square mod p, and
     the graph is circulant, hence regular.  t = p gives the complete
     graph (every nonzero square is <= p).
+
+    Built as the circulant of its residue row r (r[w] = w^2 mod p <= t,
+    r[0] cleared): row u is r shifted right by u, that is
+    (r r)[p - u : 2p - u] of the row written out twice, so the only
+    p x p array is the boolean mask itself.
     """
     _require_order(p)  # first: a huge p would also stall the prime test
     _require_prime(p)
     if not 1 <= t <= p:
         raise BadTError(f"t = {t} outside 1..{p}")
-    idx = np.arange(p, dtype=np.int64)
-    diff = idx[:, None] - idx[None, :]
-    adj = ((diff * diff) % p) <= t
-    np.fill_diagonal(adj, False)
+    w = np.arange(p, dtype=np.int64)
+    row = (w * w) % p <= t
+    row[0] = False
+    twice = np.concatenate((row, row))
+    # window s is twice[s : s + p]; row u is window p - u
+    adj = np.lib.stride_tricks.sliding_window_view(twice, p)[p:0:-1].copy()
     return Graph._from_mask(adj)
 
 

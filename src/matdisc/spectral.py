@@ -6,8 +6,13 @@ and the small-graph sweep run on one subset-pair engine:
 - a source yields chunks (e, x, y) of e(X, Y) = 1_X^T A 1_Y and the
   indicator rows of X and Y, shaped so that x @ w and y @ w broadcast
   against e.  The sampled source pairs sets of log-uniform sizes from a
-  seeded generator, drawn one bounded chunk at a time.  The exhaustive
-  source (up to 14 vertices) holds every nonempty X with its column
+  seeded generator, drawn one bounded chunk at a time.  The generator
+  is a PCG64 np.random.default_rng; a set of size k is the k smallest
+  of n raw 64-bit keys, selected on their top 16 bits and, in the rows
+  where two of those tie at the k-th place, on the 53 bits that
+  random() would turn into doubles, so the sets are those of a sort of
+  random() keys (_draw_subsets).  The exhaustive source (up to 14
+  vertices) holds every nonempty X with its column
   sums; a per-row pass bounds each X row over every Y at once (Thomason
   exactly, from the row's sorted column sums; Chung by Cauchy-Schwarz),
   and only the rows that can still change the report are formed as a
@@ -219,20 +224,47 @@ class _Exhaustive:
                        y[None])
 
 
+def _select_smallest(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row r marks the keys at most the sizes[r]-th smallest of its row."""
+    kth = np.sort(keys, axis=1)[np.arange(len(keys)), sizes - 1]
+    return keys <= kth[:, None]
+
+
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Boolean indicator rows of `count` subsets with log-uniform sizes.
 
     One uniform vector on [0, log(n + 1)) gives the sizes (exp, truncated,
-    clipped to [1, n]); then one (count, n) matrix of uniform keys, and
-    row r holds the vertices whose key is at most the sizes[r]-th
-    smallest key of that row.  Two keys of a row tie only if two 53-bit
-    draws are equal, so each row holds exactly its drawn size.
+    clipped to [1, n]); then one (count, n) matrix of keys, and row r
+    holds the vertices whose key is at most the sizes[r]-th smallest key
+    of that row.  Two keys of a row tie only if two 53-bit draws are
+    equal, so each row holds exactly its drawn size.
+
+    rng is a PCG64 generator (np.random.default_rng).  Its random() turns
+    each raw 64-bit output w into the double (w >> 11) * 2^-53, so the
+    keys are taken raw, as random_raw((count, n)): the same outputs, the
+    generator left in the same state, and the same order as the doubles.
+    Each row is then selected on the top 16 bits of its keys.  A prefix
+    order is a coarsening of the key order, so where the k-th and
+    (k+1)-th smallest prefixes of a row differ, the prefixes at most the
+    k-th belong to exactly the k smallest keys.  Only the rows where
+    those two prefixes tie (about 1% at n = 499) are selected again on
+    the 53-bit keys w >> 11.
     """
     sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
     np.clip(sizes, 1, n, out=sizes)
-    keys = rng.random((count, n))
-    kth = np.sort(keys, axis=1)[np.arange(count), sizes - 1]
-    return keys <= kth[:, None]
+    raw = rng.bit_generator.random_raw((count, n))
+    top = np.empty((count, n), dtype=np.uint16)
+    np.right_shift(raw, 48, out=top, casting="unsafe")
+    ranked = np.sort(top, axis=1)
+    rows = np.arange(count)
+    kth = ranked[rows, sizes - 1]
+    out = top <= kth[:, None]
+    # a full row (size n) has no (k+1)-th key and is already exact
+    tied = np.flatnonzero(
+        (sizes < n) & (kth == ranked[rows, np.minimum(sizes, n - 1)]))
+    if tied.size:
+        out[tied] = _select_smallest(raw[tied] >> 11, sizes[tied])
+    return out
 
 
 def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,

@@ -188,10 +188,11 @@ def check_quantization(vectors: int = 500, seed: int = 3) -> dict:
             base = np.abs(rng.normal(size=n))
         else:
             base = rng.normal(size=n) + 1j * rng.normal(size=n)
+        units = {p: base / (np.sum(np.abs(base) ** p) ** (1.0 / p))
+                 for p in norms}
         for eps in epsilons:
             for p in norms:
-                x = base / (np.sum(np.abs(base) ** p) ** (1.0 / p))
-                q = quantize(x, p, eps)
+                q = quantize(units[p], p, eps)
                 checked += 1
                 repairs += q.repairs
                 max_error_ratio = max(max_error_ratio, q.error / eps)
@@ -290,8 +291,9 @@ def _circulant_codegrees(first_rows) -> np.ndarray:
 
 def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
     """Regularity, degree catalog and codegree spread for every threshold
-    of each prime; each graph must be the circulant of its first row,
-    whose codegrees are then read off _circulant_codegrees."""
+    of each prime; each graph's mask must be the defining rule
+    (u - v)^2 mod p <= t, u != v, and its codegrees are then read off
+    _circulant_codegrees from its first row."""
     failures: list = []
     per_prime = []
     for p in primes:
@@ -300,8 +302,11 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
         degree_gap_violations = 0
         codegree_violations = 0
         max_codegree_gap = 0.0
-        # shift[u, v] = (v - u) mod p: a circulant adjacency is r[shift]
+        # squares[u, v] = (v - u)^2 mod p, the diagonal above every t: the
+        # mask of Q(p, t) is squares <= t
         shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+        squares = (shift * shift) % p
+        np.fill_diagonal(squares, p + 1)
         thresholds, first_rows = [], []
         for t in range(1, p + 1):
             g = qpt_graph(p, t)
@@ -314,13 +319,11 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
                                 degree=d, expected=catalog.degree(t))
             if abs(d - t) > allowance:
                 degree_gap_violations += 1
-            a = g.adjacency.a
-            r = a[0]
-            if not np.array_equal(a, r[shift]):
-                _record_failure(failures, kind="circulant", p=p, t=t)
+            if not np.array_equal(g._mask, squares <= t):
+                _record_failure(failures, kind="residue_rule", p=p, t=t)
                 continue
             thresholds.append(t)
-            first_rows.append(r.copy())  # a view would keep all of a alive
+            first_rows.append(g._mask[0].copy())  # a view would keep the mask alive
         if first_rows:
             for t, codeg in zip(thresholds, _circulant_codegrees(first_rows)):
                 gap = float(np.abs(codeg - t * t / p).max())
@@ -330,7 +333,7 @@ def check_residue_graphs(primes: tuple[int, ...] = (13, 101, 199)) -> dict:
         complete_t = catalog.smallest_t_for_degree.get(p - 1)
         if complete_t is not None:
             kp = qpt_graph(p, complete_t)
-            if not np.array_equal(kp.adjacency.a, complete_graph(p).adjacency.a):
+            if not np.array_equal(kp._mask, complete_graph(p)._mask):
                 _record_failure(failures, kind="complete_graph", p=p,
                                 t=complete_t)
         per_prime.append({

@@ -355,6 +355,18 @@ def reference_write_graph(graph, path):
                comments="")
 
 
+def reference_draw_subsets(rng, n, count):
+    """The sampled subset rows as a full float64 sort draws them: sizes
+    exp(uniform[0, log(n + 1))) truncated and clipped to [1, n], then one
+    (count, n) matrix of rng.random() keys; row r holds the keys at most
+    the sizes[r]-th smallest of its row."""
+    sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
+    np.clip(sizes, 1, n, out=sizes)
+    keys = rng.random((count, n))
+    kth = np.sort(keys, axis=1)[np.arange(count), sizes - 1]
+    return keys <= kth[:, None]
+
+
 def count_edges_between(adjacency, xs, ys):
     """Ordered-pair edge count between two 1-based vertex collections."""
     a = np.asarray(adjacency)

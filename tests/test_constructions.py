@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,28 @@ def test_qpt_graph():
         qpt_graph(9, 1)
     with pytest.raises(BadTError):
         qpt_graph(13, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101])
+def test_qpt_graph_is_the_residue_rule(p):
+    u = np.arange(p)
+    diff = u[:, None] - u[None, :]
+    for t in range(1, p + 1):
+        rule = (diff * diff) % p <= t
+        np.fill_diagonal(rule, False)
+        assert np.array_equal(qpt_graph(p, t).adjacency.a, rule), t
+
+
+def test_qpt_graph_memory_is_its_mask():
+    """Q(2003, 1001) holds one 4 MB boolean mask; three p x p int64
+    temporaries peaked at about 92 MB."""
+    tracemalloc.start()
+    try:
+        qpt_graph(2003, 1001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_block_plan_13():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (count_edges_between, grid_chung, grid_thomason,
-                      reference_small_graph_sweep)
+                      reference_draw_subsets, reference_small_graph_sweep)
 
 from matdisc import (
     EmptyGraphError,
@@ -29,6 +29,7 @@ from matdisc import (
     thomason_small_graph_sweep,
 )
 from matdisc.atlas import MASKS, STARTS, atlas_adjacencies
+from matdisc import spectral
 from matdisc.spectral import (
     _draw_subsets,
     _Exhaustive,
@@ -212,6 +213,47 @@ def test_drawn_rows_hold_their_sizes(n):
         sizes = _drawn_sizes(np.random.default_rng(seed), n, 300)
         assert rows.dtype == bool and rows.shape == (300, n)
         assert rows.sum(axis=1).tolist() == sizes.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 101, 499, 2000, 10000])
+def test_draw_matches_float_sort(n):
+    """The 16-bit prefix selection draws the sets of the float64 key sort
+    bit for bit and leaves the generator where that sort leaves it, over
+    two draws in a row."""
+    count = min(2048, max(1, 2**16 // n))
+    for seed in range(30):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert np.array_equal(_draw_subsets(ours, n, count),
+                                  reference_draw_subsets(ref, n, count))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_doubles_are_raw_outputs_shifted():
+    """The premise of the draw: a PCG64 generator's random() is its raw
+    64-bit output w as (w >> 11) * 2^-53, one output per double."""
+    for seed in (0, 1, 12345, 2**63 + 5):
+        doubles = np.random.Generator(np.random.PCG64(seed)).random(1000)
+        raw = np.random.Generator(np.random.PCG64(seed)).bit_generator.random_raw(1000)
+        assert np.array_equal(doubles, (raw >> 11) * 2.0**-53)
+
+
+def test_draw_fallback_on_tied_prefixes(monkeypatch):
+    """At n = 10000 many rows tie on the 16-bit prefixes at their k-th
+    key; those rows go to the 53-bit selection and still match the sort."""
+    calls = []
+
+    def counted(keys, sizes):
+        calls.append(len(keys))
+        return select(keys, sizes)
+
+    select = spectral._select_smallest
+    monkeypatch.setattr(spectral, "_select_smallest", counted)
+    n, count = 10_000, 104
+    rows = _draw_subsets(np.random.default_rng(3), n, count)
+    assert sum(calls) >= 1
+    assert np.array_equal(rows, reference_draw_subsets(
+        np.random.default_rng(3), n, count))
 
 
 def test_drawn_vertices_equally_likely():

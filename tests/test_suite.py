@@ -3,7 +3,9 @@ import pytest
 
 from conftest import dense_codegrees
 
+from matdisc import suite
 from matdisc.constructions import block_matrix, block_plan, qpt_graph
+from matdisc.graphs import Graph
 from matdisc.suite import (
     _circulant_codegrees,
     check_block_matrices,
@@ -55,6 +57,32 @@ def test_residue_codegrees_match_dense_products(p):
         assert np.array_equal(codeg[shift[off] - 1], dense), t
         gap = max(gap, float(np.abs(dense - t * t / p).max()))
     assert check_residue_graphs((p,))["per_prime"][0]["max_codegree_gap"] == gap
+
+
+def test_residue_check_catches_a_moved_edge(monkeypatch):
+    """A graph with every degree of Q(13, 6) but one edge moved (ab, cd
+    become ac, bd) passes the regularity and catalog checks; the residue
+    rule still rejects it."""
+    def swapped(p, t):
+        g = qpt_graph(p, t)
+        if t != 6:
+            return g
+        mask = g.adjacency.a == 1.0
+        for a, b in g.edges:
+            for c, d in g.edges:
+                ends = {a - 1, b - 1, c - 1, d - 1}
+                if (len(ends) == 4 and not mask[a - 1, c - 1]
+                        and not mask[b - 1, d - 1]):
+                    for x, y, edge in ((a, b, False), (c, d, False),
+                                       (a, c, True), (b, d, True)):
+                        mask[x - 1, y - 1] = mask[y - 1, x - 1] = edge
+                    return Graph._from_mask(mask)
+        raise AssertionError("no edge to move")
+
+    monkeypatch.setattr(suite, "qpt_graph", swapped)
+    report = check_residue_graphs((13,))
+    assert not report["pass"]
+    assert report["failures"] == [{"kind": "residue_rule", "p": 13, "t": 6}]
 
 
 def test_run_suite_timing_outside_results():
