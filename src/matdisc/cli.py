@@ -65,13 +65,13 @@ def _jsonify(obj):
 
 
 def _digest(path: str) -> dict:
+    """Size and sha256 of a file, hashed 1 MiB at a time."""
+    sha, size = hashlib.sha256(), 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    return {
-        "path": path,
-        "bytes": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+            size += len(chunk)
+    return {"path": path, "bytes": size, "sha256": sha.hexdigest()}
 
 
 def _load_input(path: str):

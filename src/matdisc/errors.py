@@ -39,7 +39,7 @@ class TooLargeError(MatdiscError):
 
 
 class TooManyVerticesError(MatdiscError):
-    """Graph would exceed graphs.MAX_VERTICES, the dense representation's cap."""
+    """Graph would exceed linalg.MAX_VERTICES, the dense representation's cap."""
 
 
 class BadEpsilonError(MatdiscError):

@@ -8,17 +8,13 @@ Graphs are dense, so no graph may exceed MAX_VERTICES vertices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, NotBinaryError, TooManyVerticesError
-from .linalg import SymmetricMatrix
-
-#: largest vertex count of a graph; its float adjacency takes 800 MB
-MAX_VERTICES = 10_000
+from .linalg import MAX_VERTICES, SymmetricMatrix, _read_text
 
 
 def _require_order(n: int) -> None:
@@ -189,31 +185,9 @@ def write_graph(G: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Parse the 'graph' text format, rejecting loops and repeats.
-
-    The edge list is parsed in one np.loadtxt call, as rows of
-    whitespace-separated decimal labels with the same count on every
-    nonblank line."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "graph":
-            raise FormatError("graph file must start with 'graph <n> <m>'")
-        try:
-            n, m = int(header[1]), int(header[2])
-        except ValueError as exc:
-            raise FormatError(f"bad graph header {header!r}") from exc
-        if n < 1 or m < 0:
-            raise FormatError("graph header out of range")
-        _require_order(n)
-        try:
-            with warnings.catch_warnings():
-                # an edge list with no labels is the valid body of 'graph n 0'
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # older numpy reads '1.5' as 1 under a DeprecationWarning
-                warnings.simplefilter("error", DeprecationWarning)
-                labels = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning) as exc:
-            raise FormatError(f"bad edge list: {exc}") from exc
+    """Parse the 'graph' text format (see linalg._read_text for the
+    layout), rejecting loops and repeats; labels must be decimal integers."""
+    (n, m), labels = _read_text(path, "graph", ("n", "m"), np.int64)
     if labels.size != 2 * m:
         raise FormatError(f"expected {m} edges, found {labels.size // 2} lines of data")
     try:

@@ -7,6 +7,7 @@ read-only numpy array, plus the handful of spectral helpers below.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ IO_SYMMETRY_TOL = 1e-9
 MAX_ABS_ENTRY = 1e100
 #: accepted decompositions must satisfy max ||A v - mu v|| <= this times sigma1
 RESIDUAL_REL_TOL = 1e-9
+#: largest order of a dense n x n input, matrix file or graph: a float64
+#: matrix of this order takes 800 MB
+MAX_VERTICES = 10_000
 
 
 def _as_square_array(entries) -> np.ndarray:
@@ -209,32 +213,53 @@ def write_matrix(A: SymmetricMatrix, path) -> None:
             fh.write("\n")
 
 
+def _read_text(path, kind: str, fields: tuple, dtype) -> tuple:
+    """(header integers, body array) of a text file in the layout shared
+    by the 'sym <n>' and 'graph <n> <m>' formats.
+
+    The header is `kind` then one integer per name in `fields`: the order
+    n, checked to lie in 1..MAX_VERTICES before any of the body is read,
+    then counts >= 0.  The body is parsed in one np.loadtxt call, as rows
+    of whitespace-separated numbers with the same count on every nonblank
+    line; a body with no numbers comes back empty.
+    """
+    usage = " ".join([kind] + [f"<{name}>" for name in fields])
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 1 + len(fields) or header[0] != kind:
+            raise FormatError(f"{kind} file must start with '{usage}'")
+        try:
+            values = tuple(int(v) for v in header[1:])
+        except ValueError as exc:
+            raise FormatError(f"bad {kind} header {' '.join(header)!r}") from exc
+        if not 1 <= values[0] <= MAX_VERTICES:
+            raise FormatError(f"order {values[0]} outside 1..{MAX_VERTICES}")
+        if min(values) < 0:
+            raise FormatError(f"{kind} header out of range")
+        try:
+            with warnings.catch_warnings():
+                # a body with no numbers is valid for 'graph n 0'
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # older numpy reads '1.5' as the integer 1 under a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError(f"bad {kind} file body: {exc}") from exc
+    return values, body
+
+
 def read_matrix(path) -> SymmetricMatrix:
-    """Parse the 'sym' text format.
+    """Parse the 'sym' text format (see _read_text for the layout).
 
     Rejects non-finite entries, entries above MAX_ABS_ENTRY in magnitude
     and asymmetry beyond 1e-9 (relative to the entry scale); smaller
     asymmetry is averaged away.
     """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "sym":
-            raise FormatError("matrix file must start with 'sym <n>'")
-        try:
-            n = int(header[1])
-        except ValueError as exc:
-            raise FormatError(f"bad matrix order {header[1]!r}") from exc
-        if n < 1:
-            raise FormatError("matrix order must be positive")
-        values = fh.read().split()
-    if len(values) != n * n:
+    (n,), a = _read_text(path, "sym", ("n",), np.float64)
+    if a.size != n * n:
         raise FormatError(
-            f"expected {n * n} entries for order {n}, found {len(values)}"
-        )
-    try:
-        a = np.array([float(v) for v in values], dtype=np.float64).reshape(n, n)
-    except ValueError as exc:
-        raise FormatError(f"non-numeric matrix entry: {exc}") from exc
+            f"expected {n * n} entries for order {n}, found {a.size}")
+    a = a.reshape(n, n)
     if not np.all(np.abs(a) <= MAX_ABS_ENTRY):
         raise FormatError(
             f"matrix entries must be finite, at most {MAX_ABS_ENTRY:g} in size")

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import atlas_adjacencies
+from .discrepancy import _subset_sums
 from .errors import (
     EmptyGraphError,
     FamilyTooSmallError,
@@ -104,14 +105,18 @@ class LaplacianSpectrum:
     lambda_bar: float
 
 
-def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
+def _regular_degree(graph: Graph) -> int:
+    """The degree d of a regular graph, which must be positive."""
     if not graph.is_regular():
-        raise NotRegularError(
-            "normalized Laplacian here is defined for regular graphs only"
-        )
+        raise NotRegularError("lambda_bar is defined for regular graphs only")
     d = int(graph.degrees[0])
     if d == 0:
         raise ZeroDegreeError("cannot normalize by degree 0")
+    return d
+
+
+def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
+    d = _regular_degree(graph)
     lap = np.eye(graph.n) - graph.adjacency.a / d
     spec = eig_symmetric(SymmetricMatrix(lap))
     ascending = spec.eigenvalues[::-1]
@@ -126,11 +131,7 @@ def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
 
 def lambda_bar_from_adjacency(graph: Graph) -> float:
     """Same gap via adjacency eigenvalues: max |mu_i| / d over i >= 2."""
-    if not graph.is_regular():
-        raise NotRegularError("adjacency route also needs a regular graph")
-    d = int(graph.degrees[0])
-    if d == 0:
-        raise ZeroDegreeError("cannot normalize by degree 0")
+    d = _regular_degree(graph)
     mu = eig_symmetric(graph.adjacency).eigenvalues  # descending, mu[0] = d
     return float(np.max(np.abs(mu[1:])) / d)
 
@@ -171,13 +172,6 @@ class BoundReport:
         }
 
 
-def _indicators(n: int) -> np.ndarray:
-    """The float 0/1 indicator rows of every nonempty subset of n
-    vertices, in mask order."""
-    masks = np.arange(1, 1 << n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-
-
 def _prefix_extremes(ax_t: np.ndarray) -> np.ndarray:
     """(2, ..., n, N) from column sums ax_t (..., n, N), one column per
     X row: for each k = 1..n and X row, the least and the largest
@@ -196,7 +190,8 @@ class _Exhaustive:
     vertices).
 
     ind holds the N = 2^n - 1 indicator rows in mask order and ax =
-    ind @ a their column sums: integers held exactly in floats, so every
+    ind @ a their column sums, both doubled row by row from the rows of
+    the identity and of a: integers held exactly in floats, so every
     e(X, Y) formed from them, on the grid or from sorted prefix sums,
     is exact.
     """
@@ -206,8 +201,8 @@ class _Exhaustive:
         if n > EXACT_PAIR_CAP:
             raise TooLargeError(
                 f"exhaustive pair check capped at n = {EXACT_PAIR_CAP}")
-        self.ind = _indicators(n)
-        self.ax = self.ind @ a
+        self.ind = _subset_sums(np.eye(n))[1:]
+        self.ax = _subset_sums(a)[1:]
         self.pairs = len(self.ind) ** 2
 
     def grid(self, rows: np.ndarray) -> Iterator[tuple]:
@@ -526,7 +521,7 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
     for n in range(1, max_n + 1):
         indices, adjacency = atlas_adjacencies(n)
         graphs_seen += len(indices)
-        ind = _indicators(n)
+        ind = _subset_sums(np.eye(n))[1:]  # indicator rows in mask order
         sx = ind.sum(axis=1)
         mu_values = [float(n) if m == "n" else float(m) for m in mus]
         # thomason_hypotheses' comparisons: held[graph, p, mu entry]

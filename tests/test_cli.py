@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from matdisc import (
     write_matrix,
 )
 from matdisc.cli import main
+from matdisc.linalg import MAX_VERTICES
 
 
 def run_cli(capsys, argv):
@@ -466,3 +469,60 @@ def test_graph_without_edges_reads_quietly(tmp_path, body):
         g = read_graph(path)
     assert not caught
     assert g.n == 4 and g.m == 0
+
+
+#: matrix files the reader must reject: (header, body)
+BAD_SYM_FILES = {
+    "ragged-lines": ("sym 2", "1 0 0\n1"),
+    "underscore": ("sym 2", "1_0 0\n0 1"),
+    "non-ascii-digit": ("sym 2", "\u0661 0\n0 1"),
+    "wrong-count": ("sym 2", "1 0\n0"),
+    "graph-header": ("graph 2 1", "1 0\n0 1"),  # a matrix body
+    "above-order-cap": (f"sym {MAX_VERTICES + 1}", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SYM_FILES))
+def test_sym_file_rejections(tmp_path, capsys, name):
+    """As for graph files: a FormatError, and exit 2 with one error line
+    through the CLI; no numpy warning is raised on the way."""
+    header, body = BAD_SYM_FILES[name]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{header}\n{body}\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(errors.FormatError):
+            read_matrix(path)
+        code, payload, err = run_cli(capsys, ["analyze", str(path)])
+    assert not caught
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("header", [f"sym {MAX_VERTICES + 1}",
+                                    f"graph {MAX_VERTICES + 1} 0"])
+def test_order_above_cap_rejected_before_body(tmp_path, monkeypatch, header):
+    def no_body(*args, **kwargs):
+        raise AssertionError("the body was read")
+
+    monkeypatch.setattr(np, "loadtxt", no_body)
+    path = tmp_path / "big.txt"
+    path.write_text(f"{header}\n1\n")
+    reader = read_matrix if header.startswith("sym") else read_graph
+    with pytest.raises(errors.FormatError, match=str(MAX_VERTICES)):
+        reader(path)
+
+
+def test_digest_streams_the_file(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(3).bytes(16 * 2**20 + 5))
+    tracemalloc.start()
+    try:
+        digest = cli._digest(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert digest == {"path": str(path), "bytes": len(data),
+                      "sha256": hashlib.sha256(data).hexdigest()}
+    assert peak < 4 * 2**20
