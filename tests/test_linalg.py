@@ -142,25 +142,14 @@ def test_rayleigh_within_spectrum_and_trace():
 
 
 def test_write_read_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(5, 5))
-    mat = SymmetricMatrix((m + m.T) / 2.0)
-    path = tmp_path / "m.mat"
-    write_matrix(mat, str(path))
-    back = read_matrix(str(path))
-    assert back.n == 5
-    assert np.abs(back.a - mat.a).max() < 1e-12
-
-
-def test_write_read_round_trip_is_exact(tmp_path):
-    m = np.random.default_rng(11).normal(size=(7, 7))
-    a = m + m.T
+    m = np.random.default_rng(7).normal(size=(7, 7))
+    a = (m + m.T) / 2.0
     a[0, 0], a[1, 1] = -0.0, 5e-324
     a[0, 1] = a[1, 0] = 1e100
     a[2, 3] = a[3, 2] = -1e100
     path = tmp_path / "m.mat"
-    write_matrix(SymmetricMatrix(a), path)
-    back = read_matrix(path).a
+    write_matrix(SymmetricMatrix(a), str(path))
+    back = read_matrix(str(path)).a
     assert np.array_equal(back, a)
     assert np.array_equal(np.signbit(back), np.signbit(a))
 
