@@ -221,11 +221,18 @@ def _read_text(path, kind: str, fields: tuple, dtype) -> tuple:
     n, checked to lie in 1..MAX_VERTICES before any of the body is read,
     then counts >= 0.  The body is parsed in one np.loadtxt call, as rows
     of whitespace-separated numbers with the same count on every nonblank
-    line; a body with no numbers comes back empty.
+    line; a body with no numbers comes back empty.  The file is read as
+    UTF-8, and bytes that are not UTF-8 are a FormatError wherever they
+    stand.
     """
     usage = " ".join([kind] + [f"<{name}>" for name in fields])
-    with open(path) as fh:
-        header = fh.readline().split()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = fh.readline().split()
+        except UnicodeDecodeError as exc:
+            # the first read decodes a whole chunk, body bytes included;
+            # later chunks fail in np.loadtxt, as a ValueError
+            raise FormatError(f"{kind} file is not UTF-8 text: {exc}") from exc
         if len(header) != 1 + len(fields) or header[0] != kind:
             raise FormatError(f"{kind} file must start with '{usage}'")
         try:

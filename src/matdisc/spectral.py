@@ -7,16 +7,16 @@ and the small-graph sweep run on one subset-pair engine:
   indicator rows of X and Y, shaped so that x @ w and y @ w broadcast
   against e.  The sampled source pairs sets of log-uniform sizes from a
   seeded generator, drawn one bounded chunk at a time.  The generator
-  is a PCG64 np.random.default_rng; a set of size k is the k smallest
-  of n raw 64-bit keys, selected on their top 16 bits and, in the rows
-  where two of those tie at the k-th place, on the 53 bits that
-  random() would turn into doubles, so the sets are those of a sort of
-  random() keys (_draw_subsets).  The exhaustive source (up to 14
-  vertices) holds every nonempty X with its column
-  sums; a per-row pass bounds each X row over every Y at once (Thomason
-  exactly, from the row's sorted column sums; Chung by Cauchy-Schwarz),
-  and only the rows that can still change the report are formed as a
-  grid against chunks of Y sets, in blocks of at most _X_BLOCK rows.
+  is a PCG64 np.random.default_rng; a set of size k takes the k
+  smallest of n 16-bit keys, four to a raw 64-bit word, and where the
+  k-th and (k+1)-th smallest keys of a row are equal, the positions on
+  that value are ordered by one fresh raw word each (_draw_subsets).
+  The exhaustive source (up to 14 vertices) holds every nonempty X with
+  its column sums; a per-row pass bounds each X row over every Y at once
+  (Thomason exactly, from the row's sorted column sums; Chung by
+  Cauchy-Schwarz), and only the rows that can still change the report
+  are formed as a grid against chunks of Y sets, in blocks of at most
+  _X_BLOCK rows.
   The small-graph sweep runs the Thomason per-row pass on stacks of
   atlas graphs of one size, _SWEEP_BLOCK at a time, which bounds its
   memory;
@@ -219,46 +219,48 @@ class _Exhaustive:
                        y[None])
 
 
-def _select_smallest(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row r marks the keys at most the sizes[r]-th smallest of its row."""
-    kth = np.sort(keys, axis=1)[np.arange(len(keys)), sizes - 1]
-    return keys <= kth[:, None]
-
-
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Boolean indicator rows of `count` subsets with log-uniform sizes.
 
-    One uniform vector on [0, log(n + 1)) gives the sizes (exp, truncated,
-    clipped to [1, n]); then one (count, n) matrix of keys, and row r
-    holds the vertices whose key is at most the sizes[r]-th smallest key
-    of that row.  Two keys of a row tie only if two 53-bit draws are
-    equal, so each row holds exactly its drawn size.
-
-    rng is a PCG64 generator (np.random.default_rng).  Its random() turns
-    each raw 64-bit output w into the double (w >> 11) * 2^-53, so the
-    keys are taken raw, as random_raw((count, n)): the same outputs, the
-    generator left in the same state, and the same order as the doubles.
-    Each row is then selected on the top 16 bits of its keys.  A prefix
-    order is a coarsening of the key order, so where the k-th and
-    (k+1)-th smallest prefixes of a row differ, the prefixes at most the
-    k-th belong to exactly the k smallest keys.  Only the rows where
-    those two prefixes tie (about 1% at n = 499) are selected again on
-    the 53-bit keys w >> 11.
+    One uniform vector on [0, log(n + 1)) gives the sizes k (exp,
+    truncated, clipped to [1, n]).  Then each row gets n 16-bit keys,
+    four to a raw 64-bit word of random_raw((count, ceil(n / 4))): key j
+    is bits 16 (j mod 4) to 16 (j mod 4) + 15 of word j // 4, read as
+    little-endian uint16 whatever the host's byte order.  Row r takes
+    every key below its k-th smallest key value.  Where the (k+1)-th
+    smallest value differs from the k-th, that leaves room for exactly
+    the keys equal to it.  Otherwise the row is tied: after all keys,
+    the stream gives one fresh 64-bit word to each position that holds
+    the tied value (tied rows in order, positions in order within a
+    row), and the row's missing members are the positions with the
+    smallest fresh words, the lower position first among equal words.
+    Keys and fresh words are independent and uniform, so every row is a
+    uniform subset of exactly its size.
     """
     sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
     np.clip(sizes, 1, n, out=sizes)
-    raw = rng.bit_generator.random_raw((count, n))
-    top = np.empty((count, n), dtype=np.uint16)
-    np.right_shift(raw, 48, out=top, casting="unsafe")
-    ranked = np.sort(top, axis=1)
+    raw = rng.bit_generator.random_raw((count, -(-n // 4)))
+    keys = raw.astype("<u8", copy=False).view("<u2")[:, :n]
+    ranked = np.sort(keys, axis=1)
     rows = np.arange(count)
     kth = ranked[rows, sizes - 1]
-    out = top <= kth[:, None]
+    out = keys <= kth[:, None]
     # a full row (size n) has no (k+1)-th key and is already exact
     tied = np.flatnonzero(
         (sizes < n) & (kth == ranked[rows, np.minimum(sizes, n - 1)]))
     if tied.size:
-        out[tied] = _select_smallest(raw[tied] >> 11, sizes[tied])
+        tied_keys, tied_kth = keys[tied], kth[tied, None]
+        below = tied_keys < tied_kth
+        out[tied] = below
+        # members still missing in each tied row
+        need = sizes[tied] - np.count_nonzero(below, axis=1)
+        r, pos = np.nonzero(tied_keys == tied_kth)
+        fresh = rng.bit_generator.random_raw(r.size)
+        # by row, then fresh word; lexsort is stable, so position breaks ties
+        order = np.lexsort((fresh, r))
+        # r is sorted, so r[order] == r: rank each word within its row
+        take = order[np.arange(r.size) - np.searchsorted(r, r) < need[r]]
+        out[tied[r[take]], pos[take]] = True
     return out
 
 

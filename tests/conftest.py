@@ -356,15 +356,39 @@ def reference_write_graph(graph, path):
 
 
 def reference_draw_subsets(rng, n, count):
-    """The sampled subset rows as a full float64 sort draws them: sizes
-    exp(uniform[0, log(n + 1))) truncated and clipped to [1, n], then one
-    (count, n) matrix of rng.random() keys; row r holds the keys at most
-    the sizes[r]-th smallest of its row."""
+    """The sampled subset rows by their documented rule, one row at a time.
+
+    Sizes k are exp(uniform[0, log(n + 1))) truncated and clipped to
+    [1, n].  Row r then reads ceil(n / 4) raw words, key j being
+    (w >> 16 (j mod 4)) & 0xFFFF of its word j // 4, and takes every key
+    below its k-th smallest value; all the keys on that value as well,
+    unless the (k+1)-th smallest value is the same.  Such tied rows, in
+    order, then read one fresh raw word per position on the tied value,
+    and their missing members are the tied positions with the smallest
+    (fresh word, position) pairs, compared as Python integers.
+    """
     sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
     np.clip(sizes, 1, n, out=sizes)
-    keys = rng.random((count, n))
-    kth = np.sort(keys, axis=1)[np.arange(count), sizes - 1]
-    return keys <= kth[:, None]
+    words = rng.bit_generator.random_raw((count, (n + 3) // 4))
+    j = np.arange(n)
+    shifts = (16 * (j % 4)).astype(np.uint64)
+    rows = np.zeros((count, n), dtype=bool)
+    tied = []
+    for r in range(count):
+        k = int(sizes[r])
+        keys = (words[r, j // 4] >> shifts) & np.uint64(0xFFFF)
+        ranked = np.sort(keys)
+        on_kth = np.flatnonzero(keys == ranked[k - 1])
+        rows[r] = keys < ranked[k - 1]
+        if k < n and ranked[k] == ranked[k - 1]:
+            tied.append((r, on_kth, k - int(rows[r].sum())))
+        else:
+            rows[r, on_kth] = True
+    for r, on_kth, need in tied:
+        fresh = rng.bit_generator.random_raw(len(on_kth))
+        ranked = sorted(zip(map(int, fresh), on_kth.tolist()))
+        rows[r, [pos for _, pos in ranked[:need]]] = True
+    return rows
 
 
 def count_edges_between(adjacency, xs, ys):

@@ -16,6 +16,7 @@ from matdisc import (
     complement,
     eig_symmetric,
     rayleigh_quotient,
+    read_graph,
     read_matrix,
     rho_prime,
     singular_values,
@@ -185,6 +186,29 @@ def test_read_rejects_bad_files(tmp_path):
     p.write_text("sym 2\n1 2 3\n2 1 1\n")
     with pytest.raises(FormatError):
         read_matrix(str(p))
+
+
+#: files with a byte that is not UTF-8: in the body, in the header, and in
+#: the body past the first chunk the header read decodes
+_NOT_UTF8 = {
+    "body": b"sym 2\n1 0\n0 \xff1\n",
+    "header": b"sym \xff2\n1 0\n0 1\n",
+    "late body": b"sym 100\n" + b"0 " * 9999 + b"\xff\n",
+}
+
+
+@pytest.mark.parametrize("where", list(_NOT_UTF8))
+@pytest.mark.parametrize("reader", [read_matrix, read_graph],
+                         ids=["read_matrix", "read_graph"])
+def test_read_rejects_bytes_that_are_not_utf8(tmp_path, where, reader):
+    p = tmp_path / "bad.txt"
+    data = _NOT_UTF8[where]
+    if reader is read_graph:
+        data = data.replace(b"sym 2", b"graph 2 1").replace(b"sym 100",
+                                                            b"graph 100 5000")
+    p.write_bytes(data)
+    with pytest.raises(FormatError):
+        reader(str(p))
 
 
 def test_eig_rejects_garbage():

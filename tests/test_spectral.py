@@ -29,7 +29,6 @@ from matdisc import (
     thomason_small_graph_sweep,
 )
 from matdisc.atlas import MASKS, STARTS, atlas_adjacencies
-from matdisc import spectral
 from matdisc.spectral import (
     _draw_subsets,
     _Exhaustive,
@@ -184,18 +183,15 @@ def _drawn_sizes(rng, n, count):
 
 
 def _drawn_pairs(n, samples, seed):
-    """The documented sampling rule, re-implemented row by row: chunks of
+    """The documented sampling rule, chunk by chunk: chunks of
     min(2048, max(1, 2^20 // n)) pairs, each drawing its X sets and then
-    its Y sets (sizes, then a (count, n) key matrix whose `size` smallest
-    keys of a row pick its set), then the pair X = Y = V."""
+    its Y sets by the per-row reference draw, then the pair X = Y = V."""
     rng = np.random.default_rng(seed)
     rows = min(2048, max(1, 2**20 // n))
 
     def draw(count):
-        sizes = _drawn_sizes(rng, n, count)
-        keys = rng.random((count, n))
-        return [sorted(int(v) + 1 for v in np.argsort(keys[r])[:size])
-                for r, size in enumerate(sizes)]
+        return [(np.flatnonzero(row) + 1).tolist()
+                for row in reference_draw_subsets(rng, n, count)]
 
     xs, ys = [], []
     for lo in range(0, samples, rows):
@@ -204,6 +200,26 @@ def _drawn_pairs(n, samples, seed):
         ys += draw(count)
     whole = list(range(1, n + 1))
     return xs + [whole], ys + [whole]
+
+
+class _StubRng:
+    """A generator for _draw_subsets that draws its sizes from a PCG64
+    generator seeded with `seed` and its raw words from `raw(size)`, by
+    default that generator's own; it records the size of every raw-word
+    call."""
+
+    def __init__(self, seed, raw=None):
+        self._rng = np.random.default_rng(seed)
+        self._raw = raw or self._rng.bit_generator.random_raw
+        self.calls = []
+        self.bit_generator = self
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+    def random_raw(self, size):
+        self.calls.append(size)
+        return self._raw(size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 52, 499])
@@ -217,11 +233,12 @@ def test_drawn_rows_hold_their_sizes(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 101, 499, 2000, 10000])
 def test_draw_matches_float_sort(n):
-    """The 16-bit prefix selection draws the sets of the float64 key sort
-    bit for bit and leaves the generator where that sort leaves it, over
-    two draws in a row."""
+    """The vectorized draw gives the rows of the per-row reference bit for
+    bit and leaves the generator where the reference leaves it, over two
+    draws in a row.  (The name is that of the test the old stream had,
+    whose rows were those of a float64 key sort.)"""
     count = min(2048, max(1, 2**16 // n))
-    for seed in range(30):
+    for seed in range(8):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
             assert np.array_equal(_draw_subsets(ours, n, count),
@@ -230,40 +247,71 @@ def test_draw_matches_float_sort(n):
 
 
 def test_random_doubles_are_raw_outputs_shifted():
-    """The premise of the draw: a PCG64 generator's random() is its raw
-    64-bit output w as (w >> 11) * 2^-53, one output per double."""
+    """The stream is one sequence of raw outputs: a PCG64 generator's
+    random(), which draws the set sizes, is its raw 64-bit output w as
+    (w >> 11) * 2^-53, one output per double."""
     for seed in (0, 1, 12345, 2**63 + 5):
         doubles = np.random.Generator(np.random.PCG64(seed)).random(1000)
         raw = np.random.Generator(np.random.PCG64(seed)).bit_generator.random_raw(1000)
         assert np.array_equal(doubles, (raw >> 11) * 2.0**-53)
 
 
-def test_draw_fallback_on_tied_prefixes(monkeypatch):
-    """At n = 10000 many rows tie on the 16-bit prefixes at their k-th
-    key; those rows go to the 53-bit selection and still match the sort."""
-    calls = []
-
-    def counted(keys, sizes):
-        calls.append(len(keys))
-        return select(keys, sizes)
-
-    select = spectral._select_smallest
-    monkeypatch.setattr(spectral, "_select_smallest", counted)
+def test_draw_fallback_on_tied_prefixes():
+    """At n = 10000 the 16-bit keys of many rows tie at the k-th place;
+    those rows draw fresh words, and the rows still match the reference."""
     n, count = 10_000, 104
-    rows = _draw_subsets(np.random.default_rng(3), n, count)
-    assert sum(calls) >= 1
+    stub = _StubRng(3)
+    rows = _draw_subsets(stub, n, count)
+    assert stub.calls[0] == (count, n // 4)
+    assert len(stub.calls) == 2 and stub.calls[1] >= 2
     assert np.array_equal(rows, reference_draw_subsets(
         np.random.default_rng(3), n, count))
 
 
-def test_drawn_vertices_equally_likely():
+@pytest.mark.parametrize("n", [2, 7, 101])
+def test_draw_equal_words_keep_sizes(n):
+    """Equal raw words tie every key and every fresh word: each row still
+    holds exactly its size, the lowest positions first."""
+    word = 0x5A5A_5A5A_5A5A_5A5A  # four equal 16-bit keys
+    stub = _StubRng(5, lambda size: np.full(size, word, dtype=np.uint64))
+    rows = _draw_subsets(stub, n, 300)
+    sizes = _drawn_sizes(np.random.default_rng(5), n, 300)
+    assert np.array_equal(rows, np.arange(n) < sizes[:, None])
+
+
+def _assert_equally_likely(blocks):
     """Given the sizes s_r, vertex v lies in row r with probability s_r / n,
-    so its inclusion count has mean sum p_r and variance sum p_r (1 - p_r)."""
-    n = 101
-    rows = _draw_subsets(np.random.default_rng(17), n, 20_000)
-    p = rows.sum(axis=1) / n
+    so its inclusion count over the rows of all blocks has mean sum p_r
+    and variance sum p_r (1 - p_r)."""
+    counts, p = 0, []
+    for rows in blocks:
+        counts = counts + rows.sum(axis=0)
+        p.append(rows.sum(axis=1) / rows.shape[1])
+    p = np.concatenate(p)
     mean, sigma = p.sum(), math.sqrt((p * (1.0 - p)).sum())
-    assert np.all(np.abs(rows.sum(axis=0) - mean) <= 5.0 * sigma)
+    assert np.all(np.abs(counts - mean) <= 5.0 * sigma)
+
+
+def test_drawn_vertices_equally_likely():
+    _assert_equally_likely([_draw_subsets(np.random.default_rng(17), 101,
+                                          20_000)])
+
+
+def test_drawn_vertices_equally_likely_where_keys_tie():
+    """At n = 10000 rows often tie at their k-th key; 48 draws of 104 rows."""
+    rng = np.random.default_rng(17)
+    _assert_equally_likely(_draw_subsets(rng, 10_000, 104) for _ in range(48))
+
+
+def test_tied_members_equally_likely():
+    """With every key equal, a row's members are chosen by the fresh words
+    alone, and every vertex is still equally likely."""
+    fresh = np.random.default_rng(23).bit_generator.random_raw
+    # the keys come in one 2-D call, the fresh words in 1-D calls
+    stub = _StubRng(17, lambda size: (np.zeros(size, dtype=np.uint64)
+                                      if isinstance(size, tuple)
+                                      else fresh(size)))
+    _assert_equally_likely([_draw_subsets(stub, 101, 5_000)])
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2047, 2048, 2049, 4097])
@@ -357,31 +405,32 @@ def test_sampled_scan_never_exceeds_exhaustive():
 
 def test_sampled_stream_pinned():
     """Seeded sampled reports keep the values of the chunked stream of
-    _draw_subsets rows (sizes, then a key threshold per row)."""
+    _draw_subsets rows (sizes, then four 16-bit keys a raw word, then the
+    fresh words of tied rows)."""
     rep = chung_alpha_check(cycle_graph(20), samples=400, seed=3)
-    assert rep.params["alpha_min"] == 0.6882472016116853
-    assert rep.params["identity_pairs"] == 7
+    assert rep.params["alpha_min"] == 0.5091750772173155
+    assert rep.params["identity_pairs"] == 8
     g = gnp_random_graph(30, 0.4, np.random.default_rng(9))
     rep = chung_alpha_check(g, alpha=0.1, samples=500, seed=4)
-    assert rep.params["violation_count"] == 11
-    assert rep.max_slack == 2.8786104274091624
-    assert rep.params["alpha_min"] == 0.13968785855788363
-    assert rep.violations[0] == {"X": [9, 12, 19, 23],
-                                 "Y": [4, 11, 13, 14, 18, 20],
-                                 "lhs": 5.134730538922156,
-                                 "rhs": 4.543581584938204}
+    assert rep.params["violation_count"] == 10
+    assert rep.max_slack == 1.8419170633305981
+    assert rep.params["alpha_min"] == 0.1475520363894464
+    assert rep.violations[0] == {"X": [2, 3, 5, 6, 7, 8, 10, 11, 18, 20, 23, 24],
+                                 "Y": [12],
+                                 "lhs": 3.4670658682634734,
+                                 "rhs": 3.2723156584788726}
     rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11)
     assert rep.params["violation_count"] == 0
     assert rep.max_slack == -4.995831523312719
     rep = thomason_report(g, 0.2, 17.0, samples=300, seed=11, tol=-6.0)
-    assert rep.params["violation_count"] == 17
-    assert rep.violations[0] == {"X": [30], "Y": [29], "lhs": 0.8,
+    assert rep.params["violation_count"] == 16
+    assert rep.violations[0] == {"X": [8], "Y": [28], "lhs": 0.8,
                                  "rhs": 5.795831523312719}
     family = [gnp_random_graph(n, 0.5, np.random.default_rng(n))
               for n in (16, 24, 32)]
     rep = family_properties(family, samples=300, seed=5)
     assert [m["disc_ratio"] for m in rep.params["members"]] == [
-        0.07386363636363637, 0.06666666666666667, 0.028716216216216218]
+        0.10795454545454546, 0.06111111111111111, 0.036426912403474905]
 
 
 def test_frozen_atlas_matches_networkx():
