@@ -35,29 +35,29 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    benchmark's inputs at n = 20 to 22 this leaves between one row in
    10^3 and one in 10^5 to sort, against one in 5 to one in 10^2 after
    the first test.
-3. Sort and one cumsum. For the surviving rows the best Y of size m
-   holds the m smallest or the m largest entries of s_X, so one sort and
-   one prefix sum P give both: bottom_m = P_m, top_m = P_n - P_(n-m).
-   Values are scaled by 1/sqrt(m), maximized per row, and only then
-   divided by sqrt(|X|).
+3. Sorted prefix sums. For the surviving rows the best Y of size m
+   holds the m smallest or the m largest entries of s_X. One kernel,
+   _prefix_extremes, gives both for every m: one sort, then one cumsum
+   each way. _row_values scales the larger magnitude of each size by
+   1/sqrt(|X| m) in one multiply and maximizes per row.
 4. Tie rule. The witness X is the smallest xmask whose value is within
    TIE_RTOL max(1, value) of the maximum, and Y the smallest ymask
    within that tolerance for that X. The pruning margin is wider than
    this tolerance and than the float error of the bound, so no tied row
    is dropped, and the witness does not depend on the summation order,
    the thread count or the batch size. Y is decided in one pass over
-   s_X: every prefix s[:j] is sorted at once, as one (n + 1) x n table
-   padded with +-inf, both prefix-sum tables take one cumsum each, and
-   bit j, from the top down, stays clear when some extension read off
-   row j reaches the tie floor.
+   s_X: every prefix s[:j] goes through the kernel at once, as one
+   (n + 1) x n table padded with +inf for the smallest sums and with
+   -inf for the largest, and bit j, from the top down, stays clear when
+   some extension read off row j reaches the tie floor.
 
 The exact disc1 search walks the same batches with the edge counts
 e(X + k) = e(X) + s_X[k] + a_kk / 2 doubled alongside the column sums.
 
 The heuristic is one seeded flip search: each restart draws X, then
 takes the first flip in index order that raises the score strictly,
-never emptying X, until none does. disc and disc2 score X by its best Y
-(a sort and two prefix sums of s_X) and count 2n evaluations a score;
+never emptying X, until none does. disc and disc2 score X by its best Y,
+the one row of _row_values for s_X, and count 2n evaluations a score;
 disc1 scores |e(X) - rho binom(|X|,2)| / |X| and counts one.
 """
 
@@ -158,8 +158,8 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     chosen above j summing to `fixed`, `count` of them, the best
     extension T of each size inside s[:j] takes its smallest or its
     largest entries, so every step reads row j of two tables built
-    once: the prefix sums of s[:j] sorted up and sorted down (each row
-    padded with +-inf to sort last).  A value is
+    once: _prefix_extremes of s[:j] padded with +inf, for the smallest
+    sums, and with -inf, for the largest.  A value is
     max(|fixed + lo|, |fixed + hi|) / sqrt(count + |T|), formed in that
     order, and a step stops at the first one that reaches the floor.
     """
@@ -168,10 +168,8 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     s = M[xs].sum(axis=0)
     below = np.tri(n + 1, n, -1, dtype=bool)  # row j: s[:j]
     sums = np.zeros((2, n + 1, n + 1))  # [up or down, j, |T|]
-    np.cumsum(np.sort(np.where(below, s, math.inf)), axis=1,
-              out=sums[0, :, 1:])
-    np.cumsum(np.sort(np.where(below, s, -math.inf))[:, ::-1], axis=1,
-              out=sums[1, :, 1:])
+    sums[0, :, 1:] = _prefix_extremes(np.where(below, s, math.inf))[0]
+    sums[1, :, 1:] = _prefix_extremes(np.where(below, s, -math.inf))[1]
     up, down = sums.tolist()
     roots = np.sqrt(np.arange(n + 1)).tolist()
     best = max(max(abs(lo), abs(hi)) / r
@@ -203,6 +201,17 @@ def _subset_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     for k, row in enumerate(rows):
         half = 1 << k
         np.add(out[:half], row, out=out[half:2 * half])
+    return out
+
+
+def _prefix_extremes(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """(2,) + values.shape: the sums of the k smallest and of the k
+    largest entries along `axis`, k = 1..n at index k - 1, from one
+    sort, then one cumsum each way."""
+    s = np.sort(values, axis=axis)
+    out = np.empty((2,) + s.shape)
+    np.cumsum(s, axis=axis, out=out[0])
+    np.cumsum(np.flip(s, axis), axis=axis, out=out[1])
     return out
 
 
@@ -253,13 +262,10 @@ class _Batches:
 
 def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
     """max_Y |sum_Y s| / sqrt(|X| |Y|) for every row s of S, |X| = size."""
-    k, n = S.shape
-    P = np.zeros((k, n + 1))
-    np.cumsum(np.sort(S, axis=1), axis=1, out=P[:, 1:])
-    top = P[:, n:] - P[:, n - 1::-1]  # top_m = P_n - P_(n-m), m = 1..n
-    vals = np.maximum(np.abs(P[:, 1:]), np.abs(top, out=top))
-    vals *= 1.0 / np.sqrt(np.arange(1.0, n + 1.0))
-    return vals.max(axis=1) / np.sqrt(size)
+    ext = _prefix_extremes(S)
+    vals = np.abs(ext, out=ext).max(axis=0)
+    vals *= 1.0 / np.sqrt(size[:, None] * np.arange(1.0, S.shape[1] + 1.0))
+    return vals.max(axis=1)
 
 
 class _ExactScan:
@@ -440,14 +446,10 @@ def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:
 
 def _search_heuristic(M: np.ndarray, iterations: int, seed: int) -> DiscResult:
     n = M.shape[0]
-    m = np.arange(1, n + 1, dtype=np.float64)
 
     def score(ind: np.ndarray) -> float:
-        """max over Y of the pair value: best |Y| smallest or largest of s_X."""
-        s_sorted = np.sort(ind @ M)
-        scale = 1.0 / np.sqrt(ind.sum() * m)
-        return float(max((np.abs(np.cumsum(s_sorted)) * scale).max(),
-                         (np.abs(np.cumsum(s_sorted[::-1])) * scale).max()))
+        """max over Y of the pair value: X's one row of _row_values."""
+        return float(_row_values((ind @ M)[None], ind.sum(keepdims=True))[0])
 
     xmask, calls = _flip_search(n, score, iterations, seed)
     return _pair_result(M, xmask, "heuristic", calls * 2 * n)

@@ -217,13 +217,13 @@ def _read_text(path, kind: str, fields: tuple, dtype) -> tuple:
     """(header integers, body array) of a text file in the layout shared
     by the 'sym <n>' and 'graph <n> <m>' formats.
 
-    The header is `kind` then one integer per name in `fields`: the order
-    n, checked to lie in 1..MAX_VERTICES before any of the body is read,
-    then counts >= 0.  The body is parsed in one np.loadtxt call, as rows
-    of whitespace-separated numbers with the same count on every nonblank
-    line; a body with no numbers comes back empty.  The file is read as
-    UTF-8, and bytes that are not UTF-8 are a FormatError wherever they
-    stand.
+    The header is `kind` then one integer in ASCII digits per name in
+    `fields`: the order n, checked to lie in 1..MAX_VERTICES before any
+    of the body is read, then counts.  The body is parsed in one
+    np.loadtxt call, as rows of whitespace-separated numbers with the
+    same count on every nonblank line; a body with no numbers comes back
+    empty.  The file is read as UTF-8, and bytes that are not UTF-8 are
+    a FormatError wherever they stand.
     """
     usage = " ".join([kind] + [f"<{name}>" for name in fields])
     with open(path, encoding="utf-8") as fh:
@@ -236,13 +236,14 @@ def _read_text(path, kind: str, fields: tuple, dtype) -> tuple:
         if len(header) != 1 + len(fields) or header[0] != kind:
             raise FormatError(f"{kind} file must start with '{usage}'")
         try:
+            # int() alone would also read '1_0', '+1' and non-ASCII digits
+            if not all(v.isascii() and v.isdigit() for v in header[1:]):
+                raise ValueError("header integers must be ASCII digits")
             values = tuple(int(v) for v in header[1:])
         except ValueError as exc:
             raise FormatError(f"bad {kind} header {' '.join(header)!r}") from exc
         if not 1 <= values[0] <= MAX_VERTICES:
             raise FormatError(f"order {values[0]} outside 1..{MAX_VERTICES}")
-        if min(values) < 0:
-            raise FormatError(f"{kind} header out of range")
         try:
             with warnings.catch_warnings():
                 # a body with no numbers is valid for 'graph n 0'

@@ -13,10 +13,10 @@ and the small-graph sweep run on one subset-pair engine:
   that value are ordered by one fresh raw word each (_draw_subsets).
   The exhaustive source (up to 14 vertices) holds every nonempty X with
   its column sums; a per-row pass bounds each X row over every Y at once
-  (Thomason exactly, from the row's sorted column sums; Chung by
-  Cauchy-Schwarz), and only the rows that can still change the report
-  are formed as a grid against chunks of Y sets, in blocks of at most
-  _X_BLOCK rows.
+  (Thomason exactly, from the _prefix_extremes of the row's column sums;
+  Chung by Cauchy-Schwarz), and only the rows that can still change the
+  report are formed as a grid against chunks of Y sets, in blocks of at
+  most _X_BLOCK rows.
   The small-graph sweep runs the Thomason per-row pass on stacks of
   atlas graphs of one size, _SWEEP_BLOCK at a time, which bounds its
   memory;
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import atlas_adjacencies
-from .discrepancy import _subset_sums
+from .discrepancy import _prefix_extremes, _subset_sums
 from .errors import (
     EmptyGraphError,
     FamilyTooSmallError,
@@ -170,19 +170,6 @@ class BoundReport:
             "max_slack": self.max_slack,
             "params": self.params,
         }
-
-
-def _prefix_extremes(ax_t: np.ndarray) -> np.ndarray:
-    """(2, ..., n, N) from column sums ax_t (..., n, N), one column per
-    X row: for each k = 1..n and X row, the least and the largest
-    e(X, Y) over |Y| = k, read off the prefix sums of the row's sorted
-    column sums.  X rows run along the last axis, so the reductions
-    over k run on whole rows of X."""
-    s = np.sort(ax_t, axis=-2)
-    out = np.empty((2,) + s.shape)
-    np.cumsum(s, axis=-2, out=out[0])
-    np.cumsum(s[..., ::-1, :], axis=-2, out=out[1])
-    return out
 
 
 class _Exhaustive:
@@ -380,6 +367,12 @@ def _degree_codegree(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(prod.max(axis=(-2, -1)), 0.0))  # n = 1: no pair
 
 
+def _hypotheses_met(min_degree, max_codegree, n: int, p, mu) -> tuple:
+    """(min degree >= p n, max codegree <= p^2 n + mu), broadcast over
+    arrays of graphs, p values and mu values."""
+    return min_degree >= p * n, max_codegree <= p * p * n + mu
+
+
 def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     """Check min degree >= p*n and pairwise codegree <= p^2*n + mu.
 
@@ -393,8 +386,8 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
         raise ValueError("mu must be finite and nonnegative")
     n = graph.n
     min_degree, max_codegree = map(int, _degree_codegree(graph.adjacency.a))
-    degrees_ok = bool(min_degree >= p * n)
-    codegrees_ok = bool(max_codegree <= p * p * n + mu)
+    degrees_ok, codegrees_ok = map(
+        bool, _hypotheses_met(min_degree, max_codegree, n, p, mu))
     return {
         "min_degree": min_degree,
         "degree_threshold": p * n,
@@ -435,8 +428,10 @@ def _thomason_rows(extremes: np.ndarray, sx: np.ndarray, p: float,
                    mus: list[float]) -> list[np.ndarray]:
     """For each mu, the largest slack of each X row over every Y, exactly.
 
-    extremes is _prefix_extremes of one graph's column sums, or of a
-    stack of graphs on the same vertices, and sx the rows' set sizes.
+    extremes is _prefix_extremes(..., axis=-2) of one graph's column
+    sums (..., n, N), or of a stack of graphs on the same vertices, and
+    sx the rows' set sizes.  X rows run along the last axis, so the
+    reductions over k run on whole rows of X.
     For |Y| = k the right side is fixed and the float lhs |c - e| is
     monotone on either side of c, so it peaks at the least or the
     largest e(X, Y) of that size; the sides are the grid's own float
@@ -462,8 +457,8 @@ def _thomason_scan(rec: _Recorder, ex: _Exhaustive, p: float, mu: float, /,
     """Record the exhaustive check: the largest slack from the per-row
     pass, the violations from the grid on the rows above tol only
     (Thomason's theorem says there are none)."""
-    worst, = _thomason_rows(_prefix_extremes(ex.ax.T), ex.ind.sum(axis=1),
-                            p, [mu])
+    worst, = _thomason_rows(_prefix_extremes(ex.ax.T, axis=-2),
+                            ex.ind.sum(axis=1), p, [mu])
     rec.worst = max(rec.worst, float(worst.max()))
     _thomason_grid(rec, ex, np.flatnonzero(worst > rec.tol), p, mu, **tags)
 
@@ -526,21 +521,19 @@ def thomason_small_graph_sweep(*, max_n: int = 7,
         ind = _subset_sums(np.eye(n))[1:]  # indicator rows in mask order
         sx = ind.sum(axis=1)
         mu_values = [float(n) if m == "n" else float(m) for m in mus]
-        # thomason_hypotheses' comparisons: held[graph, p, mu entry]
+        # held[graph, p entry, mu entry]
         min_degree, max_codegree = _degree_codegree(adjacency)
-        degree_cut = np.array([p * n for p in ps])
-        codegree_cut = np.array([[p * p * n + mu for mu in mu_values]
-                                 for p in ps]).reshape(len(ps), len(mus))
-        held = ~((min_degree[:, None, None] < degree_cut[:, None])
-                 | (max_codegree[:, None, None] > codegree_cut))
+        held = np.logical_and(*_hypotheses_met(
+            min_degree[:, None, None], max_codegree[:, None, None], n,
+            np.array(ps, dtype=float)[:, None], np.array(mu_values)))
         count = int(np.count_nonzero(held))
         combos_held += count
         instances += count * len(ind) ** 2
         for lo in range(0, len(indices), _SWEEP_BLOCK):
             block = held[lo:lo + _SWEEP_BLOCK]
             # a is symmetric: a @ ind.T holds the column sums of every X
-            extremes = _prefix_extremes(adjacency[lo:lo + _SWEEP_BLOCK]
-                                        @ ind.T)
+            extremes = _prefix_extremes(
+                adjacency[lo:lo + _SWEEP_BLOCK] @ ind.T, axis=-2)
             hot = []  # (graph, p entry, mu entry, rows above tol)
             for pi, p in enumerate(ps):
                 graphs = np.flatnonzero(block[:, pi].any(axis=1))

@@ -20,6 +20,19 @@ else:
     settings.register_profile("ci", derandomize=True, deadline=None)
 
 
+def naive_pair_table(centered):
+    """(ind, table): the indicator rows of every nonempty subset in mask
+    order, and table[x - 1, y - 1], the defining expression of the
+    (already centred) matrix at bitmasks x and y."""
+    n = centered.shape[0]
+    masks = range(1, 1 << n)
+    ind = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks],
+                   dtype=float)
+    sizes = ind.sum(axis=1)
+    table = np.abs(ind @ centered @ ind.T) / np.sqrt(np.outer(sizes, sizes))
+    return ind, table
+
+
 def naive_disc(matrix):
     """Brute-force disc over all nonempty subset pairs.
 
@@ -31,13 +44,7 @@ def naive_disc(matrix):
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    centered = m - m.mean()
-    masks = range(1, 1 << n)
-    ind = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks],
-                   dtype=float)
-    sizes = ind.sum(axis=1)
-    # table[x - 1, y - 1]: the defining expression at bitmasks x and y
-    table = np.abs(ind @ centered @ ind.T) / np.sqrt(np.outer(sizes, sizes))
+    ind, table = naive_pair_table(m - m.mean())
     row_best = table.max(axis=1)
     best = float(row_best.max())
     x = int(np.flatnonzero(row_best >= best - 1e-12 * max(1.0, best))[0])

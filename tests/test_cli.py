@@ -513,6 +513,31 @@ def test_order_above_cap_rejected_before_body(tmp_path, monkeypatch, header):
         reader(path)
 
 
+#: headers whose integers Python's int() reads but that are not ASCII
+#: digits, each with a body that fits the order int() reads
+NON_ASCII_HEADERS = {
+    "sym-underscore": ("sym 1_0", "\n".join(["0 " * 10] * 10), ["analyze"]),
+    "sym-arabic-indic": ("sym \u0662", "1 0\n0 1", ["analyze"]),
+    "sym-plus": ("sym +2", "1 0\n0 1", ["analyze"]),
+    "graph-underscore": ("graph 1_2 1", "1 2",
+                         ["verify", "thomason", "--p", "0.5", "--mu", "1",
+                          "--input"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ASCII_HEADERS))
+def test_header_integers_are_ascii_digits(tmp_path, capsys, name):
+    header, body, command = NON_ASCII_HEADERS[name]
+    path = tmp_path / "h.txt"
+    path.write_text(f"{header}\n{body}\n", encoding="utf-8")
+    reader = read_matrix if header.startswith("sym") else read_graph
+    with pytest.raises(errors.FormatError, match="header"):
+        reader(path)
+    code, payload, err = run_cli(capsys, [*command, str(path)])
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_digest_streams_the_file(tmp_path):
     path = tmp_path / "big.bin"
     path.write_bytes(np.random.default_rng(3).bytes(16 * 2**20 + 5))

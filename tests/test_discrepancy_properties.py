@@ -2,12 +2,19 @@
 heuristic <= exact <= sigma1 of the centred matrix, and every link of
 the sigma2 certificate on either disc."""
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import naive_disc, reference_best_y_for_x, reference_subset_sums
+from conftest import (
+    naive_disc,
+    naive_pair_table,
+    reference_best_y_for_x,
+    reference_subset_sums,
+)
 
 from matdisc import (
     SymmetricMatrix,
@@ -20,7 +27,13 @@ from matdisc import (
     gnp_random_graph,
 )
 from matdisc import discrepancy
-from matdisc.discrepancy import _best_y_for_x, _ExactScan, _subset_norms2
+from matdisc.discrepancy import (
+    _best_y_for_x,
+    _ExactScan,
+    _prefix_extremes,
+    _row_values,
+    _subset_norms2,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -169,6 +182,77 @@ def test_witness_pass_on_constant_and_zero_matrices(n):
     for M in (np.zeros((n, n)), np.full((n, n), 2.0), np.eye(n)):
         for xmask in (1, (1 << n) - 1, 1 << (n - 1), 0b101 & ((1 << n) - 1) or 1):
             assert _best_y_for_x(M, xmask) == reference_best_y_for_x(M, xmask)
+
+
+def _brute_extremes(values, axis):
+    """(2,) + values.shape: the least and the largest sum over every
+    subset of each size k along `axis`, k = 1..n at index k - 1."""
+    rows = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    n = rows.shape[-1]
+    out = np.empty((2,) + rows.shape)
+    for idx in np.ndindex(rows.shape[:-1]):
+        for k in range(1, n + 1):
+            sums = [sum(c) for c in itertools.combinations(rows[idx], k)]
+            out[(0,) + idx + (k - 1,)] = min(sums)
+            out[(1,) + idx + (k - 1,)] = max(sums)
+    return np.moveaxis(out, -1, axis)
+
+
+@st.composite
+def value_stacks(draw):
+    """A stack (a, b, n) of Gaussian rows or of integer rows full of ties,
+    n <= 8."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.normal(size=shape)
+    return rng.integers(-2, 3, size=shape).astype(float)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(values=value_stacks(), axis=st.sampled_from((-1, -2)))
+def test_prefix_extremes_match_every_subset(values, axis):
+    """The sorted prefix sums are the extreme subset sums of each size;
+    on integer rows, which every summation order adds exactly, bit for
+    bit."""
+    got = _prefix_extremes(values, axis=axis)
+    want = _brute_extremes(values, axis)
+    assert got.shape == (2,) + values.shape
+    if np.all(values == np.round(values)):
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(values=value_stacks())
+def test_prefix_extremes_on_padded_prefixes(values):
+    """The witness pass's tables: row j holds s[:j], padded with +inf
+    (for the smallest sums) or -inf (for the largest) to sort last."""
+    s = values[0, 0]
+    n = s.size
+    below = np.tri(n + 1, n, -1, dtype=bool)
+    for pad in (math.inf, -math.inf):
+        padded = np.where(below, s, pad)
+        got = _prefix_extremes(padded)
+        np.testing.assert_allclose(got, _brute_extremes(padded, -1),
+                                   rtol=1e-12, atol=1e-12)
+        # the side the witness pass reads is finite exactly up to |T| = j
+        side = got[0] if pad > 0 else got[1]
+        assert np.array_equal(np.isfinite(side), np.tri(n + 1, n, -1) > 0)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(a=small_matrices())
+def test_row_values_match_pair_table(a):
+    """Each X row's value is the best pair value of its row of the
+    brute-force table, for every X."""
+    M = a - a.mean()
+    ind, table = naive_pair_table(M)
+    got = _row_values(ind @ M, ind.sum(axis=1))
+    np.testing.assert_allclose(got, table.max(axis=1), rtol=1e-12,
+                               atol=1e-12 * max(1.0, np.abs(M).max()))
 
 
 def _at_most(lower, upper):
