@@ -38,7 +38,7 @@ from .errors import FormatError, MatdiscError, TooLargeError
 from .graphs import Graph, from_adjacency, read_graph, write_graph
 from .linalg import SymmetricMatrix, eig_symmetric, read_matrix, rho_prime, write_matrix
 from .quantization import certify_sigma2
-from .spectral import chung_alpha_check, thomason_report
+from .spectral import DEFAULT_SAMPLES, chung_alpha_check, thomason_report
 from .suite import check_sparse_family, run_suite
 
 
@@ -316,21 +316,21 @@ def _build_parser() -> argparse.ArgumentParser:
     tho.add_argument("--input", required=True)
     tho.add_argument("--p", type=float, required=True)
     tho.add_argument("--mu", type=float, required=True)
-    tho.add_argument("--samples", type=int, default=10_000)
+    tho.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     tho.add_argument("--seed", type=int, default=1)
     chu = versub.add_parser("chung")
     chu.add_argument("--input", required=True)
     chu.add_argument("--alpha", type=float, default=None)
-    chu.add_argument("--samples", type=int, default=10_000)
+    chu.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     chu.add_argument("--seed", type=int, default=1)
     fam = versub.add_parser("family")
     fam.add_argument("--sizes", default="50,100,200")
-    fam.add_argument("--samples", type=int, default=10_000)
+    fam.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     fam.add_argument("--seed", type=int, default=7)
     pap = versub.add_parser("paper-suite")
     pap.add_argument("--max-k", type=int, default=64)
     pap.add_argument("--max-p", type=int, default=None)
-    pap.add_argument("--samples", type=int, default=10_000)
+    pap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     pap.add_argument("--seed", type=int, default=1)
     pap.add_argument("--quick", action="store_true", default=False)
     return parser

@@ -71,6 +71,7 @@ def tightness_matrix(k: int) -> SymmetricMatrix:
     """
     if k < 1:
         raise ValueError("tightness_matrix needs k >= 1")
+    _require_order(2 * k)
     w = _inverse_sqrt_weights(k)
     perturb = np.outer(w, w)
     ones = np.ones((k, k))

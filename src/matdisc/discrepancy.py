@@ -46,10 +46,9 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    this tolerance and than the float error of the bound, so no tied row
    is dropped, and the witness does not depend on the summation order,
    the thread count or the batch size. Y is decided in one pass over
-   s_X: every prefix s[:j] goes through the kernel at once, as one
-   (n + 1) x n table padded with +inf for the smallest sums and with
-   -inf for the largest, and bit j, from the top down, stays clear when
-   some extension read off row j reaches the tie floor.
+   s_X, one sorted list of s[:j] that drops s[j] at bit j: bit j, from
+   the top down, stays clear when some extension, read off running sums
+   of that list's smallest or largest entries, reaches the tie floor.
 
 The exact disc1 search walks the same batches with the edge counts
 e(X + k) = e(X) + s_X[k] + a_kk / 2 doubled alongside the column sums.
@@ -66,8 +65,10 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,34 +158,32 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     lower bits can still reach the tie floor without it.  With the bits
     chosen above j summing to `fixed`, `count` of them, the best
     extension T of each size inside s[:j] takes its smallest or its
-    largest entries, so every step reads row j of two tables built
-    once: _prefix_extremes of s[:j] padded with +inf, for the smallest
-    sums, and with -inf, for the largest.  A value is
-    max(|fixed + lo|, |fixed + hi|) / sqrt(count + |T|), formed in that
-    order, and a step stops at the first one that reaches the floor.
+    largest entries.  `rest` holds s[:j] in ascending order, and a step
+    adds its smallest and its largest entries one at a time from 0.0.
+    A value is max(|fixed + lo|, |fixed + hi|) / sqrt(count + |T|),
+    formed in that order, and a step stops at the first one that
+    reaches the floor.
     """
     n = M.shape[0]
     xs = [j for j in range(n) if (xmask >> j) & 1]
-    s = M[xs].sum(axis=0)
-    below = np.tri(n + 1, n, -1, dtype=bool)  # row j: s[:j]
-    sums = np.zeros((2, n + 1, n + 1))  # [up or down, j, |T|]
-    sums[0, :, 1:] = _prefix_extremes(np.where(below, s, math.inf))[0]
-    sums[1, :, 1:] = _prefix_extremes(np.where(below, s, -math.inf))[1]
-    up, down = sums.tolist()
+    s = M[xs].sum(axis=0).tolist()
+    rest = sorted(s)
     roots = np.sqrt(np.arange(n + 1)).tolist()
-    best = max(max(abs(lo), abs(hi)) / r
-               for lo, hi, r in zip(up[n][1:], down[n][1:], roots[1:]))
+    best = max(max(abs(lo), abs(hi)) / r for lo, hi, r in
+               zip(accumulate(rest), accumulate(reversed(rest)), roots[1:]))
     root = math.sqrt(len(xs))
     cut = _tie_floor(best / root) * root
     ymask, fixed, count = 0, 0.0, 0
     for j in range(n - 1, -1, -1):
-        first = 0 if count else 1  # T may be empty once a bit is chosen
+        del rest[bisect_left(rest, s[j])]
+        sizes = zip(accumulate(rest, initial=0.0),
+                    accumulate(reversed(rest), initial=0.0), roots[count:])
+        if not count:
+            next(sizes)  # T may be empty once a bit is chosen
         if not any(max(abs(fixed + lo), abs(fixed + hi)) / r >= cut
-                   for lo, hi, r in zip(up[j][first:j + 1],
-                                        down[j][first:j + 1],
-                                        roots[count + first:])):
+                   for lo, hi, r in sizes):
             ymask |= 1 << j
-            fixed += float(s[j])
+            fixed += s[j]
             count += 1
     return ymask
 
@@ -590,6 +589,4 @@ def disc1_graph(
 
 def disc2_gap_bound(G: Graph) -> float:
     """Upper bound 2 e(G) / (n (n-1)) on |disc2(G) - disc(adjacency)|."""
-    if G.n < 2:
-        return 0.0
-    return 2.0 * G.m / (G.n * (G.n - 1))
+    return G.density()

@@ -29,7 +29,7 @@ from .constructions import (
     tightness_matrix,
 )
 from .discrepancy import disc_exact
-from .graphs import complete_graph, gnp_random_graph
+from .graphs import _require_order, complete_graph, gnp_random_graph
 from .linalg import SymmetricMatrix, eig_symmetric, rayleigh_quotient, rho_prime
 from .quantization import (
     HEADLINE_CONSTANT,
@@ -41,6 +41,7 @@ from .quantization import (
     quotient_compress,
 )
 from .spectral import (
+    DEFAULT_SAMPLES,
     chung_alpha_check,
     family_properties,
     lambda_bar_from_adjacency,
@@ -77,6 +78,7 @@ def check_tightness_family(max_k: int = 64) -> dict:
     max_struct = 0.0
     max_exact_gap = 0.0
     min_combined_margin = math.inf
+    _require_order(2 * max_k)  # before the loop's max_k - 1 eigensolves
     for k in range(2, max_k + 1):
         mat = tightness_matrix(k)
         spec = eig_symmetric(mat)
@@ -400,7 +402,7 @@ def check_block_matrices(primes: tuple[int, ...] = (13, 17, 19)) -> dict:
     }
 
 
-def check_block_spectral_gap(p: int = 13, samples: int = 10_000,
+def check_block_spectral_gap(p: int = 13, samples: int = DEFAULT_SAMPLES,
                              seed: int = 6) -> dict:
     """Laplacian gap of the block graph against the volume-bound scale."""
     failures: list = []
@@ -454,7 +456,7 @@ def check_small_graph_bound(max_n: int = 7) -> dict:
 
 
 def check_sparse_family(sizes: tuple[int, ...] = (50, 100, 200),
-                        samples: int = 10_000, seed: int = 7) -> dict:
+                        samples: int = DEFAULT_SAMPLES, seed: int = 7) -> dict:
     """Sparse random graphs with planted cliques: ratio window and decay."""
     members = []
     for n in sizes:
@@ -478,7 +480,7 @@ def check_sparse_family(sizes: tuple[int, ...] = (50, 100, 200),
 
 
 def run_suite(*, max_k: int = 64, max_p: int | None = None,
-              samples: int = 10_000, seed: int = 1,
+              samples: int = DEFAULT_SAMPLES, seed: int = 1,
               quick: bool = False, timing: dict | None = None) -> dict:
     """Run every check with one master seed and return a combined report.
 

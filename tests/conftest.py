@@ -84,8 +84,8 @@ def _reference_best_extension(free, fixed, count):
 
 def reference_best_y_for_x(M, xmask):
     """The smallest ymask whose value ties the best Y for a fixed X, one
-    sort and two cumsums of s[:j] per bit: the exact search's witness
-    pass before it read presorted prefix tables.
+    sort and two cumsums of s[:j] per bit: the oracle for the exact
+    search's witness pass, which keeps one sorted list of s[:j] instead.
 
     Decides the bits from the highest down: a bit stays clear when the
     lower bits can still reach the tie floor without it.

@@ -171,16 +171,24 @@ def test_huge_graph_header_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_construct_qpt_above_vertex_cap_exit_2(tmp_path, capsys):
-    out = tmp_path / "q.txt"
+@pytest.mark.parametrize("argv", [
+    ["construct", "qpt", "--p", "10007", "--t", "1", "-o"],
+    ["construct", "tightness", "--k", "5001", "-o"],
+    ["construct", "tightness", "--k", "1000000000000", "-o"],
+    ["verify", "paper-suite", "--max-k", "5001"],
+], ids=["qpt", "tightness-5001", "tightness-1e12", "paper-suite-5001"])
+def test_above_vertex_cap_exit_2(tmp_path, capsys, argv):
+    """Orders past MAX_VERTICES fail before any n x n allocation or
+    eigensolve, and write nothing."""
+    if argv[-1] == "-o":
+        argv = argv + [str(tmp_path / "out.txt")]
     start = time.perf_counter()
-    code, payload, err = run_cli(
-        capsys, ["construct", "qpt", "--p", "10007", "--t", "1", "-o", str(out)])
+    code, payload, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert payload is None
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_quantizer_budget_check_exit_5(tmp_path, capsys, monkeypatch):

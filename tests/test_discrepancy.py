@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,3 +354,31 @@ def test_exact_scan_memory_stays_below_subset_table():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+_WITNESS_RSS_SCRIPT = """
+import resource
+import numpy as np
+from matdisc.discrepancy import _best_y_for_x
+n = 2000
+a = np.random.default_rng(5).normal(size=(n, n))
+M = (a + a.T) / 2.0
+xmask = sum(1 << j for j in range(0, n, 2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_best_y_for_x(M, xmask)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss counts KiB only on Linux")
+def test_witness_pass_memory_at_n_2000():
+    """The witness pass keeps one sorted list of n sums, not (n + 1)^2
+    prefix tables: the peak RSS of a fresh process rises by less than
+    100 MB over a Gaussian n = 2000 matrix already built."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _WITNESS_RSS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 100 * 1024

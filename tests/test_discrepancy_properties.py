@@ -184,6 +184,25 @@ def test_witness_pass_on_constant_and_zero_matrices(n):
             assert _best_y_for_x(M, xmask) == reference_best_y_for_x(M, xmask)
 
 
+@pytest.mark.parametrize("n", [64, 257])
+@pytest.mark.parametrize("kind", ["gauss", "tied-int"])
+def test_witness_pass_matches_per_bit_search_at_large_n(n, kind):
+    """Past the property tests' sizes: X = {1}, X = V, every other vertex
+    and one seeded random X, on Gaussian entries and on integer entries
+    full of ties."""
+    rng = np.random.default_rng(n)
+    if kind == "gauss":
+        a = rng.normal(size=(n, n))
+    else:
+        a = rng.integers(-2, 3, size=(n, n)).astype(float)
+    a = np.triu(a) + np.triu(a, 1).T
+    M = a - a.mean()
+    random_x = sum(1 << int(j) for j in np.flatnonzero(rng.random(n) < 0.5))
+    for xmask in (1, (1 << n) - 1, sum(1 << j for j in range(0, n, 2)),
+                  random_x or 1):
+        assert _best_y_for_x(M, xmask) == reference_best_y_for_x(M, xmask)
+
+
 def _brute_extremes(values, axis):
     """(2,) + values.shape: the least and the largest sum over every
     subset of each size k along `axis`, k = 1..n at index k - 1."""
@@ -228,8 +247,9 @@ def test_prefix_extremes_match_every_subset(values, axis):
 @hypothesis.settings(deadline=None)
 @hypothesis.given(values=value_stacks())
 def test_prefix_extremes_on_padded_prefixes(values):
-    """The witness pass's tables: row j holds s[:j], padded with +inf
-    (for the smallest sums) or -inf (for the largest) to sort last."""
+    """Rows padded with +inf or -inf: row j holds s[:j] and the padding
+    sorts last on the side it pads, so that side is finite exactly up to
+    j entries."""
     s = values[0, 0]
     n = s.size
     below = np.tri(n + 1, n, -1, dtype=bool)
@@ -238,7 +258,6 @@ def test_prefix_extremes_on_padded_prefixes(values):
         got = _prefix_extremes(padded)
         np.testing.assert_allclose(got, _brute_extremes(padded, -1),
                                    rtol=1e-12, atol=1e-12)
-        # the side the witness pass reads is finite exactly up to |T| = j
         side = got[0] if pad > 0 else got[1]
         assert np.array_equal(np.isfinite(side), np.tri(n + 1, n, -1) > 0)
 
