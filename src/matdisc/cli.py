@@ -36,7 +36,8 @@ from .discrepancy import (
 )
 from .errors import FormatError, MatdiscError, TooLargeError
 from .graphs import Graph, from_adjacency, read_graph, write_graph
-from .linalg import SymmetricMatrix, eig_symmetric, read_matrix, rho_prime, write_matrix
+from .linalg import (HEADER_CHARS, SymmetricMatrix, eig_symmetric, read_matrix,
+                     rho_prime, write_matrix)
 from .quantization import certify_sigma2
 from .spectral import DEFAULT_SAMPLES, chung_alpha_check, thomason_report
 from .suite import check_sparse_family, run_suite
@@ -76,8 +77,8 @@ def _digest(path: str) -> dict:
 
 def _load_input(path: str):
     """Read a matrix or graph file, sniffing by the header token."""
-    with open(path) as fh:
-        head = fh.readline().split()
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline(HEADER_CHARS + 1).split()
     kind = head[0] if head else ""
     if kind == "sym":
         return read_matrix(path)

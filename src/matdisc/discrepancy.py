@@ -13,9 +13,10 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    the other b - b1 (the half-and-half split of Horowitz and Sahni, JACM
    1974). Each half is built by doubling, T[2^k:2^(k+1)] = T[:2^k] + M[k]
    (Knuth, TAOCP 4A 7.2.1.1). The squared norms ||s_X||^2 and the sizes
-   |X| are tabled for every X in one dimension; the norms double from
-   the Gram matrix G of the low rows, ||s_(X + k)||^2 = ||s_X||^2 +
-   2 sum_(i in X) G[i, k] + G[k, k]. A batch adds one row, the column
+   |X| are tabled for every X in one dimension: ||s_X||^2 = 1_X^T G 1_X
+   is the subset form of the Gram matrix G of the low rows, which
+   _subset_forms doubles as 1_(X + k)^T Q 1_(X + k) = 1_X^T Q 1_X +
+   2 sum_(i in X) Q[i, k] + Q[k, k]. A batch adds one row, the column
    sums of its high bits, which it folds into T2 once.
 2. Bound. For a fixed X, Cauchy-Schwarz gives
 
@@ -50,8 +51,11 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    the top down, stays clear when some extension, read off running sums
    of that list's smallest or largest entries, reaches the tie floor.
 
-The exact disc1 search walks the same batches with the edge counts
-e(X + k) = e(X) + s_X[k] + a_kk / 2 doubled alongside the column sums.
+The exact disc1 search walks the same batches. Its edge counts e(X) =
+1_X^T (A/2) 1_X are the other subset form: _subset_forms tables them
+for the low rows from A/2 in place of G. Every search hands its
+witnesses over as sorted 0-based index sets; only the exact scans mask
+X, and they decode their one winning mask.
 
 The heuristic is one seeded flip search: each restart draws X, then
 takes the first flip in index order that raises the score strictly,
@@ -122,15 +126,9 @@ class DiscResult:
         }
 
 
-def _mask_to_set(mask: int) -> tuple:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+def _mask_indices(mask: int, n: int) -> np.ndarray:
+    """Sorted 0-based indices of the set bits among the low n of a mask."""
+    return np.flatnonzero((mask >> np.arange(n)) & 1)
 
 
 def evaluate_pair(M: np.ndarray, X, Y) -> float:
@@ -151,8 +149,9 @@ def _tie_floor(value: float) -> float:
     return value - TIE_RTOL * max(1.0, value)
 
 
-def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
-    """The smallest ymask whose value ties the best Y for a fixed X.
+def _best_y_for_x(M: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sorted 0-based indices of the Y of smallest bitmask whose value
+    ties the best Y for the X of indices xs.
 
     Decides the bits from the highest down: a bit stays clear when the
     lower bits can still reach the tie floor without it.  With the bits
@@ -165,7 +164,6 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
     reaches the floor.
     """
     n = M.shape[0]
-    xs = [j for j in range(n) if (xmask >> j) & 1]
     s = M[xs].sum(axis=0).tolist()
     rest = sorted(s)
     roots = np.sqrt(np.arange(n + 1)).tolist()
@@ -173,7 +171,7 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
                zip(accumulate(rest), accumulate(reversed(rest)), roots[1:]))
     root = math.sqrt(len(xs))
     cut = _tie_floor(best / root) * root
-    ymask, fixed, count = 0, 0.0, 0
+    ys, fixed, count = [], 0.0, 0
     for j in range(n - 1, -1, -1):
         del rest[bisect_left(rest, s[j])]
         sizes = zip(accumulate(rest, initial=0.0),
@@ -182,10 +180,10 @@ def _best_y_for_x(M: np.ndarray, xmask: int) -> int:
             next(sizes)  # T may be empty once a bit is chosen
         if not any(max(abs(fixed + lo), abs(fixed + hi)) / r >= cut
                    for lo, hi, r in sizes):
-            ymask |= 1 << j
+            ys.append(j)
             fixed += s[j]
             count += 1
-    return ymask
+    return np.array(ys[::-1], dtype=np.intp)
 
 
 def _subset_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -214,16 +212,14 @@ def _prefix_extremes(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _subset_norms2(rows: np.ndarray) -> np.ndarray:
-    """||sum of every subset of `rows`||^2, indexed by bitmask, doubled in
-    one dimension from the Gram matrix G of the rows:
-    out[2^k + X] = out[X] + 2 sum_(i in X) G[i, k] + G[k, k]."""
-    gram = rows @ rows.T
-    out = np.zeros(1 << len(rows))
-    for k in range(len(rows)):
+def _subset_forms(Q: np.ndarray) -> np.ndarray:
+    """1_X^T Q 1_X for every bitmask X of the symmetric Q's order, doubled
+    in one dimension: out[2^k + X] = out[X] + 2 sum_(i in X) Q[i, k] + Q[k, k]."""
+    out = np.zeros(1 << len(Q))
+    for k in range(len(Q)):
         half = 1 << k
-        grown = _subset_sums(2.0 * gram[:k, k], out[half:2 * half])
-        grown += gram[k, k]
+        grown = _subset_sums(2.0 * Q[:k, k], out[half:2 * half])
+        grown += Q[k, k]
         grown += out[:half]
     return out
 
@@ -255,8 +251,7 @@ class _Batches:
     def part(self, h: int) -> tuple:
         """(rows, first): the rows h selects and the low part of the
         batch's first mask (mask 0 is empty)."""
-        rows = self.bits + np.flatnonzero((h >> np.arange(self.n - self.bits)) & 1)
-        return rows, 1 if h == 0 else 0
+        return self.bits + _mask_indices(h, self.n - self.bits), 1 if h == 0 else 0
 
 
 def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -279,7 +274,7 @@ class _ExactScan:
         self.split = (bits + 1) // 2
         self.half_lo = _subset_sums(M[:self.split])
         self.half_hi = _subset_sums(M[self.split:bits])
-        self.low_norm2 = _subset_norms2(M[:bits])
+        self.low_norm2 = _subset_forms(M[:bits] @ M[:bits].T)
         self.L = 0.0
         self._lock = threading.Lock()
         self._todo = iter(self.batches.highs)
@@ -372,11 +367,10 @@ class _ExactScan:
         return masks, vals[record], rows_sorted
 
 
-def _pair_result(M: np.ndarray, xmask: int, mode: str, evaluations: int,
+def _pair_result(M: np.ndarray, xs: np.ndarray, mode: str, evaluations: int,
                  **counters) -> DiscResult:
-    """The result at X = xmask and its smallest best Y."""
-    wx = _mask_to_set(xmask)
-    wy = _mask_to_set(_best_y_for_x(M, xmask))
+    """The result at the X of indices xs and its smallest best Y."""
+    wx, wy = (tuple((S + 1).tolist()) for S in (xs, _best_y_for_x(M, xs)))
     return DiscResult(value=evaluate_pair(M, wx, wy), witness_X=wx,
                       witness_Y=wy, mode=mode, evaluations=evaluations,
                       **counters)
@@ -401,8 +395,8 @@ def _search_exact(
     cut = _tie_floor(scan.L)
     xmask = next(int(masks[vals >= cut][0])
                  for masks, vals, _ in parts if (vals >= cut).any())
-    return _pair_result(M, xmask, "exact", ((1 << n) - 1) * 2 * n,
-                        batches=len(batches.highs),
+    return _pair_result(M, _mask_indices(xmask, n), "exact",
+                        ((1 << n) - 1) * 2 * n, batches=len(batches.highs),
                         rows_sorted=sum(part[2] for part in parts))
 
 
@@ -410,12 +404,13 @@ def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:
     """The heuristic's seeded restart/flip search (see the module docstring).
 
     score maps the float 0/1 indicator of a nonempty X to its value.
-    Returns the xmask of the best restart and the number of score calls.
+    Returns the sorted indices of the best restart's X and the number of
+    score calls.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)
-    best_val, best_xmask, calls = -1.0, 0, 0
+    best_val, best_xs, calls = -1.0, None, 0
     for _ in range(iterations):
         sel = rng.random(n) < 0.5
         if not sel.any():
@@ -439,8 +434,8 @@ def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:
                 ind[j] = 1.0 - ind[j]
         if cur > best_val:
             best_val = cur
-            best_xmask = sum(1 << int(j) for j in np.flatnonzero(ind))
-    return best_xmask, calls
+            best_xs = np.flatnonzero(ind)
+    return best_xs, calls
 
 
 def _search_heuristic(M: np.ndarray, iterations: int, seed: int) -> DiscResult:
@@ -450,8 +445,8 @@ def _search_heuristic(M: np.ndarray, iterations: int, seed: int) -> DiscResult:
         """max over Y of the pair value: X's one row of _row_values."""
         return float(_row_values((ind @ M)[None], ind.sum(keepdims=True))[0])
 
-    xmask, calls = _flip_search(n, score, iterations, seed)
-    return _pair_result(M, xmask, "heuristic", calls * 2 * n)
+    xs, calls = _flip_search(n, score, iterations, seed)
+    return _pair_result(M, xs, "heuristic", calls * 2 * n)
 
 
 def centered_matrix(A: SymmetricMatrix) -> np.ndarray:
@@ -524,24 +519,19 @@ def disc1_value_at(G: Graph, X) -> float:
 
 
 def _disc1_exact(G: Graph) -> tuple:
-    """(xmask, batches): the exact disc1 witness over the doubling-table
-    batches of the adjacency, and the number of batches.
+    """(xs, batches): the sorted indices of the exact disc1 witness over
+    the doubling-table batches of the adjacency, and the number of batches.
 
-    e(X) doubles like the column sums, e(X + k) = e(X) + s_X[k] + a_kk / 2,
-    where s_X[k] over all X below k is the subset-sum table of column k.
-    A batch adds the edges inside its high part and, as one more
-    subset-sum table, those between the two parts. Ties keep the
-    smallest mask: graph edge counts are exact in any summation order.
+    e(X) of the low rows is the subset form of A/2. A batch adds the
+    edges inside its high part and, as one subset-sum table, those
+    between the two parts. Ties keep the smallest mask: graph edge
+    counts are exact in any summation order.
     """
     batches = _Batches(G.n, DEFAULT_BATCH_BITS)
     bits = batches.bits
     a = G.adjacency.a
     rho = G.density()
-    e_low = np.zeros(1 << bits)
-    for k in range(bits):
-        half = 1 << k
-        np.add(e_low[:half], _subset_sums(a[:k, k]) + a[k, k] / 2.0,
-               out=e_low[half:2 * half])
+    e_low = _subset_forms(a[:bits, :bits] / 2.0)
     best_val = -1.0
     best_mask = 1
     for h in batches.highs:
@@ -555,7 +545,7 @@ def _disc1_exact(G: Graph) -> tuple:
         if float(vals[at]) > best_val:
             best_val = float(vals[at])
             best_mask = (h << bits) + first + at
-    return best_mask, len(batches.highs)
+    return _mask_indices(best_mask, G.n), len(batches.highs)
 
 
 def disc1_graph(
@@ -567,7 +557,7 @@ def disc1_graph(
 ) -> DiscResult:
     """Thomason's single-set coefficient with witness X (Y mirrors X)."""
     if mode == "exact":
-        xmask, batches = _disc1_exact(G)
+        xs, batches = _disc1_exact(G)
         evaluations = (1 << G.n) - 1
     elif mode == "heuristic":
         a = G.adjacency.a
@@ -578,11 +568,11 @@ def disc1_graph(
             k = ind.sum()
             return abs(ind @ a @ ind / 2.0 - rho * k * (k - 1) / 2.0) / k
 
-        xmask, evaluations = _flip_search(G.n, score, iterations, seed)
+        xs, evaluations = _flip_search(G.n, score, iterations, seed)
         batches = 0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    wx = _mask_to_set(xmask)
+    wx = tuple((xs + 1).tolist())
     return DiscResult(value=disc1_value_at(G, wx), witness_X=wx, witness_Y=wx,
                       mode=mode, evaluations=evaluations, batches=batches)
 

@@ -32,6 +32,8 @@ RESIDUAL_REL_TOL = 1e-9
 #: largest order of a dense n x n input, matrix file or graph: a float64
 #: matrix of this order takes 800 MB
 MAX_VERTICES = 10_000
+#: longest first line, newline aside, that the file readers read as a header
+HEADER_CHARS = 4096
 
 
 def _as_square_array(entries) -> np.ndarray:
@@ -217,22 +219,26 @@ def _read_text(path, kind: str, fields: tuple, dtype) -> tuple:
     """(header integers, body array) of a text file in the layout shared
     by the 'sym <n>' and 'graph <n> <m>' formats.
 
-    The header is `kind` then one integer in ASCII digits per name in
-    `fields`: the order n, checked to lie in 1..MAX_VERTICES before any
-    of the body is read, then counts.  The body is parsed in one
-    np.loadtxt call, as rows of whitespace-separated numbers with the
-    same count on every nonblank line; a body with no numbers comes back
-    empty.  The file is read as UTF-8, and bytes that are not UTF-8 are
-    a FormatError wherever they stand.
+    The header is one line of at most HEADER_CHARS characters, newline
+    aside, read without the rest of a longer one: `kind` then one integer
+    in ASCII digits per name in `fields`, the order n, checked to lie in
+    1..MAX_VERTICES before any of the body is read, then counts.  The
+    body is parsed in one np.loadtxt call, as rows of whitespace-separated
+    numbers with the same count on every nonblank line; a body with no
+    numbers comes back empty.  The file is read as UTF-8, and bytes that
+    are not UTF-8 are a FormatError wherever they stand.
     """
     usage = " ".join([kind] + [f"<{name}>" for name in fields])
     with open(path, encoding="utf-8") as fh:
         try:
-            header = fh.readline().split()
+            line = fh.readline(HEADER_CHARS + 1)
         except UnicodeDecodeError as exc:
             # the first read decodes a whole chunk, body bytes included;
             # later chunks fail in np.loadtxt, as a ValueError
             raise FormatError(f"{kind} file is not UTF-8 text: {exc}") from exc
+        if len(line.rstrip("\n")) > HEADER_CHARS:
+            raise FormatError(f"{kind} header line exceeds {HEADER_CHARS} characters")
+        header = line.split()
         if len(header) != 1 + len(fields) or header[0] != kind:
             raise FormatError(f"{kind} file must start with '{usage}'")
         try:

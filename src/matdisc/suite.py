@@ -78,6 +78,8 @@ def check_tightness_family(max_k: int = 64) -> dict:
     max_struct = 0.0
     max_exact_gap = 0.0
     min_combined_margin = math.inf
+    if max_k < 2:
+        raise ValueError(f"max_k must be at least 2, got {max_k}")
     _require_order(2 * max_k)  # before the loop's max_k - 1 eigensolves
     for k in range(2, max_k + 1):
         mat = tightness_matrix(k)

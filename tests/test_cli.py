@@ -28,7 +28,7 @@ from matdisc import (
     write_matrix,
 )
 from matdisc.cli import main
-from matdisc.linalg import MAX_VERTICES
+from matdisc.linalg import HEADER_CHARS, MAX_VERTICES
 
 
 def run_cli(capsys, argv):
@@ -559,3 +559,56 @@ def test_digest_streams_the_file(tmp_path):
     assert digest == {"path": str(path), "bytes": len(data),
                       "sha256": hashlib.sha256(data).hexdigest()}
     assert peak < 4 * 2**20
+
+
+def _one_line_file(path, kind, size):
+    """A file of about `size` bytes whose whole content is one header line."""
+    head = "sym 2" if kind == "sym" else "graph 2 1"
+    path.write_text(head + " 12" * (size // 3) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["sym", "graph"])
+def test_header_read_is_bounded(tmp_path, capsys, kind):
+    """A 6 MB first line is a FormatError (exit 2) found after reading at
+    most HEADER_CHARS characters of it: splitting the whole line would
+    peak at about 20 times its size."""
+    path = tmp_path / "long.txt"
+    _one_line_file(path, kind, 6 * 2**20)
+    reader = read_matrix if kind == "sym" else read_graph
+    for call in (lambda: reader(path), lambda: main(["analyze", str(path)])):
+        tracemalloc.start()
+        try:
+            try:
+                code = call()
+            except errors.FormatError:
+                code = 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 * 2**20
+    assert "header line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["sym", "graph"])
+def test_header_line_bound_is_inclusive(tmp_path, kind):
+    """A header of exactly HEADER_CHARS characters before its newline
+    parses; one more character is a FormatError."""
+    head, body = ("sym 1", "1\n") if kind == "sym" else ("graph 2 1", "1 2\n")
+    reader = read_matrix if kind == "sym" else read_graph
+    path = tmp_path / "h.txt"
+    path.write_text(head.ljust(HEADER_CHARS) + "\n" + body, encoding="utf-8")
+    assert reader(path).n == int(head.split()[1])
+    path.write_text(head.ljust(HEADER_CHARS + 1) + "\n" + body, encoding="utf-8")
+    with pytest.raises(errors.FormatError, match="header line"):
+        reader(path)
+
+
+@pytest.mark.parametrize("max_k", ["1", "0", "-3"])
+def test_paper_suite_max_k_below_2_exit_2(capsys, max_k):
+    """The tightness family starts at k = 2: a smaller --max-k would check
+    nothing and pass."""
+    code, payload, err = run_cli(capsys, ["verify", "paper-suite", "--quick",
+                                          "--max-p", "13", "--max-k", max_k])
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

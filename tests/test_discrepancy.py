@@ -159,6 +159,28 @@ def _pin(value, xs, ys, evaluations):
             "mode": "heuristic", "evaluations": evaluations}
 
 
+def _assert_index_witness(witness, n):
+    assert witness == tuple(sorted(set(witness)))
+    assert all(type(v) is int and 1 <= v <= n for v in witness)
+
+
+def test_heuristic_witnesses_past_64_vertices():
+    """Witnesses leave the flip search as index sets, not bit masks: past
+    64 vertices they stay sorted 1-based labels that re-evaluate to the
+    reported value."""
+    m = np.random.default_rng(100).normal(size=(100, 100))
+    mat = SymmetricMatrix((m + m.T) / 2.0)
+    res = disc_heuristic(mat, iterations=2, seed=3)
+    for witness in (res.witness_X, res.witness_Y):
+        _assert_index_witness(witness, 100)
+    assert res.value == disc_value_at(mat, res.witness_X, res.witness_Y)
+    g = gnp_random_graph(70, 0.5, np.random.default_rng(70))
+    one = disc1_graph(g, mode="heuristic", iterations=2, seed=3)
+    _assert_index_witness(one.witness_X, 70)
+    assert one.witness_Y == one.witness_X
+    assert one.value == disc1_value_at(g, one.witness_X)
+
+
 def test_heuristic_outputs_pinned():
     # The flip search's random stream, move order and score arithmetic
     # decide these; each field is a seeded result the CLI reports.
@@ -363,9 +385,9 @@ from matdisc.discrepancy import _best_y_for_x
 n = 2000
 a = np.random.default_rng(5).normal(size=(n, n))
 M = (a + a.T) / 2.0
-xmask = sum(1 << j for j in range(0, n, 2))
+xs = np.arange(0, n, 2)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-_best_y_for_x(M, xmask)
+_best_y_for_x(M, xs)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
