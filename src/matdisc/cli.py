@@ -155,6 +155,8 @@ def _search_timing(disc: DiscResult, stage_seconds: dict) -> dict:
 
 def _disc_for(mat: SymmetricMatrix, args, stage_seconds: dict) -> DiscResult:
     """The search the flags ask for; its seconds go to stage_seconds["disc"]."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     started = time.perf_counter()
     if args.heuristic:
         if args.seed is None:
@@ -225,29 +227,23 @@ def _cmd_certify(args) -> tuple[dict, dict, str, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, str, int]:
-    if args.suite == "thomason":
+    if args.suite in ("thomason", "chung"):
         graph = _as_graph(_load_input(args.input))
-        report = thomason_report(graph, args.p, args.mu,
-                                 samples=args.samples, seed=args.seed)
+        if args.suite == "thomason":
+            report = thomason_report(graph, args.p, args.mu,
+                                     samples=args.samples, seed=args.seed)
+            held = report.params["hypotheses_hold"]
+            detail = (f"hypotheses {'hold' if held else 'fail'}, "
+                      f"instances={report.instances}")
+        else:
+            report = chung_alpha_check(graph, alpha=args.alpha,
+                                       samples=args.samples, seed=args.seed)
+            ratio = report.params.get("lambda_bar_over_alpha_min")
+            detail = (f"alpha_min={report.params['alpha_min']:.6g}"
+                      + (f", lambda_bar/alpha={ratio:.4g}" if ratio else ""))
         results = {"report": report.to_json_dict(),
                    "input": _digest(args.input)}
-        held = report.params["hypotheses_hold"]
-        summary = (f"thomason: {'PASS' if report.passed else 'FAIL'} "
-                   f"(hypotheses {'hold' if held else 'fail'}, "
-                   f"instances={report.instances})")
-        extra = {"seed": args.seed, "timing": {"grid_pairs": report.grid_pairs}}
-        return results, extra, summary, 0 if report.passed else 6
-    if args.suite == "chung":
-        graph = _as_graph(_load_input(args.input))
-        report = chung_alpha_check(graph, alpha=args.alpha,
-                                   samples=args.samples, seed=args.seed)
-        results = {"report": report.to_json_dict(),
-                   "input": _digest(args.input)}
-        ratio = report.params.get("lambda_bar_over_alpha_min")
-        summary = (f"chung: {'PASS' if report.passed else 'FAIL'} "
-                   f"(alpha_min={report.params['alpha_min']:.6g}"
-                   + (f", lambda_bar/alpha={ratio:.4g}" if ratio else "")
-                   + ")")
+        summary = f"{args.suite}: {'PASS' if report.passed else 'FAIL'} ({detail})"
         extra = {"seed": args.seed, "timing": {"grid_pairs": report.grid_pairs}}
         return results, extra, summary, 0 if report.passed else 6
     if args.suite == "family":

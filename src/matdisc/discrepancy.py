@@ -465,6 +465,8 @@ def disc_exact(
     batch_bits: int = DEFAULT_BATCH_BITS,
 ) -> DiscResult:
     """True maximum of the discrepancy expression, witnesses included."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     return _search_exact(centered_matrix(A), threads, batch_bits)
 
 

@@ -23,16 +23,17 @@ and the small-graph sweep run on one subset-pair engine:
 - a bound turns a chunk into lhs and rhs arrays;
 - one recorder counts pairs and violations and keeps the first few.
 
-The sampled source forms x @ a in float32.  The indicator rows and the
-adjacency hold only 0 and 1, so every partial sum of an entry of x @ a
-is an integer at most n <= MAX_VERTICES = 10^4 < 2^24: exact in float32
-in any summation order.  e(X, Y) = sum_j (x a)_j y_j is accumulated in
-float64, which holds every integer up to n^2 exactly, so the values are
-those of a float64 product bit for bit.  The float32 adjacency is built
-once per check and lives as long as its stream; at n^2 * 4 bytes (400
-MB at MAX_VERTICES) it is half the float64 adjacency the graph already
-holds.  Set sizes are counted with np.count_nonzero and volumes summed
-by einsum, with no float copy of the boolean rows.
+The sampled source forms x @ a, and the Thomason hypotheses a @ a, in
+float32, each from a cast of the graph's boolean mask: no float64
+adjacency is built for pair counts.  The operands hold only 0 and 1, so
+every partial sum of an entry of a product is an integer at most n <=
+MAX_VERTICES = 10^4 < 2^24: exact in float32 in any summation order.
+e(X, Y) = sum_j (x a)_j y_j is accumulated in float64, which holds
+every integer up to n^2 exactly, so the values are those of a float64
+product bit for bit.  The cast (n^2 * 4 bytes, 400 MB at MAX_VERTICES)
+lives as long as its check's stream.  Set sizes are counted with
+np.count_nonzero and volumes summed by einsum, with no float copy of
+the boolean rows.
 
 Slack is always lhs - rhs: negative slack means the inequality holds
 with room, and an instance only counts as a violation when its slack
@@ -280,23 +281,28 @@ def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
 _MODES = ("auto", "exhaustive", "sampled")
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(mode: str, n: int, samples: int) -> bool:
+    """Whether a report on n vertices scans every pair ("auto" up to
+    EXACT_PAIR_CAP vertices); a sampled one needs at least one sample."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(_MODES)}, "
                          f"got {mode!r}")
+    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= EXACT_PAIR_CAP)
+    if not exhaustive and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return exhaustive
 
 
-def _pairs(graph: Graph, mode: str, samples: int, seed: int, params: dict, *,
-           whole: bool = False) -> _Exhaustive | Iterator[tuple]:
+def _pairs(graph: Graph, exhaustive: bool, samples: int, seed: int,
+           params: dict, *, whole: bool = False) -> _Exhaustive | Iterator[tuple]:
     """Pair source of a report, named in its params: the _Exhaustive
-    table ("auto" up to EXACT_PAIR_CAP vertices) or the sampled chunks.
-    The caller has checked the mode."""
-    if mode == "exhaustive" or (mode == "auto" and graph.n <= EXACT_PAIR_CAP):
+    table or the sampled chunks, both read off the graph's mask."""
+    if exhaustive:
         params["mode"] = "exhaustive"
-        return _Exhaustive(graph.adjacency.a)
+        return _Exhaustive(graph._mask)
     params.update(mode="sampled", samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
-    return _sampled_pairs(graph.adjacency.a, rng, samples, whole)
+    return _sampled_pairs(graph._mask, rng, samples, whole)
 
 
 class _Recorder:
@@ -385,7 +391,8 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError("mu must be finite and nonnegative")
     n = graph.n
-    min_degree, max_codegree = map(int, _degree_codegree(graph.adjacency.a))
+    a32 = graph._mask.astype(np.float32)  # exact: see the module docstring
+    min_degree, max_codegree = map(int, _degree_codegree(a32))
     degrees_ok, codegrees_ok = map(
         bool, _hypotheses_met(min_degree, max_codegree, n, p, mu))
     return {
@@ -472,7 +479,7 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
     codegree hypotheses fail the report comes back with zero instances
     and params["hypotheses_hold"] = False; that is not a violation.
     """
-    _check_mode(mode)
+    exhaustive = _check_mode(mode, graph.n, samples)
     hyp = thomason_hypotheses(graph, p, mu)
     params: dict = {"p": p, "mu": mu, "n": graph.n, "hypotheses": hyp,
                     "hypotheses_hold": hyp["hold"], "tol": tol}
@@ -480,7 +487,7 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
     if not hyp["hold"]:
         return BoundReport(name, True, 0, (), None, params)
     rec = _Recorder(tol)
-    source = _pairs(graph, mode, samples, seed, params)
+    source = _pairs(graph, exhaustive, samples, seed, params)
     if isinstance(source, _Exhaustive):
         _thomason_scan(rec, source, p, mu)
         return rec.report(name, params, source.pairs)
@@ -648,7 +655,7 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     """
     if alpha is not None and not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and nonnegative")
-    _check_mode(mode)
+    exhaustive = _check_mode(mode, graph.n, samples)
     if graph.m == 0:
         raise EmptyGraphError("volume bound needs at least one edge")
     degs = graph.degrees.astype(float)
@@ -657,7 +664,7 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
     alpha_min = 0.0
     identity_pairs = 0
     instances = None
-    source = _pairs(graph, mode, samples, seed, params, whole=True)
+    source = _pairs(graph, exhaustive, samples, seed, params, whole=True)
     if isinstance(source, _Exhaustive):
         rows, identity_pairs = _chung_rows(source, degs, alpha, tol)
         instances, source = source.pairs, source.grid(rows)
@@ -696,6 +703,8 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
     sigma2 ratio lies in [0.8, 1.2] and the discrepancy ratios
     strictly decrease along the family.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if len(members) < 3:
         raise FamilyTooSmallError(
             f"need at least 3 members, got {len(members)}"
@@ -719,8 +728,9 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
         sigma2 = spec.sigma2
         rng = np.random.default_rng([seed, idx])
         disc_ratio = 0.0
-        for e, x, y in _sampled_pairs(g.adjacency.a, rng, samples):
-            deviation, _ = _thomason_bound(e, x, y, p, 0.0)
+        for e, x, y in _sampled_pairs(g._mask, rng, samples):
+            deviation = _thomason_lhs(e, np.count_nonzero(x, axis=-1),
+                                      np.count_nonzero(y, axis=-1), p)
             disc_ratio = max(disc_ratio, float(deviation.max()) / (p * n * n))
         sigma2_ratio = sigma2 / pn
         window_ok = window_ok and lo <= sigma2_ratio <= hi

@@ -612,3 +612,41 @@ def test_paper_suite_max_k_below_2_exit_2(capsys, max_k):
                                           "--max-p", "13", "--max-k", max_k])
     assert code == 2 and payload is None
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thomason", "--input", "{q101}", "--p", "0.24", "--mu", "18",
+     "--samples", "0"],
+    ["verify", "thomason", "--input", "{q101}", "--p", "0.9", "--mu", "18",
+     "--samples", "0"],
+    ["verify", "chung", "--input", "{q101}", "--samples", "0"],
+    ["verify", "family", "--samples", "0"],
+    ["verify", "paper-suite", "--quick", "--max-p", "13", "--samples", "0"],
+    ["analyze", "{q13}", "--threads", "0"],
+    ["certify", "{q13}", "--threads", "-2"],
+    ["analyze", "{q13}", "--heuristic", "--seed", "1", "--threads", "0"],
+], ids=["thomason-samples-0", "thomason-hypotheses-fail-samples-0",
+        "chung-samples-0", "family-samples-0", "paper-suite-samples-0",
+        "analyze-threads-0", "certify-threads-minus-2",
+        "heuristic-threads-0"])
+def test_vacuous_sample_or_thread_count_exit_2(tmp_path, capsys, argv):
+    """No sample would make a sampled check pass on nothing, and no
+    thread would run the exact scan serially without saying so."""
+    paths = {"q101": tmp_path / "q101.txt", "q13": tmp_path / "q13.txt"}
+    write_graph(qpt_graph(101, 25), paths["q101"])
+    write_graph(qpt_graph(13, 3), paths["q13"])
+    code, payload, err = run_cli(
+        capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and "at least 1" in err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["thomason", "--input", "g.txt", "--p", "0.3", "--mu", "1"], 1),
+    (["chung", "--input", "g.txt"], 1),
+    (["family"], 7),
+    (["paper-suite"], 1),
+])
+def test_verify_sample_and_seed_defaults(argv, seed):
+    args = cli._build_parser().parse_args(["verify", *argv])
+    assert (args.samples, args.seed) == (10_000, seed)

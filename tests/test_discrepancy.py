@@ -404,3 +404,9 @@ def test_witness_pass_memory_at_n_2000():
     out = subprocess.run([sys.executable, "-c", _WITNESS_RSS_SCRIPT], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert int(out.stdout) < 100 * 1024
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_exact_threads_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        disc_exact(random_symmetric(np.random.default_rng(1), 4), threads=threads)

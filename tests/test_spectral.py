@@ -651,3 +651,58 @@ def test_grid_pairs_count_formed_pairs():
     assert thomason_report(k6, 5.0 / 6.0, 0.0).grid_pairs == 0
     sampled = chung_alpha_check(cycle_graph(20), samples=400, seed=3)
     assert sampled.grid_pairs == sampled.instances == 401
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_checks_need_a_sample(samples):
+    """A sampled report, or an auto one above EXACT_PAIR_CAP, with no
+    sample would check nothing and pass: rejected before any work,
+    whether or not the hypotheses hold.  Exhaustive mode ignores it."""
+    q = qpt_graph(101, 25)
+    for p in (0.24, 0.9):  # hypotheses hold, and fail
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            thomason_report(q, p, 18.0, samples=samples)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        chung_alpha_check(q, samples=samples)
+    k8 = complete_graph(8)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        chung_alpha_check(k8, mode="sampled", samples=samples)
+    members = [cycle_graph(n) for n in (10, 20, 40)]
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        family_properties(members, samples=samples)
+    exhaustive = (thomason_report(k8, 7.0 / 8.0, 0.0, samples=samples),
+                  chung_alpha_check(k8, samples=samples))
+    assert [rep.instances for rep in exhaustive] == [255 * 255] * 2
+
+
+def test_pair_checks_leave_the_float_adjacency_unbuilt():
+    """Thomason (both modes) and Chung on a non-regular graph count pairs
+    on the graph's mask; only an eigensolve builds Graph.adjacency."""
+    g = gnp_random_graph(12, 0.6, np.random.default_rng(5))
+    assert not g.is_regular()
+    p, mu = 0.3, 12.0
+    assert thomason_hypotheses(g, p, mu)["hold"]
+    for mode in ("exhaustive", "sampled"):
+        assert thomason_report(g, p, mu, mode=mode, samples=200).instances
+    assert chung_alpha_check(g).instances == 4095 ** 2
+    assert chung_alpha_check(g, mode="sampled", samples=200).instances == 201
+    assert "adjacency" not in g.__dict__
+
+
+def test_pair_check_memory_below_ten_bytes_per_entry():
+    """At n = 1500 no pair check holds a float64 n x n array: Thomason's
+    codegrees and the sampled products are float32 casts of the mask."""
+    n = 1500
+    g = gnp_random_graph(n, 0.5, np.random.default_rng(15))
+    p, mu = 0.45, 200.0
+    checks = (lambda: thomason_report(g, p, mu, samples=2000),
+              lambda: chung_alpha_check(g, samples=2000))
+    for check in checks:
+        tracemalloc.start()
+        try:
+            rep = check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.instances == 2000 + (rep.bound_name == "chung_volume_bound")
+        assert peak < 10 * n * n, rep.bound_name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,25 @@ def test_run_suite_timing_outside_results():
                        timing=timing)
     assert list(timing) == list(report["checks"])
     assert all(seconds >= 0.0 for seconds in timing.values())
+
+
+def test_certificate_headline_verdict_read_from_the_certificate(monkeypatch):
+    """check_certificates records the certificate's own headline verdict
+    and bound, not a bound of its own."""
+    real = suite.certify_sigma2
+    seen = []
+
+    def open_headline(mat):
+        cert = real(mat)
+        seen.append(dataclasses.replace(cert, headline_holds=False,
+                                        headline_bound=cert.sigma2 / 2.0))
+        return seen[-1]
+
+    monkeypatch.setattr(suite, "certify_sigma2", open_headline)
+    report = suite.check_certificates(trials=1, seed=2)
+    cert, = seen
+    assert not report["pass"]
+    assert report["failures"] == [{"kind": "headline", "trial": 0, "n": cert.n,
+                                   "sigma2": cert.sigma2,
+                                   "bound": cert.sigma2 / 2.0}]
+    assert report["min_headline_margin"] == -cert.sigma2 / 2.0
