@@ -21,7 +21,8 @@ class NonSymmetricError(MatdiscError):
 
 
 class NoConvergenceError(MatdiscError):
-    """Eigendecomposition failed or did not reach the residual target."""
+    """Eigensolver failed, or its output failed the check: the residual
+    of the eigenvectors, or the trace identities of eigenvalues alone."""
 
 
 class ZeroVectorError(MatdiscError):

@@ -97,19 +97,20 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
+    """Eigenvalues of a symmetric matrix, with the eigenvectors when asked.
 
     eigenvalues      : real, non-increasing
     singular_values  : eigenvalue moduli, non-increasing
     eigenvectors     : orthonormal columns, eigenvectors[:, i] pairs with
-                       eigenvalues[i]
-    max_residual     : max over i of ||A v_i - mu_i v_i||_2
+                       eigenvalues[i]; None from eig_symmetric(A, vectors=False)
+    max_residual     : max over i of ||A v_i - mu_i v_i||_2; None without
+                       eigenvectors
     """
 
     eigenvalues: np.ndarray
     singular_values: np.ndarray
-    eigenvectors: np.ndarray
-    max_residual: float
+    eigenvectors: np.ndarray | None
+    max_residual: float | None
 
     @property
     def sigma1(self) -> float:
@@ -121,22 +122,58 @@ class Spectrum:
         return float(self.singular_values[1])
 
 
-def eig_symmetric(A: SymmetricMatrix) -> Spectrum:
-    """Eigendecomposition with a hard residual check.
+def _check_eigenvalues(A: SymmetricMatrix, w: np.ndarray, sigma1: float) -> None:
+    """Raise NoConvergenceError unless w holds n values that pass two O(n^2)
+    identities of A: sum w = tr A within RESIDUAL_REL_TOL * n * sigma1, and
+    sum w^2 = ||A||_F^2 within RESIDUAL_REL_TOL * n * sigma1^2.
 
-    Raises NoConvergenceError if the solver fails or the residual exceeds
-    RESIDUAL_REL_TOL times sigma1.
+    ||A||_F^2 must be finite: n times the largest |entry| below about 1e154.
+    """
+    a = A.a
+    n = A.n
+    tol = RESIDUAL_REL_TOL * n * sigma1
+    # the real trace and vdot (which conjugates its first argument) serve
+    # real and Hermitian input alike, with no n x n temporary
+    trace_gap = abs(float(w.sum()) - float(np.trace(a).real))
+    square_gap = abs(float(w @ w) - float(np.vdot(a, a).real))
+    # "<=" on the gaps lets NaN fail and an all-zero matrix (tol 0) pass;
+    # an infinite sigma1 would make both bounds vacuous
+    if not (w.shape == (n,) and sigma1 < np.inf
+            and trace_gap <= tol and square_gap <= tol * sigma1):
+        raise NoConvergenceError(
+            f"eigenvalues fail the trace identities: count {w.size} of {n}, "
+            f"gaps {trace_gap:.3e} and {square_gap:.3e}"
+        )
+
+
+def eig_symmetric(A: SymmetricMatrix, *, vectors: bool = True) -> Spectrum:
+    """Eigenvalues of A, and with vectors=True its eigenvectors, checked.
+
+    With vectors (np.linalg.eigh) the check is the residual: at most
+    RESIDUAL_REL_TOL times sigma1 for every pair.  Without
+    (np.linalg.eigvalsh, no n x n array beyond LAPACK's copy of A) it is
+    _check_eigenvalues, and eigenvectors and max_residual are None.
+    Raises NoConvergenceError if the solver fails or the check does.
     """
     try:
-        w, v = np.linalg.eigh(A.a)
+        if vectors:
+            w, v = np.linalg.eigh(A.a)
+        else:
+            w = np.linalg.eigvalsh(A.a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
     sing = np.ascontiguousarray(np.sort(np.abs(w))[::-1])
+    sigma1 = float(sing[0])
+    if not vectors:
+        _check_eigenvalues(A, w, sigma1)
+        for arr in (w, sing):
+            arr.setflags(write=False)
+        return Spectrum(eigenvalues=w, singular_values=sing,
+                        eigenvectors=None, max_residual=None)
+    v = np.ascontiguousarray(v[:, ::-1])
     res = A.a @ v - v * w[None, :]
     max_residual = float(np.sqrt((np.abs(res) ** 2).sum(axis=0)).max())
-    sigma1 = float(sing[0])
     # written so that NaN anywhere fails the check rather than slipping
     # through a False comparison
     ok = (max_residual <= RESIDUAL_REL_TOL * sigma1
@@ -157,7 +194,7 @@ def eig_symmetric(A: SymmetricMatrix) -> Spectrum:
 
 def singular_values(A: SymmetricMatrix) -> np.ndarray:
     """Eigenvalue moduli in non-increasing order."""
-    return eig_symmetric(A).singular_values
+    return eig_symmetric(A, vectors=False).singular_values
 
 
 def rho_prime(A: SymmetricMatrix) -> float:

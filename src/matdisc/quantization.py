@@ -403,7 +403,7 @@ def certify_sigma2(
         disc = disc_exact(A)
         lap("disc")
 
-    spectrum_a = eig_symmetric(A)
+    spectrum_a = eig_symmetric(A, vectors=False)
     sigma2 = spectrum_a.sigma2
     lap("eig_A")
     B = SymmetricMatrix(A.a - rho_prime(A))
@@ -423,7 +423,7 @@ def certify_sigma2(
     C = quotient_compress(B, partition)
     byy = float(qy.y @ B.a @ qy.y)
     lap("compress")
-    sigma1_c = eig_symmetric(C).sigma1
+    sigma1_c = eig_symmetric(C, vectors=False).sigma1
     lap("eig_C")
     abs_c = np.abs(C.a)
     max_c = float(abs_c.max())

@@ -118,8 +118,9 @@ def _regular_degree(graph: Graph) -> int:
 
 def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
     d = _regular_degree(graph)
-    lap = np.eye(graph.n) - graph.adjacency.a / d
-    spec = eig_symmetric(SymmetricMatrix(lap))
+    # from the boolean mask: True / d is 1.0 / d, so no float64 adjacency
+    lap = np.eye(graph.n) - graph._mask / d
+    spec = eig_symmetric(SymmetricMatrix(lap), vectors=False)
     ascending = spec.eigenvalues[::-1]
     lam_bar = float(np.max(np.abs(1.0 - ascending[1:])))
     return LaplacianSpectrum(
@@ -133,7 +134,8 @@ def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
 def lambda_bar_from_adjacency(graph: Graph) -> float:
     """Same gap via adjacency eigenvalues: max |mu_i| / d over i >= 2."""
     d = _regular_degree(graph)
-    mu = eig_symmetric(graph.adjacency).eigenvalues  # descending, mu[0] = d
+    # descending, mu[0] = d
+    mu = eig_symmetric(graph.adjacency, vectors=False).eigenvalues
     return float(np.max(np.abs(mu[1:])) / d)
 
 
@@ -723,7 +725,7 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
         n = g.n
         p = 2.0 * g.m / (n * n)
         pn = p * n
-        spec = eig_symmetric(g.adjacency)
+        spec = eig_symmetric(g.adjacency, vectors=False)
         mu1 = float(spec.eigenvalues[0])
         sigma2 = spec.sigma2
         rng = np.random.default_rng([seed, idx])

@@ -70,6 +70,13 @@ def _record_failure(failures: list, limit: int = 50, **info) -> None:
         failures.append(info)
 
 
+def _check_max_k(max_k: int) -> None:
+    """Refuse a tightness range before any of its max_k - 1 eigensolves."""
+    if max_k < 2:
+        raise ValueError(f"max_k must be at least 2, got {max_k}")
+    _require_order(2 * max_k)
+
+
 def check_tightness_family(max_k: int = 64) -> dict:
     """Closed-form eigenvalue and discrepancy claims for the 2k x 2k family."""
     failures: list = []
@@ -77,12 +84,10 @@ def check_tightness_family(max_k: int = 64) -> dict:
     max_struct = 0.0
     max_exact_gap = 0.0
     min_combined_margin = math.inf
-    if max_k < 2:
-        raise ValueError(f"max_k must be at least 2, got {max_k}")
-    _require_order(2 * max_k)  # before the loop's max_k - 1 eigensolves
+    _check_max_k(max_k)
     for k in range(2, max_k + 1):
         mat = tightness_matrix(k)
-        spec = eig_symmetric(mat)
+        spec = eig_symmetric(mat, vectors=False)
         mu2 = float(spec.eigenvalues[1])
         target = 2.0 * harmonic_number(k)
         margin = mu2 - target
@@ -246,7 +251,7 @@ def check_compression(trials: int = 200, seed: int = 4) -> dict:
             vals = rng.normal(size=k) + 1j * rng.normal(size=k)
         x = vals[part.labels]
         compressed = quotient_compress(mat, part)
-        sigma1 = eig_symmetric(compressed).sigma1
+        sigma1 = eig_symmetric(compressed, vectors=False).sigma1
         lhs = abs(complex(np.vdot(x, mat.a @ x)).real)
         rhs = sigma1 * float(np.vdot(x, x).real)
         min_margin = min(min_margin, rhs - lhs)
@@ -365,11 +370,12 @@ def check_block_matrices(primes: tuple[int, ...] = (13, 17, 19)) -> dict:
         if rayleigh_gap > 1e-8:
             _record_failure(failures, kind="rayleigh", p=p,
                             closed=closed, direct=direct)
-        disc_upper = eig_symmetric(SymmetricMatrix(a - rho_prime(mat))).sigma1
+        disc_upper = eig_symmetric(SymmetricMatrix(a - rho_prime(mat)),
+                                   vectors=False).sigma1
         if disc_upper > 12.0 * p:
             _record_failure(failures, kind="disc_cap", p=p,
                             value=disc_upper)
-        mu2 = float(eig_symmetric(mat).eigenvalues[1])
+        mu2 = float(eig_symmetric(mat, vectors=False).eigenvalues[1])
         mu2_floor = 0.5 * p * math.log(plan.k)
         per_prime.append({
             "p": p,
@@ -488,6 +494,10 @@ def run_suite(*, max_k: int = 64, max_p: int | None = None,
     if quick:
         max_k = min(max_k, 12)
         samples = min(samples, 1000)
+    # every parameter is checked before the first check runs
+    _check_max_k(max_k)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     residue_primes = tuple(
         p for p in (13, 101, 199) if max_p is None or p <= max_p)
     block_primes = tuple(

@@ -40,26 +40,104 @@ def test_array_is_read_only():
         m.a[0, 0] = 5.0
 
 
-def test_hermitian_accepted():
+#: eig_symmetric's two routes: eigh with the residual check, and eigvalsh
+#: with the trace identities
+ROUTES = pytest.mark.parametrize("vectors", [True, False],
+                                 ids=["vectors", "values"])
+
+
+@ROUTES
+def test_hermitian_accepted(vectors):
     a = np.array([[1.0, 1j], [-1j, 2.0]])
     m = SymmetricMatrix(a)
     assert m.is_complex
-    spec = eig_symmetric(m)
+    spec = eig_symmetric(m, vectors=vectors)
     # eigenvalues of [[1, i], [-i, 2]] are (3 +- sqrt(5)) / 2
     expected = np.array([(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2])
     assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
+    assert (spec.eigenvectors is None) == (spec.max_residual is None) == (not vectors)
 
 
-def test_eigh_against_jacobi_oracle():
+@ROUTES
+def test_eigh_against_jacobi_oracle(vectors):
     """LAPACK route must agree with an independent Jacobi iteration."""
     rng = np.random.default_rng(42)
     for trial in range(20):
         n = int(rng.integers(2, 9))
         m = rng.normal(size=(n, n))
         sym = SymmetricMatrix((m + m.T) / 2.0)
-        ours = eig_symmetric(sym).eigenvalues
+        ours = eig_symmetric(sym, vectors=vectors).eigenvalues
         oracle = jacobi_eigenvalues(sym.a)
         assert np.abs(ours - oracle).max() < 1e-9, f"trial {trial}"
+
+
+def _mutate(w: np.ndarray, mutation: str) -> np.ndarray:
+    """Ascending eigenvalues w with one defect each identity must catch."""
+    w = w.copy()
+    step = 1e-6 * float(np.abs(w).max())
+    if mutation == "perturbed":  # the sums
+        w[len(w) // 2] += step
+    elif mutation == "dropped":  # the count and the sums
+        w = np.delete(w, np.argmax(np.abs(w)))
+    elif mutation == "balanced":  # the sum of squares alone
+        w[0] -= step
+        w[-1] += step
+    else:  # "zero-added": the count alone
+        w = np.append(w, 0.0)
+    return w
+
+
+@pytest.mark.parametrize("kind", ["real", "hermitian"])
+@pytest.mark.parametrize("mutation",
+                         ["perturbed", "dropped", "balanced", "zero-added"])
+def test_values_only_check_catches_a_wrong_eigenvalue(monkeypatch, kind,
+                                                      mutation):
+    """eigvalsh patched to return one eigenvalue moved by 1e-6 * sigma1,
+    the largest in modulus dropped, two moved apart with the sum kept, or
+    an extra 0: the identity check rejects each."""
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(40, 40))
+    if kind == "hermitian":
+        m = m + 1j * rng.normal(size=(40, 40))
+    mat = SymmetricMatrix((m + m.conj().T) / 2.0)
+    eig_symmetric(mat, vectors=False)  # the unpatched solver passes
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: _mutate(eigvalsh(a), mutation))
+    with pytest.raises(NoConvergenceError):
+        eig_symmetric(mat, vectors=False)
+
+
+def test_values_only_identities_edge_cases(monkeypatch):
+    """An all-zero matrix passes with tolerance 0; NaN and inf fail."""
+    zero = eig_symmetric(SymmetricMatrix(np.zeros((3, 3))), vectors=False)
+    assert zero.eigenvalues.tolist() == [0.0, 0.0, 0.0]
+    mat = SymmetricMatrix(np.diag([2.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, bad=bad: np.array([-1.0, bad]))
+        with pytest.raises(NoConvergenceError):
+            eig_symmetric(mat, vectors=False)
+
+
+def test_values_only_memory():
+    """Without eigenvectors no n x n array is allocated: tracemalloc sees
+    under n^2 * 8 bytes at n = 800, where the eigenvectors, A v and the
+    residual of the full route take about three times that."""
+    n = 800
+    m = np.random.default_rng(8).normal(size=(n, n))
+    mat = SymmetricMatrix(m + m.T)
+    del m
+    peaks = {}
+    for vectors in (True, False):
+        tracemalloc.start()
+        try:
+            eig_symmetric(mat, vectors=vectors)
+            _, peaks[vectors] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[False] < n * n * 8
+    assert peaks[True] > 2 * n * n * 8
 
 
 def test_spectrum_fields_and_residual():

@@ -53,6 +53,22 @@ def test_complete_graph_gap_both_routes():
     assert abs(via_laplacian - via_adjacency) <= 1e-12
 
 
+def test_regular_laplacian_built_from_the_mask():
+    """Chung's gap on a regular graph leaves Graph.adjacency unbuilt, and
+    its eigenvalues match numpy's eigvalsh of I - A/d formed from the
+    edge list."""
+    g = qpt_graph(101, 25)
+    spec = laplacian_spectrum(g)
+    rep = chung_alpha_check(g, mode="sampled", samples=200)
+    assert "adjacency" not in g.__dict__
+    assert rep.params["lambda_bar"] == spec.lambda_bar
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u - 1, v - 1] = a[v - 1, u - 1] = 1.0
+    oracle = np.linalg.eigvalsh(np.eye(g.n) - a / spec.degree)
+    assert np.abs(np.array(spec.lambdas) - oracle).max() <= 1e-12
+
+
 def test_laplacian_rejects():
     with pytest.raises(NotRegularError):
         laplacian_spectrum(star_graph(3))

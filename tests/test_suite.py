@@ -7,6 +7,7 @@ from conftest import dense_codegrees
 
 from matdisc import suite
 from matdisc.constructions import block_matrix, block_plan, qpt_graph
+from matdisc.errors import TooManyVerticesError
 from matdisc.graphs import Graph
 from matdisc.suite import (
     _circulant_codegrees,
@@ -115,3 +116,21 @@ def test_certificate_headline_verdict_read_from_the_certificate(monkeypatch):
                                    "sigma2": cert.sigma2,
                                    "bound": cert.sigma2 / 2.0}]
     assert report["min_headline_margin"] == -cert.sigma2 / 2.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 0}, {"samples": -1}, {"samples": 0, "quick": True},
+    {"max_k": 1}, {"max_k": 5001}, {"max_p": 11},
+], ids=["samples-0", "samples-minus-1", "quick-samples-0", "max-k-1",
+        "max-k-over-cap", "max-p-11"])
+def test_run_suite_checks_parameters_before_any_check(monkeypatch, kwargs):
+    """A bad parameter is refused before the first check runs, whichever
+    check would have used it."""
+    def ran(*args, **kw):
+        raise AssertionError("a check ran before the parameters were checked")
+
+    for name in vars(suite).copy():
+        if name.startswith("check_"):
+            monkeypatch.setattr(suite, name, ran)
+    with pytest.raises((ValueError, TooManyVerticesError)):
+        run_suite(**kwargs)
