@@ -149,8 +149,8 @@ def _cmd_construct(args) -> tuple[dict, dict, str, int]:
 def _search_timing(disc: DiscResult, stage_seconds: dict) -> dict:
     """The report's timing block: the exact scan's work counters and the
     seconds of each stage."""
-    return {"disc_batches": disc.batches, "disc_rows_sorted": disc.rows_sorted,
-            "stage_seconds": stage_seconds}
+    return {"disc_batches": disc.batches, "disc_workers": disc.workers,
+            "disc_rows_sorted": disc.rows_sorted, "stage_seconds": stage_seconds}
 
 
 def _disc_for(mat: SymmetricMatrix, args, stage_seconds: dict) -> DiscResult:

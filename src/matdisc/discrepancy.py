@@ -51,6 +51,35 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    the top down, stays clear when some extension, read off running sums
    of that list's smallest or largest entries, reaches the tie floor.
 
+Fixed costs. A search of one or a few batches (n <= 19 at b = 17) spends
+as much on set-up as on scanning, so two costs are kept off it.
+
+- Buffers. The float arrays a search fills in full, ||low||^2 and each
+  worker's bounds (2^b each) and gathered half-table rows (two of
+  max(SEED_ROWS, SCORE_ROWS) n each), come from one process-wide pool,
+  _POOL, guarded by a lock. They go back to it when the search ends,
+  also on error. Fresh arrays of that size are faulted in page by page
+  on every search: 100 to 900 minor page faults a search at n = 15 to
+  19 on the calling thread, and n = 16 and 17 searches took 1.3 to 2
+  times as long with them (2-CPU x86-64 host). The pool hands out
+  slices of buffers of POOL_FLOATS = 2^DEFAULT_BATCH_BITS floats (1 MiB)
+  whatever the order, so it never holds more buffers than were in use
+  at once (1 + 3 workers a search), and no set per order. A reused
+  buffer is not zeroed: a search writes every entry it reads first. A
+  batch_bits above the default gets fresh, unpooled bound arrays.
+- Threads. A worker thread costs more than it saves while it has few
+  batches to take: on the same host two workers took 1.1 to 1.3 times
+  as long as one at n = 18 and 19 (2 and 4 batches), and 0.75 to 0.96
+  times at n = 21 and 22 (16 and 32). A search runs at most one worker
+  per BATCHES_PER_WORKER batches, at most `threads`, and at least one;
+  at b = 17, n <= 19 runs on the calling thread and n >= 20 fans out.
+
+A centred matrix whose entries are all at most TIE_RTOL / (2n) in
+magnitude, such as a zero one, is not scanned: no pair value can leave
+the tie band of 0, so the tie rule gives X = Y = {1}, and that pair's
+value, at once. Scanned, such a matrix prunes no row; it was the
+slowest input.
+
 The exact disc1 search walks the same batches. Its edge counts e(X) =
 1_X^T (A/2) 1_X are the other subset form: _subset_forms tables them
 for the low rows from A/2 in place of G. Every search hands its
@@ -94,6 +123,11 @@ PRUNE_RTOL = 1e-9
 SEED_ROWS = 64
 #: rows a batch gathers at once to test and score, which bounds its memory
 SCORE_ROWS = 4096
+#: floats in each buffer of the exact scan's pool (1 MiB): a 2^b table
+#: at the default batch size
+POOL_FLOATS = 1 << DEFAULT_BATCH_BITS
+#: an exact search runs at most one worker thread per this many batches
+BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +136,11 @@ class DiscResult:
 
     In exact mode the value is the true maximum; in heuristic mode it is
     a lower bound attained at the reported witnesses. For the single-set
-    disc1 search, witness_Y mirrors witness_X. batches and rows_sorted
-    count the exact scan's work (batches of X masks, and X rows sorted
-    after pruning); they depend on thread timing, so they stay out of
+    disc1 search, witness_Y mirrors witness_X. batches, rows_sorted and
+    workers count the exact scan's work (batches of X masks, X rows
+    sorted after pruning, and the threads that scanned the batches; 0
+    when nothing was scanned). They describe the run, not its result,
+    and rows_sorted depends on thread timing, so they stay out of
     to_json_dict.
     """
 
@@ -115,6 +151,7 @@ class DiscResult:
     evaluations: int
     batches: int = 0
     rows_sorted: int = 0
+    workers: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,10 +249,13 @@ def _prefix_extremes(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _subset_forms(Q: np.ndarray) -> np.ndarray:
+def _subset_forms(Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1_X^T Q 1_X for every bitmask X of the symmetric Q's order, doubled
-    in one dimension: out[2^k + X] = out[X] + 2 sum_(i in X) Q[i, k] + Q[k, k]."""
-    out = np.zeros(1 << len(Q))
+    in one dimension: out[2^k + X] = out[X] + 2 sum_(i in X) Q[i, k] + Q[k, k],
+    written into `out` when one is given."""
+    if out is None:
+        out = np.empty(1 << len(Q))
+    out[0] = 0.0
     for k in range(len(Q)):
         half = 1 << k
         grown = _subset_sums(2.0 * Q[:k, k], out[half:2 * half])
@@ -230,6 +270,41 @@ def _subset_sizes(bits: int) -> np.ndarray:
     out = _subset_sums(np.ones(bits)).astype(np.uint8)
     out.flags.writeable = False
     return out
+
+
+class _BufferPool:
+    """Float64 buffers of POOL_FLOATS entries, kept between exact searches
+    so that their pages are faulted in once (see the module docstring)."""
+
+    def __init__(self):
+        self.free = []
+        self._lock = threading.Lock()
+
+    def take(self, size: int, held: list) -> np.ndarray:
+        """The first `size` entries of a free buffer, or of a new one, which
+        joins `held`; a fresh unpooled array past POOL_FLOATS. The entries
+        hold whatever their last user left."""
+        if size > POOL_FLOATS:
+            return np.empty(size)
+        with self._lock:
+            buf = self.free.pop() if self.free else np.empty(POOL_FLOATS)
+            held.append(buf)
+        return buf[:size]
+
+    def give(self, held: list) -> None:
+        """Return the buffers in `held` to the pool and empty it."""
+        with self._lock:
+            self.free.extend(held)
+            held.clear()
+
+
+_POOL = _BufferPool()
+
+
+def _worker_count(threads: int, batches: int) -> int:
+    """Worker threads for a scan of `batches` batches: at most one per
+    BATCHES_PER_WORKER batches and at most `threads`, at least one."""
+    return max(1, min(threads, batches // BATCHES_PER_WORKER))
 
 
 class _Batches:
@@ -263,32 +338,41 @@ def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 class _ExactScan:
-    """One exact search: the half tables and squared norms of the low
-    rows' subset sums, and the running lower bound L on disc, which the
-    batches share under a lock."""
+    """One exact search over `batches`: the half tables and squared norms
+    of the low rows' subset sums, and the running lower bound L on disc,
+    which the batches share under a lock. Its float buffers come from
+    _POOL; release() returns them."""
 
-    def __init__(self, M: np.ndarray, batch_bits: int):
+    def __init__(self, M: np.ndarray, batches: _Batches):
         self.M = M
-        self.batches = _Batches(M.shape[0], batch_bits)
-        bits = self.batches.bits
+        self.batches = batches
+        bits = batches.bits
         self.split = (bits + 1) // 2
         self.half_lo = _subset_sums(M[:self.split])
         self.half_hi = _subset_sums(M[self.split:bits])
-        self.low_norm2 = _subset_forms(M[:bits] @ M[:bits].T)
+        self.held = []
+        self.low_norm2 = _subset_forms(M[:bits] @ M[:bits].T,
+                                       _POOL.take(1 << bits, self.held))
         self.L = 0.0
         self._lock = threading.Lock()
-        self._todo = iter(self.batches.highs)
+        self._todo = iter(batches.highs)
+
+    def release(self) -> None:
+        """Return the pool buffers of this search; call once no worker runs."""
+        _POOL.give(self.held)
 
     def run(self, parts: list) -> None:
         """Scan the batches left in the shared queue into parts[h], all
-        with one bound buffer, until none is left."""
-        out = np.empty(1 << self.batches.bits)
+        with one bound buffer and two gather buffers, until none is left."""
+        width = max(SEED_ROWS, SCORE_ROWS) * self.M.shape[0]
+        buffers = [_POOL.take(1 << self.batches.bits, self.held),
+                   _POOL.take(width, self.held), _POOL.take(width, self.held)]
         while True:
             with self._lock:
                 h = next(self._todo, None)
             if h is None:
                 return
-            parts[h] = self.batch(h, out)
+            parts[h] = self.batch(h, *buffers)
 
     def _raise_to(self, vals: np.ndarray) -> None:
         if vals.size:
@@ -301,9 +385,11 @@ class _ExactScan:
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
-    def batch(self, h: int, out: np.ndarray) -> tuple:
+    def batch(self, h: int, out: np.ndarray, lo_rows: np.ndarray,
+              hi_rows: np.ndarray) -> tuple:
         """Scan the X masks whose high part is h, with the bound of every
-        row written into `out`.
+        row written into `out`, and the half-table rows of the rows it
+        scores gathered into lo_rows and hi_rows.
 
         Returns (masks, values, rows_sorted): masks and values are the
         rows that can still tie the maximum and beat every such row at a
@@ -329,8 +415,13 @@ class _ExactScan:
 
         def score(low):
             """The low masks that pass the sign-split bound, and their values."""
-            S = self.half_lo[low & ((1 << split) - 1)]
-            pos = half_hi[low >> split]
+            n = self.M.shape[0]
+            # np.take buffers `out` under its default mode="raise"; every
+            # index is in range, so "clip" gathers in place.
+            S = np.take(self.half_lo, low & ((1 << split) - 1), axis=0, mode="clip",
+                        out=lo_rows[:low.size * n].reshape(-1, n))
+            pos = np.take(half_hi, low >> split, axis=0, mode="clip",
+                          out=hi_rows[:low.size * n].reshape(-1, n))
             S += pos
             np.maximum(S, 0.0, out=pos)
             pos2 = np.einsum("ij,ij->i", pos, pos)
@@ -382,22 +473,32 @@ def _search_exact(
     batch_bits: int,
 ) -> DiscResult:
     n = M.shape[0]
-    scan = _ExactScan(M, batch_bits)
-    batches = scan.batches
+    evaluations = ((1 << n) - 1) * 2 * n
+    batches = _Batches(n, batch_bits)
+    # Every pair value is at most n max|M|, so all of them tie with 0 and
+    # the tie rule picks X = Y = {1}.
+    if n * float(np.abs(M).max()) <= TIE_RTOL / 2:
+        return _pair_result(M, np.zeros(1, dtype=np.intp), "exact", evaluations)
+    scan = _ExactScan(M, batches)
     parts = [None] * len(batches.highs)
-    workers = min(threads, len(batches.highs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(scan.run, parts) for _ in range(workers)]:
-                done.result()
-    else:
-        scan.run(parts)
+    workers = _worker_count(threads, len(batches.highs))
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as executor:
+                for done in [executor.submit(scan.run, parts)
+                             for _ in range(workers)]:
+                    done.result()
+        else:
+            scan.run(parts)
+    finally:
+        scan.release()
     cut = _tie_floor(scan.L)
     xmask = next(int(masks[vals >= cut][0])
                  for masks, vals, _ in parts if (vals >= cut).any())
-    return _pair_result(M, _mask_indices(xmask, n), "exact",
-                        ((1 << n) - 1) * 2 * n, batches=len(batches.highs),
-                        rows_sorted=sum(part[2] for part in parts))
+    return _pair_result(M, _mask_indices(xmask, n), "exact", evaluations,
+                        batches=len(batches.highs),
+                        rows_sorted=sum(part[2] for part in parts),
+                        workers=workers)
 
 
 def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:

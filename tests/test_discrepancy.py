@@ -30,7 +30,8 @@ from matdisc import (
     star_graph,
 )
 from matdisc.constructions import block_matrix, block_plan
-from matdisc.discrepancy import _ExactScan, centered_matrix
+from matdisc import discrepancy
+from matdisc.discrepancy import _Batches, _ExactScan, centered_matrix
 
 
 def brute_pairs(M):
@@ -204,12 +205,105 @@ def test_heuristic_outputs_pinned():
 
 def test_threads_do_not_change_result():
     mat = random_symmetric(np.random.default_rng(41), 10)
-    for batch_bits in (4, 17):
+    for batch_bits, workers in ((4, 3), (17, 1)):
         one = disc_exact(mat, threads=1, batch_bits=batch_bits)
         three = disc_exact(mat, threads=3, batch_bits=batch_bits)
         assert one.value == three.value
         assert one.witness_X == three.witness_X
         assert one.witness_Y == three.witness_Y
+        assert (one.workers, three.workers) == (1, workers)
+
+
+@pytest.mark.parametrize("threads, batches, workers", [
+    (2, 1, 1), (2, 2, 1), (2, 4, 1), (2, 7, 1), (2, 8, 2), (2, 32, 2),
+    (3, 8, 2), (3, 64, 3), (1, 1, 1), (1, 8, 1), (1, 128, 1),
+])
+def test_worker_count_follows_batch_count(threads, batches, workers):
+    assert discrepancy._worker_count(threads, batches) == workers
+
+
+def _same_result(got, want):
+    return (got.value, got.witness_X, got.witness_Y, got.evaluations) == \
+        (want.value, want.witness_X, want.witness_Y, want.evaluations)
+
+
+def test_search_reads_no_pool_entry_it_did_not_write(monkeypatch):
+    """Every free buffer is NaN before each search, so a table entry read
+    before it is written would surface as a NaN value or a lost row. The
+    reference scans batches of 2^4 masks, or of 2^(n - 8) past n = 12,
+    where 2^(n - 4) batches would take half a minute at n = 22."""
+    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
+    rng = np.random.default_rng(53)
+    for n, threads in ((17, 2), (9, 2), (22, 2), (12, 1)):
+        mat = random_symmetric(rng, n)
+        for buf in discrepancy._POOL.free:
+            buf.fill(np.nan)
+        got = disc_exact(mat, threads=threads)
+        want = disc_exact(mat, threads=1, batch_bits=max(4, n - 8))
+        assert _same_result(got, want)
+        if n <= 12:
+            want_val, want_x, want_y = naive_disc(mat.a)
+            assert got.value == pytest.approx(want_val, abs=1e-12)
+            assert (got.witness_X, got.witness_Y) == (want_x, want_y)
+    assert discrepancy._POOL.free
+
+
+def test_pool_holds_no_more_buffers_than_were_in_use(monkeypatch):
+    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
+    rng = np.random.default_rng(59)
+    in_use = 0
+    for n, threads in ((9, 1), (20, 2), (17, 2), (22, 3), (12, 1), (21, 2),
+                       (22, 1)):
+        got = disc_exact(random_symmetric(rng, n), threads=threads)
+        in_use = max(in_use, 1 + 3 * got.workers)
+    assert in_use == 10
+    assert len(discrepancy._POOL.free) == in_use
+    assert all(buf.shape == (discrepancy.POOL_FLOATS,)
+               for buf in discrepancy._POOL.free)
+
+
+def test_concurrent_searches_match_serial_ones():
+    """Two caller threads share the pool: each gets the results of serial
+    calls, over several rounds with a short switch interval."""
+    rng = np.random.default_rng(61)
+    mats = [[random_symmetric(rng, n) for n in (20, 9, 17)],
+            [random_symmetric(rng, n) for n in (18, 22, 12)]]
+    serial = [[disc_exact(mat, threads=2) for mat in side] for side in mats]
+
+    def searches(side):
+        return [disc_exact(mat, threads=2) for _ in range(3) for mat in side]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(searches, side) for side in mats]
+            got = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for side_got, side_want in zip(got, serial):
+        assert all(_same_result(res, side_want[i % len(side_want)])
+                   for i, res in enumerate(side_got))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_zero_centred_matrix_needs_no_scan(n):
+    """A zero centred matrix, and the float residue a constant 0.1 matrix
+    leaves (about 1e-17 an entry at most orders), is answered with the
+    tie rule's witness X = Y = {1} without a scan."""
+    for a in (np.zeros((n, n)), np.full((n, n), 0.1)):
+        mat = SymmetricMatrix(a)
+        started = time.perf_counter()
+        got = disc_exact(mat, threads=2)
+        assert time.perf_counter() - started < 0.5
+        assert got.witness_X == got.witness_Y == (1,)
+        assert got.value == disc_value_at(mat, (1,), (1,)) <= 1e-16
+        assert got.evaluations == ((1 << n) - 1) * 2 * n
+        assert (got.batches, got.rows_sorted, got.workers) == (0, 0, 0)
+        if not a.any():
+            assert got.value == 0.0
+        if n <= 8:
+            assert (got.witness_X, got.witness_Y) == naive_disc(a)[1:]
 
 
 def test_shared_lower_bound_survives_thread_switching():
@@ -224,7 +318,7 @@ def test_shared_lower_bound_survives_thread_switching():
     try:
         started = time.monotonic()
         while time.monotonic() - started < 1.0:
-            scan = _ExactScan(M, 3)
+            scan = _ExactScan(M, _Batches(12, 3))
             parts = [None] * (1 << 9)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for done in [pool.submit(scan.run, parts) for _ in range(8)]:

@@ -28,6 +28,7 @@ from matdisc import (
 )
 from matdisc import discrepancy
 from matdisc.discrepancy import (
+    _Batches,
     _best_y_for_x,
     _ExactScan,
     _prefix_extremes,
@@ -81,6 +82,7 @@ TIED_BY_ROUNDING = np.array([
 
 @hypothesis.settings(deadline=None)
 @hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=1)
+@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)  # 3 workers
 @hypothesis.given(a=small_matrices(), batch_bits=st.integers(0, 8),
                   threads=st.integers(1, 3))
 def test_exact_equals_naive_disc(a, batch_bits, threads):
@@ -122,7 +124,7 @@ def test_low_norm2_matches_full_table(case):
     got = _subset_forms(a[:b] @ a[:b].T)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * want.max())
-    assert np.array_equal(_ExactScan(a, b).low_norm2, got)
+    assert np.array_equal(_ExactScan(a, _Batches(len(a), b)).low_norm2, got)
 
 
 @hypothesis.settings(deadline=None)
@@ -148,7 +150,7 @@ def test_subset_forms_of_non_gram_matrices(b, kind, seed):
 @hypothesis.given(case=table_rows())
 def test_half_tables_match_full_table(case):
     a, b = case
-    scan = _ExactScan(a, b)
+    scan = _ExactScan(a, _Batches(len(a), b))
     split = scan.split
     assert split == (b + 1) // 2
     assert scan.half_lo.shape == (1 << split, a.shape[0])
@@ -166,6 +168,7 @@ def test_half_tables_match_full_table(case):
 
 
 @hypothesis.settings(deadline=None)
+@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)  # 3 workers
 @hypothesis.given(a=small_matrices(), batch_bits=st.integers(0, 8),
                   threads=st.integers(1, 3))
 def test_exact_equals_naive_disc_in_small_blocks(a, batch_bits, threads):
