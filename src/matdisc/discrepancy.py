@@ -69,10 +69,11 @@ as much on set-up as on scanning, so two costs are kept off it.
   batch_bits above the default gets fresh, unpooled bound arrays.
 - Threads. A worker thread costs more than it saves while it has few
   batches to take: on the same host two workers took 1.1 to 1.3 times
-  as long as one at n = 18 and 19 (2 and 4 batches), and 0.75 to 0.96
-  times at n = 21 and 22 (16 and 32). A search runs at most one worker
-  per BATCHES_PER_WORKER batches, at most `threads`, and at least one;
-  at b = 17, n <= 19 runs on the calling thread and n >= 20 fans out.
+  as long as one at n = 18 and 19 (2 and 4 batches), 0.86 to 1.26 times
+  at n = 20 (8; above 1 on most inputs), and 0.75 to 0.96 times at n = 21
+  and 22 (16 and 32). A search runs at most one worker per
+  BATCHES_PER_WORKER batches, at most `threads`, and at least one; at
+  b = 17, n <= 20 runs on the calling thread and n >= 21 fans out.
 
 A centred matrix whose entries are all at most TIE_RTOL / (2n) in
 magnitude, such as a zero one, is not scanned: no pair value can leave
@@ -127,7 +128,7 @@ SCORE_ROWS = 4096
 #: at the default batch size
 POOL_FLOATS = 1 << DEFAULT_BATCH_BITS
 #: an exact search runs at most one worker thread per this many batches
-BATCHES_PER_WORKER = 4
+BATCHES_PER_WORKER = 8
 
 
 @dataclass(frozen=True, eq=False)

@@ -215,8 +215,8 @@ def test_threads_do_not_change_result():
 
 
 @pytest.mark.parametrize("threads, batches, workers", [
-    (2, 1, 1), (2, 2, 1), (2, 4, 1), (2, 7, 1), (2, 8, 2), (2, 32, 2),
-    (3, 8, 2), (3, 64, 3), (1, 1, 1), (1, 8, 1), (1, 128, 1),
+    (2, 1, 1), (2, 2, 1), (2, 4, 1), (2, 7, 1), (2, 8, 1), (2, 15, 1), (2, 16, 2),
+    (2, 32, 2), (3, 8, 1), (3, 16, 2), (3, 64, 3), (1, 1, 1), (1, 8, 1), (1, 128, 1),
 ])
 def test_worker_count_follows_batch_count(threads, batches, workers):
     assert discrepancy._worker_count(threads, batches) == workers

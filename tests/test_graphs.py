@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from matdisc import (
     vol,
     write_graph,
 )
+from matdisc import graphs
 from matdisc.graphs import MAX_VERTICES
 
 
@@ -136,17 +139,63 @@ def test_write_read_round_trip(tmp_path):
     assert back.n == g.n and back.edges == g.edges
 
 
-@pytest.mark.parametrize("graph", [
-    Graph(5, []), Graph(1, []), complete_graph(6), qpt_graph(101, 25),
-    qpt_graph(499, 124),
-], ids=["edgeless", "one-vertex", "K6", "Q101-25", "Q499-124"])
-def test_write_graph_matches_savetxt(tmp_path, graph):
+def _assert_writes_like_savetxt(graph, tmp_path):
     ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
     write_graph(graph, ours)
     reference_write_graph(graph, ref)
     assert ours.read_bytes() == ref.read_bytes()
-    back = read_graph(ours)
+    return ours
+
+
+# orders at digit boundaries: the cycle's edges (i, i + 1) and (1, n) put
+# every label on both sides of a line, the star's put 1 first on each
+BOUNDARY_ORDERS = (9, 10, 99, 100, 999, 1000)
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(5, []), Graph(1, []), complete_graph(6), qpt_graph(101, 25),
+    qpt_graph(499, 124),
+    *(cycle_graph(n) for n in BOUNDARY_ORDERS),
+    *(star_graph(n - 1) for n in BOUNDARY_ORDERS),
+], ids=["edgeless", "one-vertex", "K6", "Q101-25", "Q499-124",
+        *(f"C{n}" for n in BOUNDARY_ORDERS), *(f"star{n}" for n in BOUNDARY_ORDERS)])
+def test_write_graph_matches_savetxt(tmp_path, graph):
+    back = read_graph(_assert_writes_like_savetxt(graph, tmp_path))
     assert back.n == graph.n and back.edges == graph.edges
+
+
+def test_label_table_spells_every_label():
+    """Each word is the label's digits, then ' ' on a line's first label
+    or a newline on its second, padded with zero bytes to 8."""
+    table = graphs._label_table(MAX_VERTICES)
+    assert table.shape == (2, MAX_VERTICES + 1) and table.dtype == np.uint64
+    got = table.view(np.uint8).reshape(2, MAX_VERTICES + 1, 8)[:, 1:]
+    for side, sep in enumerate((" ", "\n")):
+        want = b"".join(f"{i}{sep}".encode().ljust(8, b"\0")
+                        for i in range(1, MAX_VERTICES + 1))
+        assert got[side].tobytes() == want
+
+
+@pytest.mark.parametrize("block", [1, 5, 37, 400])
+def test_write_graph_across_many_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(graphs, "WRITE_BLOCK", block)
+    for graph in (complete_graph(12), gnp_random_graph(40, 0.3, np.random.default_rng(5)),
+                  qpt_graph(101, 25), Graph(30, [(29, 30)])):
+        _assert_writes_like_savetxt(graph, tmp_path)
+
+
+def test_write_graph_memory_is_bounded_by_the_block(tmp_path):
+    """Q(1999, 999) has about a million edges; the block bounds what the
+    writer holds beside the mask (one Python object per label made
+    about 107 MiB)."""
+    graph = qpt_graph(1999, 999)
+    tracemalloc.start()
+    try:
+        write_graph(graph, tmp_path / "q.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_read_graph_rejects(tmp_path):
