@@ -185,9 +185,8 @@ def test_write_graph_across_many_blocks(tmp_path, monkeypatch, block):
 
 
 def test_write_graph_memory_is_bounded_by_the_block(tmp_path):
-    """Q(1999, 999) has about a million edges; the block bounds what the
-    writer holds beside the mask (one Python object per label made
-    about 107 MiB)."""
+    """Q(1999, 999) has about a million edges; what the writer holds
+    beside the mask is bounded by the block, not by m."""
     graph = qpt_graph(1999, 999)
     tracemalloc.start()
     try:
