@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> tuple[dict, dict, str, int]:
     stage_seconds: dict = {}
     disc = _disc_for(mat, args, stage_seconds)
     started = time.perf_counter()
-    spectrum = eig_symmetric(mat, vectors=False)
+    spectrum = eig_symmetric(mat)
     stage_seconds["eig"] = time.perf_counter() - started
     n = mat.n
     sigma2 = spectrum.sigma2 if n >= 2 else None

@@ -97,20 +97,14 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues of a symmetric matrix, with the eigenvectors when asked.
+    """Eigenvalues of a symmetric matrix.
 
     eigenvalues      : real, non-increasing
     singular_values  : eigenvalue moduli, non-increasing
-    eigenvectors     : orthonormal columns, eigenvectors[:, i] pairs with
-                       eigenvalues[i]; None from eig_symmetric(A, vectors=False)
-    max_residual     : max over i of ||A v_i - mu_i v_i||_2; None without
-                       eigenvectors
     """
 
     eigenvalues: np.ndarray
     singular_values: np.ndarray
-    eigenvectors: np.ndarray | None
-    max_residual: float | None
 
     @property
     def sigma1(self) -> float:
@@ -146,55 +140,68 @@ def _check_eigenvalues(A: SymmetricMatrix, w: np.ndarray, sigma1: float) -> None
         )
 
 
-def eig_symmetric(A: SymmetricMatrix, *, vectors: bool = True) -> Spectrum:
-    """Eigenvalues of A, and with vectors=True its eigenvectors, checked.
-
-    With vectors (np.linalg.eigh) the check is the residual: at most
-    RESIDUAL_REL_TOL times sigma1 for every pair.  Without
-    (np.linalg.eigvalsh, no n x n array beyond LAPACK's copy of A) it is
-    _check_eigenvalues, and eigenvectors and max_residual are None.
-    Raises NoConvergenceError if the solver fails or the check does.
-    """
+def _solve(solver, A: SymmetricMatrix):
+    """solver(A.a), its LinAlgError raised as NoConvergenceError."""
     try:
-        if vectors:
-            w, v = np.linalg.eigh(A.a)
-        else:
-            w = np.linalg.eigvalsh(A.a)
+        return solver(A.a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+
+
+def _spectrum(A: SymmetricMatrix, w: np.ndarray) -> Spectrum:
+    """The Spectrum of A from its ascending eigenvalues w, checked by
+    _check_eigenvalues."""
     w = np.ascontiguousarray(w[::-1])
     sing = np.ascontiguousarray(np.sort(np.abs(w))[::-1])
-    sigma1 = float(sing[0])
-    if not vectors:
-        _check_eigenvalues(A, w, sigma1)
-        for arr in (w, sing):
-            arr.setflags(write=False)
-        return Spectrum(eigenvalues=w, singular_values=sing,
-                        eigenvectors=None, max_residual=None)
-    v = np.ascontiguousarray(v[:, ::-1])
-    res = A.a @ v - v * w[None, :]
-    max_residual = float(np.sqrt((np.abs(res) ** 2).sum(axis=0)).max())
-    # written so that NaN anywhere fails the check rather than slipping
-    # through a False comparison
-    ok = (max_residual <= RESIDUAL_REL_TOL * sigma1
-          or (sigma1 == 0.0 and max_residual == 0.0))
-    if not ok:
-        raise NoConvergenceError(
-            f"residual {max_residual:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * sigma1"
-        )
-    for arr in (w, sing, v):
+    _check_eigenvalues(A, w, float(sing[0]))
+    for arr in (w, sing):
         arr.setflags(write=False)
-    return Spectrum(
-        eigenvalues=w,
-        singular_values=sing,
-        eigenvectors=v,
-        max_residual=max_residual,
-    )
+    return Spectrum(eigenvalues=w, singular_values=sing)
+
+
+def eig_symmetric(A: SymmetricMatrix) -> Spectrum:
+    """Eigenvalues of A, checked.
+
+    np.linalg.eigvalsh allocates no n x n array beyond LAPACK's copy of A;
+    its values must pass _check_eigenvalues.  Raises NoConvergenceError
+    if the solver fails or the check does.
+    """
+    return _spectrum(A, _solve(np.linalg.eigvalsh, A))
+
+
+def _top_eigenpair(A: SymmetricMatrix) -> tuple[Spectrum, np.ndarray]:
+    """The spectrum of A and a unit eigenvector x for an eigenvalue mu of
+    largest modulus, from one eigh call.
+
+    x is the column of the largest eigenvalue, or of the smallest when
+    that one is larger in modulus.  The values pass _check_eigenvalues,
+    and x passes ||A x - mu x|| <= RESIDUAL_REL_TOL * sigma1 (a zero
+    residual passes at sigma1 = 0); the other columns are not read.
+    Raises NoConvergenceError if the solver fails or a check does.
+    """
+    w, v = _solve(np.linalg.eigh, A)
+    spectrum = _spectrum(A, w)
+    top, bottom = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+    # eigh's columns ascend with its values: the largest value's is the last
+    if abs(top) >= abs(bottom):
+        mu, x = top, v[:, -1].copy()
+    else:
+        mu, x = bottom, v[:, 0].copy()
+    x /= float(np.linalg.norm(x))
+    residual = float(np.linalg.norm(A.a @ x - mu * x))
+    sigma1 = spectrum.sigma1
+    # written so that a NaN residual fails rather than slipping through
+    if not (residual <= RESIDUAL_REL_TOL * sigma1
+            or (sigma1 == 0.0 and residual == 0.0)):
+        raise NoConvergenceError(
+            f"residual {residual:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * sigma1"
+        )
+    return spectrum, x
 
 
 def singular_values(A: SymmetricMatrix) -> np.ndarray:
     """Eigenvalue moduli in non-increasing order."""
-    return eig_symmetric(A, vectors=False).singular_values
+    return eig_symmetric(A).singular_values
 
 
 def rho_prime(A: SymmetricMatrix) -> float:

@@ -29,7 +29,7 @@ from .errors import (
     NotNormalizedError,
 )
 from .graphs import _vertex_indices
-from .linalg import SymmetricMatrix, eig_symmetric, rho_prime
+from .linalg import SymmetricMatrix, _top_eigenpair, eig_symmetric, rho_prime
 
 CERT_EPSILON = 1.0 / 3.0
 LINK_TOL = 1e-8
@@ -403,18 +403,12 @@ def certify_sigma2(
         disc = disc_exact(A)
         lap("disc")
 
-    spectrum_a = eig_symmetric(A, vectors=False)
+    spectrum_a = eig_symmetric(A)
     sigma2 = spectrum_a.sigma2
     lap("eig_A")
     B = SymmetricMatrix(A.a - rho_prime(A))
-    spectrum_b = eig_symmetric(B)
+    spectrum_b, x = _top_eigenpair(B)
     sigma1_b = spectrum_b.sigma1
-    w = spectrum_b.eigenvalues
-    if abs(w[0]) >= abs(w[-1]):
-        x = spectrum_b.eigenvectors[:, 0].copy()
-    else:
-        x = spectrum_b.eigenvectors[:, -1].copy()
-    x /= float(np.linalg.norm(x))
     lap("eig_B")
 
     qy = quantize(x, p=2.0, epsilon=CERT_EPSILON)
@@ -423,7 +417,7 @@ def certify_sigma2(
     C = quotient_compress(B, partition)
     byy = float(qy.y @ B.a @ qy.y)
     lap("compress")
-    sigma1_c = eig_symmetric(C, vectors=False).sigma1
+    sigma1_c = eig_symmetric(C).sigma1
     lap("eig_C")
     abs_c = np.abs(C.a)
     max_c = float(abs_c.max())

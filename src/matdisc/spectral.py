@@ -120,7 +120,7 @@ def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
     d = _regular_degree(graph)
     # from the boolean mask: True / d is 1.0 / d, so no float64 adjacency
     lap = np.eye(graph.n) - graph._mask / d
-    spec = eig_symmetric(SymmetricMatrix(lap), vectors=False)
+    spec = eig_symmetric(SymmetricMatrix(lap))
     ascending = spec.eigenvalues[::-1]
     lam_bar = float(np.max(np.abs(1.0 - ascending[1:])))
     return LaplacianSpectrum(
@@ -135,7 +135,7 @@ def lambda_bar_from_adjacency(graph: Graph) -> float:
     """Same gap via adjacency eigenvalues: max |mu_i| / d over i >= 2."""
     d = _regular_degree(graph)
     # descending, mu[0] = d
-    mu = eig_symmetric(graph.adjacency, vectors=False).eigenvalues
+    mu = eig_symmetric(graph.adjacency).eigenvalues
     return float(np.max(np.abs(mu[1:])) / d)
 
 
@@ -725,7 +725,7 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
         n = g.n
         p = 2.0 * g.m / (n * n)
         pn = p * n
-        spec = eig_symmetric(g.adjacency, vectors=False)
+        spec = eig_symmetric(g.adjacency)
         mu1 = float(spec.eigenvalues[0])
         sigma2 = spec.sigma2
         rng = np.random.default_rng([seed, idx])

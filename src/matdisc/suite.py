@@ -87,7 +87,7 @@ def check_tightness_family(max_k: int = 64) -> dict:
     _check_max_k(max_k)
     for k in range(2, max_k + 1):
         mat = tightness_matrix(k)
-        spec = eig_symmetric(mat, vectors=False)
+        spec = eig_symmetric(mat)
         mu2 = float(spec.eigenvalues[1])
         target = 2.0 * harmonic_number(k)
         margin = mu2 - target
@@ -251,7 +251,7 @@ def check_compression(trials: int = 200, seed: int = 4) -> dict:
             vals = rng.normal(size=k) + 1j * rng.normal(size=k)
         x = vals[part.labels]
         compressed = quotient_compress(mat, part)
-        sigma1 = eig_symmetric(compressed, vectors=False).sigma1
+        sigma1 = eig_symmetric(compressed).sigma1
         lhs = abs(complex(np.vdot(x, mat.a @ x)).real)
         rhs = sigma1 * float(np.vdot(x, x).real)
         min_margin = min(min_margin, rhs - lhs)
@@ -370,12 +370,11 @@ def check_block_matrices(primes: tuple[int, ...] = (13, 17, 19)) -> dict:
         if rayleigh_gap > 1e-8:
             _record_failure(failures, kind="rayleigh", p=p,
                             closed=closed, direct=direct)
-        disc_upper = eig_symmetric(SymmetricMatrix(a - rho_prime(mat)),
-                                   vectors=False).sigma1
+        disc_upper = eig_symmetric(SymmetricMatrix(a - rho_prime(mat))).sigma1
         if disc_upper > 12.0 * p:
             _record_failure(failures, kind="disc_cap", p=p,
                             value=disc_upper)
-        mu2 = float(eig_symmetric(mat, vectors=False).eigenvalues[1])
+        mu2 = float(eig_symmetric(mat).eigenvalues[1])
         mu2_floor = 0.5 * p * math.log(plan.k)
         per_prime.append({
             "p": p,

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from matdisc import (
     singular_values,
     write_matrix,
 )
+from matdisc.linalg import _top_eigenpair
 
 
 def test_rejects_asymmetric():
@@ -40,33 +42,33 @@ def test_array_is_read_only():
         m.a[0, 0] = 5.0
 
 
-#: eig_symmetric's two routes: eigh with the residual check, and eigvalsh
-#: with the trace identities
-ROUTES = pytest.mark.parametrize("vectors", [True, False],
-                                 ids=["vectors", "values"])
+#: the two eigensolves: _top_eigenpair (eigh, its values and top vector
+#: checked) and eig_symmetric (eigvalsh, its values checked)
+ROUTES = pytest.mark.parametrize(
+    "solve", [lambda m: _top_eigenpair(m)[0], eig_symmetric],
+    ids=["vectors", "values"])
 
 
 @ROUTES
-def test_hermitian_accepted(vectors):
+def test_hermitian_accepted(solve):
     a = np.array([[1.0, 1j], [-1j, 2.0]])
     m = SymmetricMatrix(a)
     assert m.is_complex
-    spec = eig_symmetric(m, vectors=vectors)
+    spec = solve(m)
     # eigenvalues of [[1, i], [-i, 2]] are (3 +- sqrt(5)) / 2
     expected = np.array([(3 + np.sqrt(5)) / 2, (3 - np.sqrt(5)) / 2])
     assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
-    assert (spec.eigenvectors is None) == (spec.max_residual is None) == (not vectors)
 
 
 @ROUTES
-def test_eigh_against_jacobi_oracle(vectors):
-    """LAPACK route must agree with an independent Jacobi iteration."""
+def test_eigh_against_jacobi_oracle(solve):
+    """Both LAPACK routes must agree with an independent Jacobi iteration."""
     rng = np.random.default_rng(42)
     for trial in range(20):
         n = int(rng.integers(2, 9))
         m = rng.normal(size=(n, n))
         sym = SymmetricMatrix((m + m.T) / 2.0)
-        ours = eig_symmetric(sym, vectors=vectors).eigenvalues
+        ours = solve(sym).eigenvalues
         oracle = jacobi_eigenvalues(sym.a)
         assert np.abs(ours - oracle).max() < 1e-9, f"trial {trial}"
 
@@ -100,57 +102,97 @@ def test_values_only_check_catches_a_wrong_eigenvalue(monkeypatch, kind,
     if kind == "hermitian":
         m = m + 1j * rng.normal(size=(40, 40))
     mat = SymmetricMatrix((m + m.conj().T) / 2.0)
-    eig_symmetric(mat, vectors=False)  # the unpatched solver passes
+    eig_symmetric(mat)  # the unpatched solver passes
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: _mutate(eigvalsh(a), mutation))
     with pytest.raises(NoConvergenceError):
-        eig_symmetric(mat, vectors=False)
+        eig_symmetric(mat)
+
+
+@pytest.mark.parametrize("kind", ["real", "hermitian"])
+@pytest.mark.parametrize("defect", ["perturbed", "dropped", "balanced",
+                                    "zero-added", "column"])
+def test_top_eigenpair_check_catches_a_wrong_pair(monkeypatch, kind, defect):
+    """eigh patched to return its eigenvalues with one of _mutate's
+    defects, or the top eigenvalue's column swapped for the next one's:
+    _top_eigenpair rejects each."""
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(40, 40))
+    if kind == "hermitian":
+        m = m + 1j * rng.normal(size=(40, 40))
+    mat = SymmetricMatrix((m + m.conj().T) / 2.0)
+    _top_eigenpair(mat)  # the unpatched solver passes
+    eigh = np.linalg.eigh
+
+    def patched(a):
+        w, v = eigh(a)
+        if defect != "column":
+            return _mutate(w, defect), v
+        top = -1 if abs(w[-1]) >= abs(w[0]) else 0
+        v = v.copy()
+        v[:, top] = v[:, top - 1 if top else 1]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+    with pytest.raises(NoConvergenceError):
+        _top_eigenpair(mat)
 
 
 def test_values_only_identities_edge_cases(monkeypatch):
     """An all-zero matrix passes with tolerance 0; NaN and inf fail."""
-    zero = eig_symmetric(SymmetricMatrix(np.zeros((3, 3))), vectors=False)
+    zero = eig_symmetric(SymmetricMatrix(np.zeros((3, 3))))
     assert zero.eigenvalues.tolist() == [0.0, 0.0, 0.0]
     mat = SymmetricMatrix(np.diag([2.0, -1.0]))
     for bad in (np.nan, np.inf):
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, bad=bad: np.array([-1.0, bad]))
         with pytest.raises(NoConvergenceError):
-            eig_symmetric(mat, vectors=False)
+            eig_symmetric(mat)
 
 
 def test_values_only_memory():
-    """Without eigenvectors no n x n array is allocated: tracemalloc sees
-    under n^2 * 8 bytes at n = 800, where the eigenvectors, A v and the
-    residual of the full route take about three times that."""
+    """eig_symmetric allocates no n x n array: tracemalloc sees under
+    n^2 * 8 bytes at n = 800.  _top_eigenpair holds eigh's n x n
+    eigenvectors and no other n x n array: under 1.5 n^2 * 8 bytes, where
+    also checking every column's residual took about three times n^2 * 8."""
     n = 800
     m = np.random.default_rng(8).normal(size=(n, n))
     mat = SymmetricMatrix(m + m.T)
     del m
     peaks = {}
-    for vectors in (True, False):
+    for solve in (eig_symmetric, _top_eigenpair):
         tracemalloc.start()
         try:
-            eig_symmetric(mat, vectors=vectors)
-            _, peaks[vectors] = tracemalloc.get_traced_memory()
+            solve(mat)
+            _, peaks[solve] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks[False] < n * n * 8
-    assert peaks[True] > 2 * n * n * 8
+    assert peaks[eig_symmetric] < n * n * 8
+    assert peaks[_top_eigenpair] < 1.5 * n * n * 8
 
 
 def test_spectrum_fields_and_residual():
     spec = eig_symmetric(all_ones(3))
+    assert [f.name for f in dataclasses.fields(spec)] == ["eigenvalues",
+                                                          "singular_values"]
     assert np.allclose(spec.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
     assert spec.sigma1 == pytest.approx(3.0)
     assert spec.sigma2 == pytest.approx(0.0, abs=1e-12)
-    assert spec.max_residual <= 1e-9 * max(spec.sigma1, 1e-300)
-    # eigenvectors actually reproduce A v = w v
-    a = all_ones(3).a
-    for j in range(3):
-        v = spec.eigenvectors[:, j]
-        assert np.linalg.norm(a @ v - spec.eigenvalues[j] * v) < 1e-12
+    # the top vector is the unit all-ones direction, up to sign
+    top, x = _top_eigenpair(all_ones(3))
+    assert np.allclose(top.eigenvalues, spec.eigenvalues, atol=1e-12)
+    assert np.linalg.norm(all_ones(3).a @ x - 3.0 * x) <= 1e-9 * top.sigma1
+    assert np.allclose(np.abs(x), 1.0 / np.sqrt(3.0))
+    # the smallest eigenvalue's column when it is larger in modulus, the
+    # largest's on a tie
+    for diag, expected in (([1.0, -3.0, 2.0], [0.0, 1.0, 0.0]),
+                           ([-2.0, 0.0, 2.0], [0.0, 0.0, 1.0])):
+        _, x = _top_eigenpair(SymmetricMatrix(np.diag(diag)))
+        assert np.abs(x).tolist() == expected
+    # sigma1 = 0 with a zero residual passes
+    zero, x = _top_eigenpair(SymmetricMatrix(np.zeros((3, 3))))
+    assert zero.sigma1 == 0.0 and np.linalg.norm(x) == pytest.approx(1.0)
 
 
 def test_singular_values_sorted_desc():
