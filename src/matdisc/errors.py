@@ -21,8 +21,8 @@ class NonSymmetricError(MatdiscError):
 
 
 class NoConvergenceError(MatdiscError):
-    """Eigensolver failed, or its output failed the check: the residual
-    of the eigenvectors, or the trace identities of eigenvalues alone."""
+    """Eigensolver failed, or its output failed the check: the trace
+    identities of the eigenvalues, or the residual of the top eigenvector."""
 
 
 class ZeroVectorError(MatdiscError):

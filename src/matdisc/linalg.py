@@ -3,6 +3,9 @@
 Everything downstream (discrepancy search, certificates, constructions)
 works with :class:`SymmetricMatrix`, a thin validated wrapper around a
 read-only numpy array, plus the handful of spectral helpers below.
+Every eigensolve is checked: eig_symmetric returns eigenvalues alone,
+and _top_eigenpair adds the one eigenvector the sigma2 certificate
+reads, checked by its residual.
 """
 
 from __future__ import annotations

@@ -33,10 +33,6 @@ from .linalg import SymmetricMatrix, _top_eigenpair, eig_symmetric, rho_prime
 
 CERT_EPSILON = 1.0 / 3.0
 LINK_TOL = 1e-8
-#: closed-form constant from the certificate chain: (4104 ln n + 10260)
-CLOSED_FORM_SLOPE = 4104.0
-CLOSED_FORM_OFFSET = 10260.0
-HEADLINE_CONSTANT = 18906.0
 
 
 def nonneg_value_ceiling(n: int, epsilon: float) -> int:
@@ -44,11 +40,43 @@ def nonneg_value_ceiling(n: int, epsilon: float) -> int:
     return math.ceil((2.0 / epsilon) * math.log(2.0 * n / epsilon))
 
 
+def _phase_slots(epsilon: float) -> int:
+    """Phase grid of the complex case: ceil(8 pi / eps) slots."""
+    return math.ceil(8.0 * math.pi / epsilon)
+
+
+def _moduli_cap(n: int, epsilon: float) -> int:
+    """Modulus budget of the signed and complex cases: ceil((4/eps) ln(4n/eps))."""
+    return math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
+
+
 def complex_value_ceiling(n: int, epsilon: float) -> int:
     """Distinct-value budget for an arbitrary complex unit vector."""
-    phases = math.ceil(8.0 * math.pi / epsilon)
-    moduli = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
-    return phases * moduli
+    return _phase_slots(epsilon) * _moduli_cap(n, epsilon)
+
+
+def _closed_form_constants(epsilon: float) -> tuple[float, float, float]:
+    """(slope, offset, headline) of the chain's budget at this epsilon.
+
+    The chain bounds sigma2 by 4.5 m disc with m at most
+    complex_value_ceiling(n, eps) = P ceil(r ln(4n/eps)), P = _phase_slots(eps),
+    r = 4/eps.  Since ceil(z) < z + 1, 4.5 m < slope ln n + offset with
+    slope = 4.5 P r and offset = 4.5 P (r ln r + 1).  From n >= 2 on,
+    offset <= offset ln n / ln 2, so slope + offset / ln 2 is a constant
+    of the headline form headline * disc * ln n.  At eps = 1/3, P = 76
+    and r = 12: slope 4104, offset 10540.06..., headline 19310.09...
+    """
+    budget = 4.5 * _phase_slots(epsilon)
+    rate = 4.0 / epsilon  # _moduli_cap's coefficient of ln n
+    slope = budget * rate
+    offset = budget * (rate * math.log(rate) + 1.0)
+    return slope, offset, slope + offset / math.log(2.0)
+
+
+#: closed form (slope ln n + offset) of the certificate chain, and the
+#: constant of its headline form
+CLOSED_FORM_SLOPE, CLOSED_FORM_OFFSET, HEADLINE_CONSTANT = (
+    _closed_form_constants(CERT_EPSILON))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +208,13 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
         y, repairs = _quantize_nonneg(xv, epsilon, ceiling, p)
     else:
         ceiling = complex_value_ceiling(n, epsilon)
-        moduli_cap = math.ceil((4.0 / epsilon) * math.log(4.0 * n / epsilon))
-        q, repairs = _quantize_nonneg(mag, epsilon / 2.0, moduli_cap, p)
+        q, repairs = _quantize_nonneg(mag, epsilon / 2.0, _moduli_cap(n, epsilon), p)
         if not is_complex:
             case = "signed"
             y = np.where(xv < 0.0, -q, q)
         else:
             case = "complex"
-            phase_slots = math.ceil(8.0 * math.pi / epsilon)
+            phase_slots = _phase_slots(epsilon)
             theta = np.angle(xv) / (2.0 * math.pi)
             theta = np.where(theta < 0.0, theta + 1.0, theta)
             theta[mag == 0.0] = 0.0
@@ -359,7 +386,7 @@ def certificate_m_ceiling(n: int) -> int:
 
 
 def closed_form_bound(n: int, disc_value: float) -> float:
-    """(4104 ln n + 10260) times the discrepancy."""
+    """(CLOSED_FORM_SLOPE ln n + CLOSED_FORM_OFFSET) times the discrepancy."""
     return (CLOSED_FORM_SLOPE * math.log(n) + CLOSED_FORM_OFFSET) * disc_value
 
 
@@ -378,6 +405,9 @@ def certify_sigma2(
     Every link is checked numerically; a violation beyond LINK_TOL
     raises CertificateLinkViolatedError, which signals a bug rather
     than a property of the input.
+    The top singular direction x of B = A - rho_prime(A) J is the unit
+    eigenvector of an eigenvalue of B of largest modulus, from
+    linalg._top_eigenpair, which checks its residual.
     A timing dict, when given, receives the seconds of each stage:
     disc (only when the search runs here), eig_A, eig_B (with the top
     singular direction), quantize, compress (the level partition, C and

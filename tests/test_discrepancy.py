@@ -262,6 +262,21 @@ def test_pool_holds_no_more_buffers_than_were_in_use(monkeypatch):
                for buf in discrepancy._POOL.free)
 
 
+def test_batches_past_the_pool_size_use_unpooled_buffers(monkeypatch):
+    """batch_bits = 18 asks for bound tables of 2^18 floats, past
+    POOL_FLOATS: they are fresh arrays that never join the pool, and the
+    search matches the default one (two batches at n = 19, one at 18)."""
+    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
+    rng = np.random.default_rng(67)
+    for n in (19, 18):
+        mat = random_symmetric(rng, n)
+        got = disc_exact(mat, batch_bits=18)
+        assert got.batches == 1 << (n - 18)
+        assert _same_result(got, disc_exact(mat))
+    assert all(buf.shape == (discrepancy.POOL_FLOATS,)
+               for buf in discrepancy._POOL.free)
+
+
 def test_concurrent_searches_match_serial_ones():
     """Two caller threads share the pool: each gets the results of serial
     calls, over several rounds with a short switch interval."""

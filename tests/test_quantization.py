@@ -25,6 +25,9 @@ from matdisc import (
     quotient_compress,
     rho_prime,
 )
+from matdisc.linalg import MAX_VERTICES
+from matdisc.quantization import (CLOSED_FORM_OFFSET, CLOSED_FORM_SLOPE,
+                                  HEADLINE_CONSTANT)
 
 
 def unit(v, p=2.0):
@@ -177,17 +180,29 @@ def test_certificate_links_random():
         assert cert.disc_is_exact
         assert cert.m_realized <= cert.m_ceiling
         assert cert.m_ceiling == certificate_m_ceiling(n)
-        assert cert.sigma2 <= cert.closed_form_bound + 1e-8 or n == 2
+        assert cert.sigma2 <= cert.closed_form_bound + 1e-8
         assert cert.headline_holds == (
             cert.sigma2 <= cert.headline_bound + 1e-8)
 
 
 def test_certificate_closed_form_numbers():
+    # 4.5 P (4/eps) and 4.5 P ((4/eps) ln(4/eps) + 1) at eps = 1/3, P = 76
     assert closed_form_bound(12, 2.0) == pytest.approx(
-        (4104.0 * math.log(12) + 10260.0) * 2.0, rel=1e-15)
+        (4104.0 * math.log(12) + 10540.056890729955) * 2.0, rel=1e-15)
     cert = certify_sigma2(SymmetricMatrix(np.eye(3)))
     assert cert.headline_bound == pytest.approx(
-        18906.0 * cert.disc.value * math.log(3), rel=1e-15)
+        19310.08780694365 * cert.disc.value * math.log(3), rel=1e-15)
+
+
+def test_closed_form_covers_the_class_budget():
+    """4.5 certificate_m_ceiling(n), the chain's budget, stays within the
+    closed form's slope ln n + offset at every order the package accepts."""
+    n = np.arange(2, MAX_VERTICES + 1)
+    budget = 4.5 * np.array([certificate_m_ceiling(int(k)) for k in n])
+    closed = CLOSED_FORM_SLOPE * np.log(n) + CLOSED_FORM_OFFSET
+    assert np.all(budget <= closed)
+    # the headline form meets the closed form at n = 2, up to rounding
+    assert np.all(closed <= HEADLINE_CONSTANT * np.log(n) + 1e-9)
 
 
 def test_certificate_heuristic_and_supplied_disc():
