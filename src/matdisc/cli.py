@@ -149,8 +149,8 @@ def _cmd_construct(args) -> tuple[dict, dict, str, int]:
 def _search_timing(disc: DiscResult, stage_seconds: dict) -> dict:
     """The report's timing block: the exact scan's work counters and the
     seconds of each stage."""
-    return {"disc_batches": disc.batches, "disc_workers": disc.workers,
-            "disc_rows_sorted": disc.rows_sorted, "stage_seconds": stage_seconds}
+    return {"disc_batches": disc.batches, "disc_rows_sorted": disc.rows_sorted,
+            "stage_seconds": stage_seconds}
 
 
 def _disc_for(mat: SymmetricMatrix, args, stage_seconds: dict) -> DiscResult:
@@ -163,7 +163,7 @@ def _disc_for(mat: SymmetricMatrix, args, stage_seconds: dict) -> DiscResult:
             raise ValueError("--heuristic needs --seed for reproducibility")
         disc = disc_heuristic(mat, iterations=args.iters, seed=args.seed)
     else:
-        disc = disc_exact(mat, threads=args.threads)
+        disc = disc_exact(mat)
     stage_seconds["disc"] = time.perf_counter() - started
     return disc
 
@@ -301,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--heuristic", action="store_true", default=False)
     search.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     search.add_argument("--seed", type=int, default=None)
-    search.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    search.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="accepted for compatibility and must be at least 1; it has no "
+             "effect, the exact scan runs on one thread")
     sub.add_parser("analyze", parents=[search],
                    help="discrepancy and spectrum of a file")
     sub.add_parser("certify", parents=[search],

@@ -24,12 +24,12 @@ share their high bits (b = min(batch_bits, n)), in four steps.
 
    an O(1) bound per row: ||low + high||^2 = ||low||^2 + 2 low.high +
    ||high||^2, with ||low||^2 tabled once per search and low.high a
-   subset-sum table of M[:b] @ high. Each worker thread keeps one
-   buffer of 2^b bounds for all its batches. A running lower bound L on
-   disc is shared by all batches and threads; each batch first scores
-   the row of largest bound in each of SEED_ROWS equal blocks to raise
-   it. Rows whose bound is below L - PRUNE_RTOL max(1, L) cannot reach
-   the maximum and are dropped. The rows left get their column sums,
+   subset-sum table of M[:b] @ high, written into one buffer of 2^b
+   bounds that every batch reuses. A running lower bound L on disc
+   carries over from batch to batch; each batch first scores the row of
+   largest bound in each of SEED_ROWS equal blocks to raise it. Rows
+   whose bound is below L - PRUNE_RTOL max(1, L) cannot reach the
+   maximum and are dropped. The rows left get their column sums,
    SCORE_ROWS at a time, and face the same test with the sharper
    max(||s_X+||_2, ||s_X-||_2) / sqrt(|X|): a best Y holds entries of
    one sign only, so Cauchy-Schwarz applies to each sign part. On the
@@ -45,35 +45,36 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    TIE_RTOL max(1, value) of the maximum, and Y the smallest ymask
    within that tolerance for that X. The pruning margin is wider than
    this tolerance and than the float error of the bound, so no tied row
-   is dropped, and the witness does not depend on the summation order,
-   the thread count or the batch size. Y is decided in one pass over
-   s_X, one sorted list of s[:j] that drops s[j] at bit j: bit j, from
-   the top down, stays clear when some extension, read off running sums
-   of that list's smallest or largest entries, reaches the tie floor.
+   is dropped, and the witness does not depend on the summation order
+   or the batch size. Y is decided in one pass over s_X, one sorted
+   list of s[:j] that drops s[j] at bit j: bit j, from the top down,
+   stays clear when some extension, read off running sums of that
+   list's smallest or largest entries, reaches the tie floor.
 
-Fixed costs. A search of one or a few batches (n <= 19 at b = 17) spends
-as much on set-up as on scanning, so two costs are kept off it.
+Buffers. A search of one or a few batches (n <= 19 at b = 17) spends
+as much on set-up as on scanning. The float arrays a search fills in
+full, ||low||^2 and the bounds (2^b each) and gathered half-table rows
+(two of max(SEED_ROWS, SCORE_ROWS) n each), come from one process-wide
+pool, _POOL, guarded by a lock for searches on several caller threads.
+They go back to it when the search ends, also on error. Fresh arrays of
+that size are faulted in page by page on every search: 100 to 900 minor
+page faults a search at n = 15 to 19, and n = 16 and 17 searches took
+1.3 to 2 times as long with them (2-CPU x86-64 host). The pool hands out
+slices of buffers of POOL_FLOATS = 2^DEFAULT_BATCH_BITS floats (1 MiB)
+whatever the order, so it never holds more buffers than were in use at
+once (4 a search), and no set per order. A reused buffer is not zeroed:
+a search writes every entry it reads first. A batch_bits above the
+default gets a fresh, unpooled bound array.
 
-- Buffers. The float arrays a search fills in full, ||low||^2 and each
-  worker's bounds (2^b each) and gathered half-table rows (two of
-  max(SEED_ROWS, SCORE_ROWS) n each), come from one process-wide pool,
-  _POOL, guarded by a lock. They go back to it when the search ends,
-  also on error. Fresh arrays of that size are faulted in page by page
-  on every search: 100 to 900 minor page faults a search at n = 15 to
-  19 on the calling thread, and n = 16 and 17 searches took 1.3 to 2
-  times as long with them (2-CPU x86-64 host). The pool hands out
-  slices of buffers of POOL_FLOATS = 2^DEFAULT_BATCH_BITS floats (1 MiB)
-  whatever the order, so it never holds more buffers than were in use
-  at once (1 + 3 workers a search), and no set per order. A reused
-  buffer is not zeroed: a search writes every entry it reads first. A
-  batch_bits above the default gets fresh, unpooled bound arrays.
-- Threads. A worker thread costs more than it saves while it has few
-  batches to take: on the same host two workers took 1.1 to 1.3 times
-  as long as one at n = 18 and 19 (2 and 4 batches), 0.86 to 1.26 times
-  at n = 20 (8; above 1 on most inputs), and 0.75 to 0.96 times at n = 21
-  and 22 (16 and 32). A search runs at most one worker per
-  BATCHES_PER_WORKER batches, at most `threads`, and at least one; at
-  b = 17, n <= 20 runs on the calling thread and n >= 21 fans out.
+Threads. The batches run in order on the calling thread: the scan holds
+the GIL for much of its time, so a second worker thread bought little.
+On the same host (4 Gaussian matrices a size, 3 runs, the median of 5
+timings a run) two workers took a median 1.03 and 1.05 times the time
+of one at n = 21 and 22 (0.75 to 1.51 over the runs), 0.95 at n = 23
+and 0.87 at n = 24 (0.69 to 1.29). Two independent n = 22 searches on two caller
+threads ran 1.19 to 1.58 times as fast as in sequence, where two
+processes ran 1.55 to 2.40 times as fast. The second worker also kept
+its three pool buffers for the life of the process.
 
 A centred matrix whose entries are all at most TIE_RTOL / (2n) in
 magnitude, such as a zero one, is not scanned: no pair value can leave
@@ -100,7 +101,6 @@ import functools
 import math
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -127,8 +127,6 @@ SCORE_ROWS = 4096
 #: floats in each buffer of the exact scan's pool (1 MiB): a 2^b table
 #: at the default batch size
 POOL_FLOATS = 1 << DEFAULT_BATCH_BITS
-#: an exact search runs at most one worker thread per this many batches
-BATCHES_PER_WORKER = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +135,11 @@ class DiscResult:
 
     In exact mode the value is the true maximum; in heuristic mode it is
     a lower bound attained at the reported witnesses. For the single-set
-    disc1 search, witness_Y mirrors witness_X. batches, rows_sorted and
-    workers count the exact scan's work (batches of X masks, X rows
-    sorted after pruning, and the threads that scanned the batches; 0
-    when nothing was scanned). They describe the run, not its result,
-    and rows_sorted depends on thread timing, so they stay out of
-    to_json_dict.
+    disc1 search, witness_Y mirrors witness_X. batches and rows_sorted
+    count the exact scan's work (batches of X masks and X rows sorted
+    after pruning; 0 when nothing was scanned). They describe the run,
+    not its result, so they stay out of to_json_dict; for the same input
+    and batch_bits they repeat exactly.
     """
 
     value: float
@@ -152,7 +149,6 @@ class DiscResult:
     evaluations: int
     batches: int = 0
     rows_sorted: int = 0
-    workers: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,7 +271,8 @@ def _subset_sizes(bits: int) -> np.ndarray:
 
 class _BufferPool:
     """Float64 buffers of POOL_FLOATS entries, kept between exact searches
-    so that their pages are faulted in once (see the module docstring)."""
+    so that their pages are faulted in once (see the module docstring).
+    A search takes 4; the lock serves searches on several caller threads."""
 
     def __init__(self):
         self.free = []
@@ -300,12 +297,6 @@ class _BufferPool:
 
 
 _POOL = _BufferPool()
-
-
-def _worker_count(threads: int, batches: int) -> int:
-    """Worker threads for a scan of `batches` batches: at most one per
-    BATCHES_PER_WORKER batches and at most `threads`, at least one."""
-    return max(1, min(threads, batches // BATCHES_PER_WORKER))
 
 
 class _Batches:
@@ -340,9 +331,9 @@ def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 class _ExactScan:
     """One exact search over `batches`: the half tables and squared norms
-    of the low rows' subset sums, and the running lower bound L on disc,
-    which the batches share under a lock. Its float buffers come from
-    _POOL; release() returns them."""
+    of the low rows' subset sums, the running lower bound L on disc, and
+    the bound and gather buffers every batch reuses. Its float buffers
+    come from _POOL; release() returns them."""
 
     def __init__(self, M: np.ndarray, batches: _Batches):
         self.M = M
@@ -354,43 +345,25 @@ class _ExactScan:
         self.held = []
         self.low_norm2 = _subset_forms(M[:bits] @ M[:bits].T,
                                        _POOL.take(1 << bits, self.held))
+        self.bound2 = _POOL.take(1 << bits, self.held)
+        width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]
+        self.lo_rows = _POOL.take(width, self.held)
+        self.hi_rows = _POOL.take(width, self.held)
         self.L = 0.0
-        self._lock = threading.Lock()
-        self._todo = iter(batches.highs)
 
     def release(self) -> None:
-        """Return the pool buffers of this search; call once no worker runs."""
+        """Return the pool buffers of this search."""
         _POOL.give(self.held)
-
-    def run(self, parts: list) -> None:
-        """Scan the batches left in the shared queue into parts[h], all
-        with one bound buffer and two gather buffers, until none is left."""
-        width = max(SEED_ROWS, SCORE_ROWS) * self.M.shape[0]
-        buffers = [_POOL.take(1 << self.batches.bits, self.held),
-                   _POOL.take(width, self.held), _POOL.take(width, self.held)]
-        while True:
-            with self._lock:
-                h = next(self._todo, None)
-            if h is None:
-                return
-            parts[h] = self.batch(h, *buffers)
-
-    def _raise_to(self, vals: np.ndarray) -> None:
-        if vals.size:
-            top = float(vals.max())
-            with self._lock:
-                self.L = max(self.L, top)
 
     def _prune_floor2(self) -> float:
         """Squared bound below which a row cannot reach the maximum."""
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
-    def batch(self, h: int, out: np.ndarray, lo_rows: np.ndarray,
-              hi_rows: np.ndarray) -> tuple:
+    def batch(self, h: int) -> tuple:
         """Scan the X masks whose high part is h, with the bound of every
-        row written into `out`, and the half-table rows of the rows it
-        scores gathered into lo_rows and hi_rows.
+        row written into self.bound2, and the half-table rows of the rows
+        it scores gathered into self.lo_rows and self.hi_rows.
 
         Returns (masks, values, rows_sorted): masks and values are the
         rows that can still tie the maximum and beat every such row at a
@@ -404,7 +377,7 @@ class _ExactScan:
         # <= max|M|^2, so with the expansion the float error is at most
         # ~(n + 2b) eps n^3 max|M|^2, below the PRUNE_RTOL margin
         # 2e-9 disc^2 >= 2e-9 max|M|^2 for every n <= EXACT_CAP.
-        bound2 = _subset_sums(self.M[:self.batches.bits] @ high, out)
+        bound2 = _subset_sums(self.M[:self.batches.bits] @ high, self.bound2)
         bound2 *= 2.0
         bound2 += self.low_norm2
         bound2 += high @ high
@@ -420,9 +393,9 @@ class _ExactScan:
             # np.take buffers `out` under its default mode="raise"; every
             # index is in range, so "clip" gathers in place.
             S = np.take(self.half_lo, low & ((1 << split) - 1), axis=0, mode="clip",
-                        out=lo_rows[:low.size * n].reshape(-1, n))
+                        out=self.lo_rows[:low.size * n].reshape(-1, n))
             pos = np.take(half_hi, low >> split, axis=0, mode="clip",
-                          out=hi_rows[:low.size * n].reshape(-1, n))
+                          out=self.hi_rows[:low.size * n].reshape(-1, n))
             S += pos
             np.maximum(S, 0.0, out=pos)
             pos2 = np.einsum("ij,ij->i", pos, pos)
@@ -431,7 +404,8 @@ class _ExactScan:
             split2 = np.maximum(pos2, bound2[low] * size - pos2)
             ok = split2 / size >= self._prune_floor2()
             vals = _row_values(S[ok], size[ok])
-            self._raise_to(vals)
+            if vals.size:
+                self.L = max(self.L, float(vals.max()))
             return low[ok], vals
 
         # Scored once, the seeds leave the rest.
@@ -468,11 +442,7 @@ def _pair_result(M: np.ndarray, xs: np.ndarray, mode: str, evaluations: int,
                       **counters)
 
 
-def _search_exact(
-    M: np.ndarray,
-    threads: int,
-    batch_bits: int,
-) -> DiscResult:
+def _search_exact(M: np.ndarray, batch_bits: int) -> DiscResult:
     n = M.shape[0]
     evaluations = ((1 << n) - 1) * 2 * n
     batches = _Batches(n, batch_bits)
@@ -481,16 +451,8 @@ def _search_exact(
     if n * float(np.abs(M).max()) <= TIE_RTOL / 2:
         return _pair_result(M, np.zeros(1, dtype=np.intp), "exact", evaluations)
     scan = _ExactScan(M, batches)
-    parts = [None] * len(batches.highs)
-    workers = _worker_count(threads, len(batches.highs))
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                for done in [executor.submit(scan.run, parts)
-                             for _ in range(workers)]:
-                    done.result()
-        else:
-            scan.run(parts)
+        parts = [scan.batch(h) for h in batches.highs]
     finally:
         scan.release()
     cut = _tie_floor(scan.L)
@@ -498,8 +460,7 @@ def _search_exact(
                  for masks, vals, _ in parts if (vals >= cut).any())
     return _pair_result(M, _mask_indices(xmask, n), "exact", evaluations,
                         batches=len(batches.highs),
-                        rows_sorted=sum(part[2] for part in parts),
-                        workers=workers)
+                        rows_sorted=sum(part[2] for part in parts))
 
 
 def _flip_search(n: int, score, iterations: int, seed: int) -> tuple:
@@ -566,10 +527,13 @@ def disc_exact(
     threads: int = 1,
     batch_bits: int = DEFAULT_BATCH_BITS,
 ) -> DiscResult:
-    """True maximum of the discrepancy expression, witnesses included."""
+    """True maximum of the discrepancy expression, witnesses included.
+
+    threads is kept for compatibility and must be at least 1; the scan
+    runs on the calling thread whatever its value."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    return _search_exact(centered_matrix(A), threads, batch_bits)
+    return _search_exact(centered_matrix(A), batch_bits)
 
 
 def disc_heuristic(
@@ -600,7 +564,7 @@ def disc2_graph(
     """Two-set graph discrepancy: density in place of the entry mean."""
     M = _graph_centered(G)
     if mode == "exact":
-        return _search_exact(M, 1, DEFAULT_BATCH_BITS)
+        return _search_exact(M, DEFAULT_BATCH_BITS)
     if mode == "heuristic":
         return _search_heuristic(M, iterations, seed)
     raise ValueError(f"unknown mode {mode!r}")

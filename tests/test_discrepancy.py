@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +33,6 @@ from matdisc import (
 )
 from matdisc.constructions import block_matrix, block_plan
 from matdisc import discrepancy
-from matdisc.discrepancy import _Batches, _ExactScan, centered_matrix
 
 
 def brute_pairs(M):
@@ -205,21 +206,30 @@ def test_heuristic_outputs_pinned():
 
 def test_threads_do_not_change_result():
     mat = random_symmetric(np.random.default_rng(41), 10)
-    for batch_bits, workers in ((4, 3), (17, 1)):
+    for batch_bits in (4, 17):
         one = disc_exact(mat, threads=1, batch_bits=batch_bits)
         three = disc_exact(mat, threads=3, batch_bits=batch_bits)
-        assert one.value == three.value
-        assert one.witness_X == three.witness_X
-        assert one.witness_Y == three.witness_Y
-        assert (one.workers, three.workers) == (1, workers)
+        assert dataclasses.astuple(one) == dataclasses.astuple(three)
 
 
-@pytest.mark.parametrize("threads, batches, workers", [
-    (2, 1, 1), (2, 2, 1), (2, 4, 1), (2, 7, 1), (2, 8, 1), (2, 15, 1), (2, 16, 2),
-    (2, 32, 2), (3, 8, 1), (3, 16, 2), (3, 64, 3), (1, 1, 1), (1, 8, 1), (1, 128, 1),
-])
-def test_worker_count_follows_batch_count(threads, batches, workers):
-    assert discrepancy._worker_count(threads, batches) == workers
+def test_exact_search_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an exact search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = disc_exact(random_symmetric(np.random.default_rng(73), 22), threads=2)
+    assert got.batches == 32
+
+
+def test_rows_sorted_repeats_for_the_same_input_and_batch_size():
+    """The batches run in order, so the running lower bound, and with it
+    the rows left to sort, evolve the same way on every run."""
+    rng = np.random.default_rng(71)
+    for n, batch_bits in ((12, 4), (21, 15), (22, 17)):
+        mat = random_symmetric(rng, n)
+        runs = [disc_exact(mat, threads=3, batch_bits=batch_bits) for _ in range(3)]
+        assert runs[0].rows_sorted > 0
+        assert len({(got.batches, got.rows_sorted) for got in runs}) == 1
 
 
 def _same_result(got, want):
@@ -251,13 +261,10 @@ def test_search_reads_no_pool_entry_it_did_not_write(monkeypatch):
 def test_pool_holds_no_more_buffers_than_were_in_use(monkeypatch):
     monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
     rng = np.random.default_rng(59)
-    in_use = 0
     for n, threads in ((9, 1), (20, 2), (17, 2), (22, 3), (12, 1), (21, 2),
                        (22, 1)):
-        got = disc_exact(random_symmetric(rng, n), threads=threads)
-        in_use = max(in_use, 1 + 3 * got.workers)
-    assert in_use == 10
-    assert len(discrepancy._POOL.free) == in_use
+        disc_exact(random_symmetric(rng, n), threads=threads)
+    assert len(discrepancy._POOL.free) == 4
     assert all(buf.shape == (discrepancy.POOL_FLOATS,)
                for buf in discrepancy._POOL.free)
 
@@ -314,33 +321,11 @@ def test_zero_centred_matrix_needs_no_scan(n):
         assert got.witness_X == got.witness_Y == (1,)
         assert got.value == disc_value_at(mat, (1,), (1,)) <= 1e-16
         assert got.evaluations == ((1 << n) - 1) * 2 * n
-        assert (got.batches, got.rows_sorted, got.workers) == (0, 0, 0)
+        assert (got.batches, got.rows_sorted) == (0, 0)
         if not a.any():
             assert got.value == 0.0
         if n <= 8:
             assert (got.witness_X, got.witness_Y) == naive_disc(a)[1:]
-
-
-def test_shared_lower_bound_survives_thread_switching():
-    # 8 threads over 512 batches, switching every microsecond: a lost
-    # update would leave the shared lower bound below a scored value, and
-    # a batch taken twice or never from the shared queue a part unset.
-    # Entries grow with the index, so later batches keep raising it.
-    w = np.arange(1.0, 13.0) ** 2
-    M = centered_matrix(SymmetricMatrix(np.outer(w, w)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        started = time.monotonic()
-        while time.monotonic() - started < 1.0:
-            scan = _ExactScan(M, _Batches(12, 3))
-            parts = [None] * (1 << 9)
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                for done in [pool.submit(scan.run, parts) for _ in range(8)]:
-                    done.result(timeout=60)
-            assert scan.L == max(vals.max() for _, vals, _ in parts if vals.size)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_small_batches_do_not_change_result():
@@ -501,18 +486,29 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
+def _run_python(script: str) -> str:
+    """The stdout of `script` run by a fresh interpreter on this tree's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss counts KiB only on Linux")
 def test_witness_pass_memory_at_n_2000():
     """The witness pass keeps one sorted list of n sums, not (n + 1)^2
     prefix tables: the peak RSS of a fresh process rises by less than
     100 MB over a Gaussian n = 2000 matrix already built."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _WITNESS_RSS_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert int(out.stdout) < 100 * 1024
+    assert int(_run_python(_WITNESS_RSS_SCRIPT)) < 100 * 1024
+
+
+def test_cli_import_loads_no_thread_pool():
+    out = _run_python("import sys, matdisc.cli; "
+                      "print('concurrent.futures' in sys.modules)")
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("threads", [0, -2])

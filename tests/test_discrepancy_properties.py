@@ -82,7 +82,7 @@ TIED_BY_ROUNDING = np.array([
 
 @hypothesis.settings(deadline=None)
 @hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=1)
-@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)  # 3 workers
+@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)
 @hypothesis.given(a=small_matrices(), batch_bits=st.integers(0, 8),
                   threads=st.integers(1, 3))
 def test_exact_equals_naive_disc(a, batch_bits, threads):
@@ -168,7 +168,7 @@ def test_half_tables_match_full_table(case):
 
 
 @hypothesis.settings(deadline=None)
-@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)  # 3 workers
+@hypothesis.example(a=TIED_BY_ROUNDING, batch_bits=0, threads=3)
 @hypothesis.given(a=small_matrices(), batch_bits=st.integers(0, 8),
                   threads=st.integers(1, 3))
 def test_exact_equals_naive_disc_in_small_blocks(a, batch_bits, threads):

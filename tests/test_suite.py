@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_codegrees
 
-from matdisc import suite
+from matdisc import SymmetricMatrix, suite
 from matdisc.constructions import block_matrix, block_plan, qpt_graph
 from matdisc.errors import TooManyVerticesError
 from matdisc.graphs import Graph
@@ -116,6 +116,31 @@ def test_certificate_headline_verdict_read_from_the_certificate(monkeypatch):
                                    "sigma2": cert.sigma2,
                                    "bound": cert.sigma2 / 2.0}]
     assert report["min_headline_margin"] == -cert.sigma2 / 2.0
+
+
+def test_certificate_margin_skips_zero_matrices(monkeypatch):
+    """Trial 101 at seed 1002, the default suite's, draws the zero 2 x 2
+    matrix: sigma2 = disc = 0 and a margin of exactly 0.  The margin is
+    the least over the certificates with sigma2 > 0, None without one."""
+    real = suite.certify_sigma2
+    seen = []
+
+    def record(mat):
+        seen.append(real(mat))
+        return seen[-1]
+
+    monkeypatch.setattr(suite, "certify_sigma2", record)
+    report = suite.check_certificates(trials=102, seed=1002)
+    zero = seen[101]
+    assert (zero.n, zero.sigma2, zero.headline_bound) == (2, 0.0, 0.0)
+    assert report["min_headline_margin"] == min(
+        cert.headline_bound - cert.sigma2 for cert in seen if cert.sigma2 > 0.0)
+    assert report["min_headline_margin"] > 0.0
+
+    monkeypatch.setattr(suite, "_random_symmetric",
+                        lambda rng, n, kind: SymmetricMatrix(np.zeros((n, n))))
+    report = suite.check_certificates(trials=3, seed=1002)
+    assert report["pass"] and report["min_headline_margin"] is None
 
 
 @pytest.mark.parametrize("kwargs", [
