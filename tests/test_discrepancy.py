@@ -308,6 +308,44 @@ def test_concurrent_searches_match_serial_ones():
                    for i, res in enumerate(side_got))
 
 
+def test_shared_lower_bound_survives_thread_switching():
+    """Scans on 4 caller threads share the buffer pool, switching every
+    microsecond: a buffer handed to two scans at once would leave a scan's
+    lower bound below a value it scored, or its parts off the serial ones.
+    Entries grow with the index, so later batches keep raising the bound."""
+    w = np.arange(1.0, 13.0) ** 2
+    M = discrepancy.centered_matrix(SymmetricMatrix(np.outer(w, w)))
+    batches = discrepancy._Batches(12, 3)
+
+    def scan_all():
+        scan = discrepancy._ExactScan(M, batches)
+        try:
+            parts = [scan.batch(h) for h in batches.highs]
+        finally:
+            scan.release()
+        return scan.L, parts
+
+    want_L, want = scan_all()
+    assert want_L == max(vals.max() for _, vals, _ in want if vals.size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        while time.monotonic() - started < 1.0:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(scan_all) for _ in range(4)]
+                got = [run.result(timeout=60) for run in runs]
+            for L, parts in got:
+                assert L == want_L
+                assert len(parts) == len(want)
+                for (masks, vals, rows), (wm, wv, wr) in zip(parts, want):
+                    assert rows == wr
+                    assert np.array_equal(masks, wm)
+                    assert np.array_equal(vals, wv)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("n", range(1, 25))
 def test_zero_centred_matrix_needs_no_scan(n):
     """A zero centred matrix, and the float residue a constant 0.1 matrix
