@@ -54,8 +54,12 @@ def _as_square_array(entries) -> np.ndarray:
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Largest |a_ij - conj(a_ji)| over all entries."""
-    return float(np.max(np.abs(a - a.conj().T)))
+    """Largest |a_ij - conj(a_ji)| over all entries, from one n x n
+    temporary for real input."""
+    d = a - a.conj().T
+    # real input: |d| in place, so d is the only n x n temporary
+    mag = np.abs(d, out=d) if d.dtype.kind == "f" else np.abs(d)
+    return float(np.max(mag))
 
 
 def _entry_scale(a: np.ndarray) -> float:
@@ -96,6 +100,20 @@ class SymmetricMatrix:
         if self.is_complex:
             return False
         return bool(np.all((self.a == 0.0) | (self.a == 1.0)))
+
+
+def _adopt(a: np.ndarray) -> SymmetricMatrix:
+    """A SymmetricMatrix holding `a` itself, with neither the copy nor the
+    symmetry check of its constructor.
+
+    Only for a float64 n x n array that its caller made, that nothing
+    else holds, and that is exactly symmetric and finite by construction;
+    it is made read-only here.
+    """
+    a.setflags(write=False)
+    matrix = object.__new__(SymmetricMatrix)
+    object.__setattr__(matrix, "a", a)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +339,8 @@ def read_matrix(path) -> SymmetricMatrix:
         raise FormatError(
             f"expected {n * n} entries for order {n}, found {a.size}")
     a = a.reshape(n, n)
-    if not np.all(np.abs(a) <= MAX_ABS_ENTRY):
+    # min and max, not abs: no n x n copy; a NaN fails both comparisons
+    if not (a.min() >= -MAX_ABS_ENTRY and a.max() <= MAX_ABS_ENTRY):
         raise FormatError(
             f"matrix entries must be finite, at most {MAX_ABS_ENTRY:g} in size")
     defect = hermitian_defect(a)
@@ -329,6 +348,9 @@ def read_matrix(path) -> SymmetricMatrix:
         raise FormatError(f"matrix data is asymmetric: max defect {defect:.3e}")
     if defect:
         # SymmetricMatrix allows far less asymmetry than a file may carry:
-        # average the triangles, halving first so that no sum overflows
-        a = a / 2 + a.T / 2
-    return SymmetricMatrix(a)
+        # average the triangles, halving first so that no sum overflows;
+        # half_ij + half_ji is exactly symmetric
+        half = a / 2
+        np.add(half, half.T, out=a)
+    # a is the parser's own array, finite and now exactly symmetric
+    return _adopt(a)

@@ -178,12 +178,29 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     return out, repairs
 
 
+def _distinct_values(y: np.ndarray) -> tuple:
+    """The distinct values of y, ascending (complex ones by real part,
+    then imaginary part); of values that compare equal, the first in
+    index order."""
+    seen = set(y.tolist())  # a set keeps the first of equal values
+    if np.iscomplexobj(y):
+        return tuple(sorted(seen, key=lambda v: (v.real, v.imag)))
+    return tuple(sorted(seen))
+
+
 def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     """Replace a unit vector by one taking few distinct values.
 
     Nonnegative real input stays within ceil((2/eps) ln(2n/eps)) values;
     signed real and complex input within ceil(8 pi/eps) times
     ceil((4/eps) ln(4n/eps)). Moduli never increase, so ||y|| <= ||x||.
+
+    distinct_values lists y's values in ascending order.  Only zeros
+    compare equal with different bits: y may hold 0.0 and -0.0, and a
+    complex zero may carry either sign in either part.  The one zero
+    reported is y's first zero in index order, whatever the numpy
+    version; np.unique(y) sorts y and keeps whichever zero its sort puts
+    first.
     """
     if not 0.0 < epsilon < 1.0:
         raise BadEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -221,9 +238,7 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
             grid = np.floor(phase_slots * theta) / phase_slots
             y = q * np.exp(2.0j * math.pi * grid)
 
-    # np.unique, not a set of the levels: when y holds both -0.0 and 0.0
-    # it keeps one of them, and which one is part of the report
-    distinct = tuple(np.unique(y).tolist())
+    distinct = _distinct_values(y)
     if len(distinct) > ceiling:
         raise InvariantError(
             f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"

@@ -11,6 +11,11 @@ and the small-graph sweep run on one subset-pair engine:
   smallest of n 16-bit keys, four to a raw 64-bit word, and where the
   k-th and (k+1)-th smallest keys of a row are equal, the positions on
   that value are ordered by one fresh raw word each (_draw_subsets).
+  A draw sorts its keys, and a chunk forms x @ a, one row block at a
+  time: _BLOCK_CELLS = 2^18 cells, but at least _BLOCK_ROWS = 1024
+  rows, since every product call reads all of a.  A chunk then holds
+  its X and Y rows, one draw's raw words and one block's sorted keys or
+  float32 product; from n = 1024 on, a chunk is a single block.
   The exhaustive source (up to 14 vertices) holds every nonempty X with
   its column sums; a per-row pass bounds each X row over every Y at once
   (Thomason exactly, from the _prefix_extremes of the row's column sums;
@@ -59,7 +64,7 @@ from .errors import (
     ZeroDegreeError,
 )
 from .graphs import Graph
-from .linalg import SymmetricMatrix, eig_symmetric
+from .linalg import _adopt, eig_symmetric
 
 __all__ = [
     "EXACT_PAIR_CAP",
@@ -82,6 +87,11 @@ BOUND_TOL = 1e-8
 
 _Y_CHUNK = 2048
 _X_BLOCK = 512
+#: the sampled stream sorts keys, and forms x @ a, one block of rows at a
+#: time: a block has _BLOCK_CELLS cells (rows x n), but never fewer than
+#: _BLOCK_ROWS rows, since every product call reads all of a
+_BLOCK_CELLS = 2**18
+_BLOCK_ROWS = 1024
 #: atlas graphs whose prefix extremes the sweep holds at once
 _SWEEP_BLOCK = 64
 _MAX_RECORDED_VIOLATIONS = 100
@@ -117,10 +127,16 @@ def _regular_degree(graph: Graph) -> int:
 
 
 def laplacian_spectrum(graph: Graph) -> LaplacianSpectrum:
+    """The spectrum of I - A/d, built in one float64 array from the
+    boolean mask with the bits of np.eye(n) - mask / d: -1/d on the
+    edges, +0.0 off them (adding 0.0 turns False * (-1/d) = -0.0 into
+    +0.0) and 1.0 on the diagonal.  The mask is symmetric, so the array
+    is exactly symmetric and goes to eig_symmetric without a copy."""
     d = _regular_degree(graph)
-    # from the boolean mask: True / d is 1.0 / d, so no float64 adjacency
-    lap = np.eye(graph.n) - graph._mask / d
-    spec = eig_symmetric(SymmetricMatrix(lap))
+    lap = np.multiply(graph._mask, -1 / d)
+    lap += 0.0
+    np.fill_diagonal(lap, 1.0)
+    spec = eig_symmetric(_adopt(lap))
     ascending = spec.eigenvalues[::-1]
     lam_bar = float(np.max(np.abs(1.0 - ascending[1:])))
     return LaplacianSpectrum(
@@ -209,6 +225,19 @@ class _Exhaustive:
                        y[None])
 
 
+def _block_rows(n: int) -> int:
+    """Rows in one block of the sampled stream on n vertices."""
+    return max(_BLOCK_CELLS // n, _BLOCK_ROWS)
+
+
+def _row_blocks(count: int, n: int) -> Iterator[slice]:
+    """Slices of `count` rows, _block_rows(n) at a time (the last may be
+    shorter)."""
+    step = _block_rows(n)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
 def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Boolean indicator rows of `count` subsets with log-uniform sizes.
 
@@ -226,31 +255,53 @@ def _draw_subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     smallest fresh words, the lower position first among equal words.
     Keys and fresh words are independent and uniform, so every row is a
     uniform subset of exactly its size.
+
+    The keys are sorted, and the rows written, one _row_blocks block at
+    a time, so the draw holds the raw words, its rows and one block's
+    sorted keys.
     """
     sizes = np.exp(rng.uniform(0.0, math.log(n + 1), count)).astype(np.int64)
     np.clip(sizes, 1, n, out=sizes)
     raw = rng.bit_generator.random_raw((count, -(-n // 4)))
     keys = raw.astype("<u8", copy=False).view("<u2")[:, :n]
-    ranked = np.sort(keys, axis=1)
-    rows = np.arange(count)
-    kth = ranked[rows, sizes - 1]
-    out = keys <= kth[:, None]
-    # a full row (size n) has no (k+1)-th key and is already exact
-    tied = np.flatnonzero(
-        (sizes < n) & (kth == ranked[rows, np.minimum(sizes, n - 1)]))
-    if tied.size:
-        tied_keys, tied_kth = keys[tied], kth[tied, None]
+    # one block's keys, sorted in place; out comes last, so that the
+    # buffers freed on return lie below it in the heap and are reused
+    ranked_block = np.empty((min(count, _block_rows(n)), n), np.uint16)
+    # each row's k-th and (k+1)-th smallest key; a full row (size n) has
+    # no (k+1)-th key and is already exact
+    kth, after = np.empty(count, np.uint16), np.empty(count, np.uint16)
+    out = np.empty((count, n), dtype=bool)
+    for block in _row_blocks(count, n):
+        k = sizes[block]
+        ranked = ranked_block[:len(k)]
+        np.copyto(ranked, keys[block])
+        ranked.sort(axis=1)
+        rows = np.arange(len(k))
+        kth[block] = ranked[rows, k - 1]
+        after[block] = ranked[rows, np.minimum(k, n - 1)]
+        np.less_equal(keys[block], kth[block, None], out=out[block])
+    tied = np.flatnonzero((sizes < n) & (kth == after))
+    if not tied.size:
+        return out
+    # per block of tied rows: the members each still misses, and (tied
+    # row, position) of every key on the tied value
+    need, r, pos = [], [], []
+    for block in _row_blocks(tied.size, n):
+        rows = tied[block]
+        tied_keys, tied_kth = keys[rows], kth[rows, None]
         below = tied_keys < tied_kth
-        out[tied] = below
-        # members still missing in each tied row
-        need = sizes[tied] - np.count_nonzero(below, axis=1)
-        r, pos = np.nonzero(tied_keys == tied_kth)
-        fresh = rng.bit_generator.random_raw(r.size)
-        # by row, then fresh word; lexsort is stable, so position breaks ties
-        order = np.lexsort((fresh, r))
-        # r is sorted, so r[order] == r: rank each word within its row
-        take = order[np.arange(r.size) - np.searchsorted(r, r) < need[r]]
-        out[tied[r[take]], pos[take]] = True
+        out[rows] = below
+        need.append(sizes[rows] - np.count_nonzero(below, axis=1))
+        block_r, block_pos = np.nonzero(tied_keys == tied_kth)
+        r.append(block_r + block.start)
+        pos.append(block_pos)
+    need, r, pos = map(np.concatenate, (need, r, pos))
+    fresh = rng.bit_generator.random_raw(r.size)
+    # by row, then fresh word; lexsort is stable, so position breaks ties
+    order = np.lexsort((fresh, r))
+    # r is sorted, so r[order] == r: rank each word within its row
+    take = order[np.arange(r.size) - np.searchsorted(r, r) < need[r]]
+    out[tied[r[take]], pos[take]] = True
     return out
 
 
@@ -259,7 +310,9 @@ def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
     """`samples` pairs streamed in chunks of at most _Y_CHUNK rows and
     2^20 key cells: each chunk draws its X rows, then its Y rows, by
     _draw_subsets from the one generator.  `whole` yields the pair
-    X = Y = V as a last one-row chunk."""
+    X = Y = V as a last one-row chunk.  e(X, Y) is formed one
+    _row_blocks block at a time, so a chunk holds its X and Y rows and
+    one block's product beside the float32 cast of a."""
     n = a.shape[0]
     if samples < 0:
         raise ValueError("samples must be nonnegative")
@@ -267,14 +320,17 @@ def _sampled_pairs(a: np.ndarray, rng: np.random.Generator, samples: int,
     a32 = a.astype(np.float32)  # exact: see the module docstring
 
     def chunk(x: np.ndarray, y: np.ndarray) -> tuple:
-        # the bool rows are cast to float32 for the product
-        return np.einsum("ij,ij->i", x @ a32, y, dtype=np.float64), x, y
+        e = np.empty(len(x))
+        for block in _row_blocks(len(x), n):
+            # the bool rows are cast to float32 for the product
+            np.einsum("ij,ij->i", x[block] @ a32, y[block],
+                      dtype=np.float64, out=e[block])
+        return e, x, y
 
     for lo in range(0, samples, rows):
         count = min(rows, samples - lo)
-        x = _draw_subsets(rng, n, count)
-        y = _draw_subsets(rng, n, count)
-        yield chunk(x, y)
+        # X rows, then Y rows; no name here keeps them past the yield
+        yield chunk(_draw_subsets(rng, n, count), _draw_subsets(rng, n, count))
     if whole:
         v = np.ones((1, n), dtype=bool)
         yield chunk(v, v)
@@ -495,6 +551,7 @@ def thomason_report(graph: Graph, p: float, mu: float, *,
         return rec.report(name, params, source.pairs)
     for e, x, y in source:
         rec.scan(x, y, *_thomason_bound(e, x, y, p, mu))
+        del e, x, y  # free the chunk before the next one is drawn
     return rec.report(name, params)
 
 
@@ -662,6 +719,11 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
         raise EmptyGraphError("volume bound needs at least one edge")
     degs = graph.degrees.astype(float)
     params: dict = {"alpha": alpha, "vol_V": float(degs.sum()), "tol": tol}
+    # the gap before the pairs: its n x n array and LAPACK's copy then
+    # come on top of the graph alone, not of what the stream leaves to
+    # the allocator
+    regular = graph.is_regular() and int(graph.degrees[0]) > 0
+    lam_bar = laplacian_spectrum(graph).lambda_bar if regular else None
     rec = _Recorder(tol)
     alpha_min = 0.0
     identity_pairs = 0
@@ -678,10 +740,9 @@ def chung_alpha_check(graph: Graph, alpha: float | None = None, *,
         rhs = (np.where(zero, 0.0, math.inf) if alpha is None
                else np.multiply(denom, alpha, out=denom))
         rec.scan(x, y, lhs, rhs)
-        del e, lhs, denom, rhs  # grid-sized: free them before the next chunk
+        del e, x, y, lhs, denom, rhs  # free the chunk before the next one
     params.update(alpha_min=alpha_min, identity_pairs=identity_pairs)
-    if graph.is_regular() and int(graph.degrees[0]) > 0:
-        lam_bar = laplacian_spectrum(graph).lambda_bar
+    if regular:
         params["lambda_bar"] = lam_bar
         params["lambda_bar_over_alpha_min"] = (
             lam_bar / alpha_min if alpha_min > 0 else None
@@ -734,6 +795,7 @@ def family_properties(members: list[Graph], *, samples: int = DEFAULT_SAMPLES,
             deviation = _thomason_lhs(e, np.count_nonzero(x, axis=-1),
                                       np.count_nonzero(y, axis=-1), p)
             disc_ratio = max(disc_ratio, float(deviation.max()) / (p * n * n))
+            del e, x, y  # free the chunk before the next one is drawn
         sigma2_ratio = sigma2 / pn
         window_ok = window_ok and lo <= sigma2_ratio <= hi
         rows.append({

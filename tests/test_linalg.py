@@ -292,6 +292,33 @@ def test_read_matrix_memory(tmp_path):
     assert peak < 6 * n * n * 8
 
 
+@pytest.mark.parametrize("asymmetry", [0.0, 1e-12])
+def test_read_matrix_peaks_at_two_arrays(tmp_path, asymmetry):
+    """At order 600 the reader holds the parsed array and one n x n
+    temporary at a time (the symmetry defect, or the halved copy that
+    averages a slightly asymmetric file), and hands its own array to
+    SymmetricMatrix without a copy: 2.0 arrays measured, 4.0 when the
+    entry check, the defect and the constructor each made their own."""
+    n = 600
+    m = np.random.default_rng(5).normal(size=(n, n))
+    a = m + m.T
+    a[0, 1] += asymmetry
+    path = tmp_path / "m.mat"
+    with open(path, "w") as fh:
+        fh.write(f"sym {n}\n")
+        for row in a:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    tracemalloc.start()
+    try:
+        got = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
+    assert np.array_equal(got.a, got.a.T) and not got.a.flags.writeable
+    assert got.a.tobytes() == (a / 2 + a.T / 2 if asymmetry else a).tobytes()
+
+
 def test_read_rejects_bad_files(tmp_path):
     p = tmp_path / "bad.mat"
     p.write_text("sym 2\n1 2\n3 4\n")

@@ -101,6 +101,46 @@ def test_complex_phase_grid():
     assert np.all(np.abs(q.y) <= np.abs(x) + 1e-15)
 
 
+def _zeros(values):
+    """The signs (of the real part, of the imaginary part) of each zero
+    among `values`: -0.0 == 0.0, so the zeros themselves would compare
+    equal."""
+    return [(math.copysign(1.0, complex(v).real),
+             math.copysign(1.0, complex(v).imag)) for v in values if v == 0]
+
+
+@pytest.mark.parametrize("first_negative", [True, False])
+def test_signed_report_keeps_the_first_zero(first_negative):
+    """Halving magnitudes outrun the value budget, so the tail quantizes
+    to zero: negative entries there give -0.0, positive ones 0.0.  The
+    report lists one zero, y's first, and otherwise the sorted values."""
+    n = 40
+    signs = np.where(np.arange(n) % 2 == (0 if first_negative else 1),
+                     -1.0, 1.0)
+    q = quantize(unit(signs * 0.5 ** np.arange(n)), 2.0, 0.9)
+    zeros = _zeros(q.y.tolist())
+    assert {re for re, _ in zeros} == {-1.0, 1.0}
+    assert _zeros(q.distinct_values) == zeros[:1]
+    assert list(q.distinct_values) == sorted(q.distinct_values)
+    assert len(q.distinct_values) == len(set(q.y.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_complex_report_keeps_the_first_zero(seed):
+    """Zero moduli times the phase grid give complex zeros with either
+    sign in either part; the report keeps y's first zero, and the other
+    values sorted by real, then imaginary part."""
+    n = 40
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+    q = quantize(unit(0.5 ** np.arange(n) * phases), 2.0, 0.9)
+    zeros = _zeros(q.y.tolist())
+    assert len(set(zeros)) > 1
+    assert _zeros(q.distinct_values) == zeros[:1]
+    keys = [(v.real, v.imag) for v in q.distinct_values]
+    assert keys == sorted(keys)
+    assert len(q.distinct_values) == len(set(q.y.tolist()))
+
+
 def test_quantize_rejects_bad_input():
     # a nan norm fails the unit-norm check too
     for x in ([1.0, 1.0], [np.nan], [0.6, np.nan, 0.8]):

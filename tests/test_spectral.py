@@ -29,6 +29,7 @@ from matdisc import (
     thomason_small_graph_sweep,
 )
 from matdisc.atlas import MASKS, STARTS, atlas_adjacencies
+from matdisc import spectral
 from matdisc.spectral import (
     _draw_subsets,
     _Exhaustive,
@@ -282,6 +283,45 @@ def test_draw_fallback_on_tied_prefixes():
     assert len(stub.calls) == 2 and stub.calls[1] >= 2
     assert np.array_equal(rows, reference_draw_subsets(
         np.random.default_rng(3), n, count))
+
+
+def _tied_rows(seed, n, count):
+    """The rows of the reference draw whose k-th and (k+1)-th smallest
+    keys are equal, from a generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    sizes = _drawn_sizes(rng, n, count)
+    words = rng.bit_generator.random_raw((count, (n + 3) // 4))
+    j = np.arange(n)
+    keys = (words[:, j // 4] >> (16 * (j % 4)).astype(np.uint64)) & np.uint64(0xFFFF)
+    ranked = np.sort(keys, axis=1)
+    rows = np.arange(count)
+    return np.flatnonzero((sizes < n) & (ranked[rows, sizes - 1]
+                                         == ranked[rows, np.minimum(sizes, n - 1)]))
+
+
+@pytest.mark.parametrize("n, count, cells, rows_per_block", [
+    (10_000, 104, 2**16, 6),
+    (499, 2048, 2**16, 131),
+    (499, 2048, None, 1024),
+])
+def test_draw_by_row_blocks_matches_reference(monkeypatch, n, count, cells,
+                                              rows_per_block):
+    """A chunk drawn one row block at a time, with tied rows in several
+    blocks, gives the reference rows and reads the stream as the
+    reference does: one raw call for the keys, then one for the tie
+    words."""
+    if cells is not None:
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", 1)
+    assert spectral._block_rows(n) == rows_per_block
+    for seed in (0, 1):
+        tied = _tied_rows(seed, n, count)
+        assert len(np.unique(tied // rows_per_block)) > 1
+        stub = _StubRng(seed)
+        rows = _draw_subsets(stub, n, count)
+        assert stub.calls == [(count, (n + 3) // 4), stub.calls[1]]
+        assert np.array_equal(rows, reference_draw_subsets(
+            np.random.default_rng(seed), n, count))
 
 
 @pytest.mark.parametrize("n", [2, 7, 101])
@@ -707,8 +747,13 @@ def test_pair_checks_leave_the_float_adjacency_unbuilt():
 
 def test_pair_check_memory_below_ten_bytes_per_entry():
     """At n = 1500 no pair check holds a float64 n x n array: Thomason's
-    codegrees and the sampled products are float32 casts of the mask."""
+    codegrees and the sampled products are float32 casts of the mask.
+    The stream holds the cast (4 n^2 bytes) and, per cell of a chunk of
+    2^20 // n rows, its X and Y rows and the float32 cast of X and its
+    product (a chunk of fewer than 1024 rows is one block): 10 bytes,
+    with 10% headroom.  The chunk before it is freed first."""
     n = 1500
+    chunk_cells = 2**20 // n * n
     g = gnp_random_graph(n, 0.5, np.random.default_rng(15))
     p, mu = 0.45, 200.0
     checks = (lambda: thomason_report(g, p, mu, samples=2000),
@@ -721,4 +766,46 @@ def test_pair_check_memory_below_ten_bytes_per_entry():
         finally:
             tracemalloc.stop()
         assert rep.instances == 2000 + (rep.bound_name == "chung_volume_bound")
-        assert peak < 10 * n * n, rep.bound_name
+        assert peak < 1.1 * (4 * n * n + 10 * chunk_cells), rep.bound_name
+
+
+def test_sampled_stream_memory_by_row_blocks():
+    """At n = 499 a chunk of 2048 rows is two blocks of 1024: beside the
+    float32 cast of the mask, the stream holds 6 bytes a chunk cell (its
+    X and Y rows, and half a chunk of float32 cast and product), with
+    10% headroom; a whole-chunk product would take 10."""
+    g = qpt_graph(499, 124)
+    n, chunk_cells = g.n, 2048 * g.n
+    tracemalloc.start()
+    try:
+        for e, x, y in _sampled_pairs(g._mask, np.random.default_rng(1),
+                                      10_000):
+            del e, x, y
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n + 1.1 * 6 * chunk_cells
+
+
+def test_laplacian_memory_is_one_array():
+    """I - A/d is built in one float64 array and solved without a copy
+    (LAPACK's copy is outside tracemalloc): 1.0 * 8 n^2 bytes measured,
+    where np.eye(n) - mask / d and SymmetricMatrix took four."""
+    g = qpt_graph(1499, 374)
+    n = g.n
+    tracemalloc.start()
+    try:
+        spec = laplacian_spectrum(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.degree == int(g.degrees[0])
+    assert peak <= 1.1 * 8 * n * n
+
+
+def test_laplacian_bits_match_eye_minus_mask():
+    """The Laplacian's eigenvalues are eigvalsh's of np.eye(n) - mask / d
+    bit for bit."""
+    g = qpt_graph(101, 25)
+    want = np.linalg.eigvalsh(np.eye(g.n) - g._mask / int(g.degrees[0]))
+    assert np.array(laplacian_spectrum(g).lambdas).tobytes() == want.tobytes()
