@@ -24,7 +24,7 @@ import numpy as np
 
 from .discrepancy import DiscResult
 from .errors import BadTError, EmptyCliqueError, InvariantError, NotPrimeError
-from .graphs import Graph, _require_order, from_adjacency
+from .graphs import Graph, _require_order
 from .linalg import SymmetricMatrix
 
 __all__ = [
@@ -272,6 +272,24 @@ def block_plan(p: int) -> BlockPlan:
                      target_gap_violations=violations)
 
 
+def _block_mask(plan: BlockPlan) -> np.ndarray:
+    """The boolean adjacency [[B, ~B], [~B, B]] of block_matrix, its zero
+    diagonal and row counts verified."""
+    p, k = plan.p, plan.k
+    _require_order(plan.n)
+    inner = np.block([[qpt_graph(p, int(t))._mask for t in row]
+                      for row in plan.thresholds])
+    full = np.block([[inner, ~inner], [~inner, inner]])
+    if np.diagonal(full).any():
+        raise InvariantError("block matrix grew a nonzero diagonal entry")
+    row_sums = np.count_nonzero(full, axis=1)
+    if np.any(row_sums != k * p):
+        raise InvariantError(
+            f"block matrix row sums {set(row_sums.tolist())} != {k * p}"
+        )
+    return full
+
+
 def block_matrix(plan: BlockPlan) -> SymmetricMatrix:
     """Assemble [[B, 1-B], [1-B, B]] where B is the k x k grid of Q blocks.
 
@@ -281,24 +299,12 @@ def block_matrix(plan: BlockPlan) -> SymmetricMatrix:
     Both the zero diagonal and the row sums are verified before
     returning.
     """
-    p, k = plan.p, plan.k
-    _require_order(plan.n)
-    inner = np.block([[qpt_graph(p, int(t))._mask for t in row]
-                      for row in plan.thresholds])
-    full = np.block([[inner, ~inner], [~inner, inner]]).astype(float)
-    if np.any(np.diagonal(full) != 0.0):
-        raise InvariantError("block matrix grew a nonzero diagonal entry")
-    row_sums = full.sum(axis=1).astype(np.int64)
-    if np.any(row_sums != k * p):
-        raise InvariantError(
-            f"block matrix row sums {set(row_sums.tolist())} != {k * p}"
-        )
-    return SymmetricMatrix(full)
+    return SymmetricMatrix(_block_mask(plan).astype(float))
 
 
 def block_graph(plan: BlockPlan) -> Graph:
     """The block matrix viewed as a k*p-regular graph on 2*k*p vertices."""
-    return from_adjacency(block_matrix(plan))
+    return Graph._from_mask(_block_mask(plan))
 
 
 def block_step_vector(plan: BlockPlan) -> np.ndarray:

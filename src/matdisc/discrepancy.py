@@ -551,7 +551,7 @@ def disc_value_at(A: SymmetricMatrix, X, Y) -> float:
 
 
 def _graph_centered(G: Graph) -> np.ndarray:
-    return G.adjacency.a - G.density()
+    return G._mask - G.density()
 
 
 def disc2_graph(
@@ -579,8 +579,7 @@ def disc1_value_at(G: Graph, X) -> float:
     xi = _vertex_set(X, G.n)
     if xi.size == 0:
         raise ValueError("witness set must be nonempty")
-    a = G.adjacency.a
-    e_in = float(a[np.ix_(xi, xi)].sum()) / 2.0
+    e_in = np.count_nonzero(G._mask[np.ix_(xi, xi)]) / 2.0
     size = xi.size
     rho = G.density()
     return abs(e_in - rho * size * (size - 1) / 2.0) / size
@@ -597,7 +596,7 @@ def _disc1_exact(G: Graph) -> tuple:
     """
     batches = _Batches(G.n, DEFAULT_BATCH_BITS)
     bits = batches.bits
-    a = G.adjacency.a
+    a = G._mask
     rho = G.density()
     e_low = _subset_forms(a[:bits, :bits] / 2.0)
     best_val = -1.0
@@ -605,8 +604,8 @@ def _disc1_exact(G: Graph) -> tuple:
     for h in batches.highs:
         rows, first = batches.part(h)
         size = _subset_sizes(bits)[first:] + float(rows.size)
-        e_high = a[np.ix_(rows, rows)].sum() / 2.0
-        cross = _subset_sums(a[:bits, rows].sum(axis=1))
+        e_high = np.count_nonzero(a[np.ix_(rows, rows)]) / 2.0
+        cross = _subset_sums(np.count_nonzero(a[:bits, rows], axis=1))
         e_in = (e_low + cross + e_high)[first:]
         vals = np.abs(e_in - rho * size * (size - 1) / 2.0) / size
         at = int(np.argmax(vals))
@@ -628,7 +627,7 @@ def disc1_graph(
         xs, batches = _disc1_exact(G)
         evaluations = (1 << G.n) - 1
     elif mode == "heuristic":
-        a = G.adjacency.a
+        a = G._mask.astype(np.float64)
         rho = G.density()
 
         def score(ind: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, NotBinaryError, TooManyVerticesError
-from .linalg import MAX_VERTICES, SymmetricMatrix, _read_text
+from .linalg import MAX_VERTICES, SymmetricMatrix, _adopt, _read_text
 
 
 def _require_order(n: int) -> None:
@@ -103,7 +103,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self._mask)
+        """The mask as float64, for an eigensolve: the mask is symmetric."""
+        return _adopt(self._mask.astype(np.float64))
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -178,16 +178,6 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     return out, repairs
 
 
-def _distinct_values(y: np.ndarray) -> tuple:
-    """The distinct values of y, ascending (complex ones by real part,
-    then imaginary part); of values that compare equal, the first in
-    index order."""
-    seen = set(y.tolist())  # a set keeps the first of equal values
-    if np.iscomplexobj(y):
-        return tuple(sorted(seen, key=lambda v: (v.real, v.imag)))
-    return tuple(sorted(seen))
-
-
 def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     """Replace a unit vector by one taking few distinct values.
 
@@ -195,12 +185,9 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     signed real and complex input within ceil(8 pi/eps) times
     ceil((4/eps) ln(4n/eps)). Moduli never increase, so ||y|| <= ||x||.
 
-    distinct_values lists y's values in ascending order.  Only zeros
-    compare equal with different bits: y may hold 0.0 and -0.0, and a
-    complex zero may carry either sign in either part.  The one zero
-    reported is y's first zero in index order, whatever the numpy
-    version; np.unique(y) sorts y and keeps whichever zero its sort puts
-    first.
+    Every zero of y is +0.0, in each part of a complex entry, so that
+    no two values of y compare equal with different bits, and
+    distinct_values is np.unique(y): y's values in ascending order.
     """
     if not 0.0 < epsilon < 1.0:
         raise BadEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -238,7 +225,8 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
             grid = np.floor(phase_slots * theta) / phase_slots
             y = q * np.exp(2.0j * math.pi * grid)
 
-    distinct = _distinct_values(y)
+    y += 0.0  # -0.0 + 0.0 is +0.0; no other bit changes
+    distinct = tuple(np.unique(y).tolist())
     if len(distinct) > ceiling:
         raise InvariantError(
             f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"

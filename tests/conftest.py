@@ -268,6 +268,7 @@ def reference_quantize(x, p, epsilon):
             grid = np.floor(phase_slots * theta) / phase_slots
             y = q * np.exp(2.0j * math.pi * grid)
 
+    y = y + 0.0  # every zero +0.0, in either part
     distinct = tuple(np.unique(y).tolist())
     if len(distinct) > ceiling:
         raise InvariantError(

@@ -250,6 +250,9 @@ def test_block_graph_regular():
     g = block_graph(plan)
     assert g.n == 52
     assert g.is_regular() and g.degrees[0] == 26
+    # the graph's mask is the block matrix's 0/1 pattern
+    assert np.array_equal(g._mask, block_matrix(plan).a == 1.0)
+    assert "adjacency" not in vars(g)
 
 
 def test_block_step_vector():

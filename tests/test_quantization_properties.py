@@ -125,9 +125,16 @@ def unit_vectors(draw):
     return v / norm, p
 
 
+#: 0.5^(1..35) in 1-norm with entry 22 negated: at eps = 0.9 its y is
+#: zero from index 22 on, where the sign of x would make the first zero -0.0
+SIGNED_TAIL = 0.5 ** np.arange(1.0, 36.0) * np.where(np.arange(35) == 22, -1.0, 1.0)
+SIGNED_TAIL /= np.abs(SIGNED_TAIL).sum()
+
+
 @hypothesis.settings(deadline=None, max_examples=300)
 @hypothesis.given(case=unit_vectors(),
                   eps=st.sampled_from((0.05, 1.0 / 3.0, 0.5, 0.9)))
+@hypothesis.example(case=(SIGNED_TAIL, 1.0), eps=0.9)
 def test_quantize_matches_reference_call_path(case, eps):
     x, p = case
     assert _report(_outcome(quantize, x, p, eps)) == _report(
