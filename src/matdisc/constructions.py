@@ -25,7 +25,7 @@ import numpy as np
 from .discrepancy import DiscResult
 from .errors import BadTError, EmptyCliqueError, InvariantError, NotPrimeError
 from .graphs import Graph, _require_order
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, _adopt
 
 __all__ = [
     "harmonic_number",
@@ -273,13 +273,15 @@ def block_plan(p: int) -> BlockPlan:
 
 
 def _block_mask(plan: BlockPlan) -> np.ndarray:
-    """The boolean adjacency [[B, ~B], [~B, B]] of block_matrix, its zero
-    diagonal and row counts verified."""
+    """The boolean adjacency [[B, ~B], [~B, B]] of block_matrix, its
+    symmetry, zero diagonal and row counts verified."""
     p, k = plan.p, plan.k
     _require_order(plan.n)
     inner = np.block([[qpt_graph(p, int(t))._mask for t in row]
                       for row in plan.thresholds])
     full = np.block([[inner, ~inner], [~inner, inner]])
+    if not np.array_equal(full, full.T):
+        raise InvariantError("block matrix is not symmetric")
     if np.diagonal(full).any():
         raise InvariantError("block matrix grew a nonzero diagonal entry")
     row_sums = np.count_nonzero(full, axis=1)
@@ -296,10 +298,10 @@ def block_matrix(plan: BlockPlan) -> SymmetricMatrix:
     Pairing every block with its complement makes each row sum exactly
     k*p: a row meets p columns per (block, complement) pair, of which
     the diagonal entry contributes 0 and its complement contributes 1.
-    Both the zero diagonal and the row sums are verified before
-    returning.
+    The symmetry, the zero diagonal and the row sums are verified on the
+    boolean mask before its one float64 cast.
     """
-    return SymmetricMatrix(_block_mask(plan).astype(float))
+    return _adopt(_block_mask(plan).astype(np.float64))
 
 
 def block_graph(plan: BlockPlan) -> Graph:

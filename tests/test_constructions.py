@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conftest import (direct_rayleigh, jacobi_eigenvalues, naive_disc,
 from matdisc import (
     BadTError,
     EmptyCliqueError,
+    InvariantError,
     NotPrimeError,
     TooManyVerticesError,
     block_graph,
@@ -243,6 +245,29 @@ def test_block_matrix_structure():
     # off-diagonal blocks are the exact complement, diagonal included
     assert np.array_equal(a[:kp, kp:], 1.0 - a[:kp, :kp])
     assert np.array_equal(a[kp:, kp:], a[:kp, :kp])
+
+
+def test_block_matrix_memory_is_one_cast():
+    """At p = 101 (n = 606) the matrix is one float64 cast of a boolean
+    mask checked for symmetry as booleans; a second cast and the float
+    symmetry check's temporaries took the peak to 3.0 times the array."""
+    plan = block_plan(101)
+    tracemalloc.start()
+    try:
+        a = block_matrix(plan).a
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (606, 606)
+    assert peak <= 1.5 * a.nbytes
+
+
+def test_block_matrix_rejects_an_asymmetric_mask():
+    plan = block_plan(13)
+    thresholds = plan.thresholds.copy()
+    thresholds[0, 1] = 1  # Q(13, 1) above the diagonal, Q(13, 12) below
+    with pytest.raises(InvariantError, match="not symmetric"):
+        block_matrix(dataclasses.replace(plan, thresholds=thresholds))
 
 
 def test_block_graph_regular():

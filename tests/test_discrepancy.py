@@ -29,6 +29,7 @@ from matdisc import (
     disc_heuristic,
     disc_value_at,
     gnp_random_graph,
+    qpt_graph,
     star_graph,
     write_matrix,
 )
@@ -168,7 +169,7 @@ def _assert_index_witness(witness, n):
 
 
 def test_heuristic_witnesses_past_64_vertices():
-    """Witnesses leave the flip search as index sets, not bit masks: past
+    """Witnesses leave the climb as index sets, not bit masks: past
     64 vertices they stay sorted 1-based labels that re-evaluate to the
     reported value."""
     m = np.random.default_rng(100).normal(size=(100, 100))
@@ -185,24 +186,49 @@ def test_heuristic_witnesses_past_64_vertices():
 
 
 def test_heuristic_outputs_pinned():
-    # The flip search's random stream, move order and score arithmetic
-    # decide these; each field is a seeded result the CLI reports.
+    # The climb's random stream, step order and score arithmetic decide
+    # these; each field is a seeded result the CLI reports.
     first26 = list(range(1, 27))
     x12 = [3, 6, 8, 9, 10, 11]
     x40 = [5, 6, 9, 15, 18, 23, 24, 26, 27, 30, 31, 33, 37, 38, 39]
     assert _heuristic_outputs() == {
-        "block13": _pin(10.0, first26, first26, 4436016),
+        "block13": _pin(10.0, list(range(27, 53)), first26, 380016),
         "gauss30": _pin(4.819813499801894,
                         [1, 2, 6, 7, 9, 11, 14, 17, 22, 24, 25, 27, 28],
-                        [2, 6, 7, 9, 11, 16, 17, 24], 285300),
-        "disc2_12": _pin(2.393939393939394, x12, x12, 17424),
+                        [2, 6, 7, 9, 11, 16, 17, 24], 59760),
+        "disc2_12": _pin(2.393939393939394, x12, x12, 7584),
         "disc1_12": _pin(0.9696969696969696, x12, x12, 642),
-        "disc2_40": _pin(4.4203167583557,
-                         [5, 6, 7, 15, 17, 18, 23, 24, 26, 30, 33, 37, 39],
-                         [5, 6, 9, 15, 16, 18, 24, 26, 29, 31, 33, 37, 38, 39],
-                         697600),
+        "disc2_40": _pin(4.434615384615384, x40, x40, 82720),
         "disc1_40": _pin(1.9628205128205125, x40, x40, 7238),
     }
+
+
+def test_heuristic_matches_exact_as_often_as_the_flip_search():
+    """30 seeded matrices at n = 18 to 24, Gaussian and 0/1 in turn: at
+    the default restarts the climb reaches the exact value on every one,
+    as the first-improvement flip search it replaced did (30 of 30)."""
+    hits = 0
+    for i in range(30):
+        rng = np.random.default_rng([33, i])
+        n = 18 + i % 7
+        if i % 2:
+            upper = np.triu(rng.random((n, n)) < 0.5)
+            mat = SymmetricMatrix((upper | upper.T).astype(float))
+        else:
+            mat = random_symmetric(rng, n)
+        exact = disc_exact(mat).value
+        hits += abs(disc_heuristic(mat, seed=i).value - exact) <= 1e-9 * exact
+    assert hits >= 30
+
+
+def test_heuristic_reaches_q199_quickly():
+    """Q(199, 99) at the default restarts: the flip search took 28 s to
+    reach 7.900180263335425; the climb must get there within 5 s."""
+    mat = qpt_graph(199, 99).adjacency
+    started = time.perf_counter()
+    res = disc_heuristic(mat, seed=1)
+    assert time.perf_counter() - started < 5.0
+    assert res.value >= 7.900180263335425 * (1.0 - 1e-12)
 
 
 def test_threads_do_not_change_result():

@@ -331,7 +331,7 @@ def test_pool_tie_takes_first_class_pair():
 
 
 def test_heuristic_certificate_pinned():
-    # A seeded heuristic certificate, every field pinned: the flip search,
+    # A seeded heuristic certificate, every field pinned: the climb,
     # the class-pair pool and the chain's arithmetic decide it.
     rng = np.random.default_rng(101)
     m = rng.normal(size=(10, 10))
