@@ -45,6 +45,8 @@ from .suite import check_sparse_family, run_suite
 
 def _jsonify(obj):
     """Recursively convert numpy containers and scalars to JSON types."""
+    if type(obj) is float:
+        return repr(obj) if math.isnan(obj) or math.isinf(obj) else obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

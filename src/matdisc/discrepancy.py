@@ -8,34 +8,40 @@ The exact engine scans every X bitmask in batches of 2^b masks that
 share their high bits (b = min(batch_bits, n)), in four steps.
 
 1. Tables. Nothing of size 2^b x n is built. The column sums s_X of a
-   subset X of the low b rows are T1[X mod 2^b1] + T2[X >> b1], where
-   T1 and T2 hold the subset sums of the low b1 = ceil(b/2) rows and of
-   the other b - b1 (the half-and-half split of Horowitz and Sahni, JACM
-   1974). Each half is built by doubling, T[2^k:2^(k+1)] = T[:2^k] + M[k]
-   (Knuth, TAOCP 4A 7.2.1.1). The squared norms ||s_X||^2 and the sizes
-   |X| are tabled for every X in one dimension: ||s_X||^2 = 1_X^T G 1_X
-   is the subset form of the Gram matrix G of the low rows, which
-   _subset_forms doubles as 1_(X + k)^T Q 1_(X + k) = 1_X^T Q 1_X +
-   2 sum_(i in X) Q[i, k] + Q[k, k]. A batch adds one row, the column
-   sums of its high bits, which it folds into T2 once.
-2. Bound. For a fixed X, Cauchy-Schwarz gives
+   subset X of the low b rows are lo + hh, lo = T1[X mod 2^b1] and
+   hh = T2[X >> b1], where T1 and T2 hold the subset sums of the low
+   b1 = ceil(b/2) rows and of the other b - b1 (the half-and-half split
+   of Horowitz and Sahni, JACM 1974). Each half is built by doubling,
+   T[2^k:2^(k+1)] = T[:2^k] + M[k] (Knuth, TAOCP 4A 7.2.1.1). The sign
+   parts lo+ = max(lo, 0) and lo- = max(-lo, 0) of every T1 row are
+   augmented once a search to [2 lo+-, 1, ||lo+-||^2]. A batch adds one
+   row, the column sums of its high bits, which it folds into T2 once.
+2. Bound. A best Y holds entries of one sign of s_X only, so
+   Cauchy-Schwarz on each sign part gives
 
-       max_Y |sum_Y s_X| / sqrt(|X| |Y|) <= ||s_X||_2 / sqrt(|X|),
+       max_Y |sum_Y s_X| / sqrt(|X| |Y|) <= max(||s_X+||, ||s_X-||) / sqrt(|X|),
 
-   an O(1) bound per row: ||low + high||^2 = ||low||^2 + 2 low.high +
-   ||high||^2, with ||low||^2 tabled once per search and low.high a
-   subset-sum table of M[:b] @ high, written into one buffer of 2^b
-   bounds that every batch reuses. A running lower bound L on disc
+   and since (lo + hh)+ <= lo+ + hh+ entry by entry, ||s_X+-||^2 <=
+   ||lo+- + hh+-||^2 = ||hh+-||^2 + 2 hh+-.lo+- + ||lo+-||^2. For each sign
+   that is one grid over the T2 and T1 rows, the product
+   [hh+-, ||hh+-||^2, 1] [2 lo+-, 1, ||lo+-||^2]^T, and the larger of the two
+   grids over |X| bounds value(X)^2 for every X of the batch. The
+   products run in row blocks of at most GRID_MACS multiply-adds, which
+   OpenBLAS keeps on the calling thread. Unblocked (one (256 x 24)
+   (24 x 512) product a sign at n = 22), they went to two threads: the
+   benchmark's exact cycle took 0.96 s of CPU time in 0.49 s, against
+   0.35 s in 0.36 s in blocks (2-CPU x86-64 host). Each block's
+   maximum is scaled by 1/|X| while it is in cache, into one buffer of
+   2^b bounds that every batch reuses. A running lower bound L on disc
    carries over from batch to batch; each batch first scores the row of
    largest bound in each of SEED_ROWS equal blocks to raise it. Rows
    whose bound is below L - PRUNE_RTOL max(1, L) cannot reach the
    maximum and are dropped. The rows left get their column sums,
-   SCORE_ROWS at a time, and face the same test with the sharper
-   max(||s_X+||_2, ||s_X-||_2) / sqrt(|X|): a best Y holds entries of
-   one sign only, so Cauchy-Schwarz applies to each sign part. On the
-   benchmark's inputs at n = 20 to 22 this leaves between one row in
-   10^3 and one in 10^5 to sort, against one in 5 to one in 10^2 after
-   the first test.
+   SCORE_ROWS at a time, and face the same test with ||s_X+-|| itself.
+   On Gaussian, uniform, 0/1 and tightness inputs at n = 18 to 22 the
+   grid test leaves one row in 150 to one in 2000 (one in 10 to one in
+   200 under the plain ||s_X|| bound it replaced), and the second test
+   one in 1700 to one in 45000.
 3. Sorted prefix sums. For the surviving rows the best Y of size m
    holds the m smallest or the m largest entries of s_X. One kernel,
    _prefix_extremes, gives both for every m: one sort, then one cumsum
@@ -53,7 +59,7 @@ share their high bits (b = min(batch_bits, n)), in four steps.
 
 Buffers. A search of one or a few batches (n <= 19 at b = 17) spends
 as much on set-up as on scanning. The float arrays a search fills in
-full, ||low||^2 and the bounds (2^b each) and gathered half-table rows
+full, the two sign grids (2^b each) and gathered half-table rows
 (two of max(SEED_ROWS, SCORE_ROWS) n each), come from one process-wide
 pool, _POOL, guarded by a lock for searches on several caller threads.
 They go back to it when the search ends, also on error. Fresh arrays of
@@ -83,8 +89,9 @@ value, at once. Scanned, such a matrix prunes no row; it was the
 slowest input.
 
 The exact disc1 search walks the same batches. Its edge counts e(X) =
-1_X^T (A/2) 1_X are the other subset form: _subset_forms tables them
-for the low rows from A/2 in place of G. Every search hands its
+1_X^T (A/2) 1_X are a subset form, which _subset_forms doubles in one
+dimension: 1_(X + k)^T Q 1_(X + k) = 1_X^T Q 1_X + 2 sum_(i in X) Q[i, k]
++ Q[k, k]. Every search hands its
 witnesses over as sorted 0-based index sets; only the exact scans mask
 X, and they decode their one winning mask.
 
@@ -137,6 +144,9 @@ PRUNE_RTOL = 1e-9
 SEED_ROWS = 64
 #: rows a batch gathers at once to test and score, which bounds its memory
 SCORE_ROWS = 4096
+#: multiply-adds of one product of the exact scan's bound: OpenBLAS runs a
+#: product of at most 2^18 on the calling thread
+GRID_MACS = 1 << 18
 #: floats in each buffer of the exact scan's pool (1 MiB): a 2^b table
 #: at the default batch size
 POOL_FLOATS = 1 << DEFAULT_BATCH_BITS
@@ -343,10 +353,10 @@ def _row_values(S: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 class _ExactScan:
-    """One exact search over `batches`: the half tables and squared norms
-    of the low rows' subset sums, the running lower bound L on disc, and
-    the bound and gather buffers every batch reuses. Its float buffers
-    come from _POOL; release() returns them."""
+    """One exact search over `batches`: the half tables of the low rows'
+    subset sums and their augmented sign parts, the running lower bound L
+    on disc, and the bound and gather buffers every batch reuses. Its
+    float buffers come from _POOL; release() returns them."""
 
     def __init__(self, M: np.ndarray, batches: _Batches):
         self.M = M
@@ -355,10 +365,21 @@ class _ExactScan:
         self.split = (bits + 1) // 2
         self.half_lo = _subset_sums(M[:self.split])
         self.half_hi = _subset_sums(M[self.split:bits])
+        # [2 lo, 1, ||lo||^2]^T of each sign part lo of half_lo
+        self.lo_factors = []
+        for part in (np.maximum(self.half_lo, 0.0), np.maximum(-self.half_lo, 0.0)):
+            factor = np.empty((M.shape[0] + 2, part.shape[0]))
+            np.multiply(part.T, 2.0, out=factor[:-2])
+            factor[-2] = 1.0
+            np.einsum("ij,ij->i", part, part, out=factor[-1])
+            self.lo_factors.append(factor)
+        self.grid_rows = max(1, GRID_MACS // ((M.shape[0] + 2) << self.split))
+        # 1 / |X| = inv_sizes[|hh index| + rows, lo index]; 1 at mask 0
+        self.hi_sizes = _subset_sizes(bits - self.split)
+        self.inv_sizes = 1.0 / np.maximum(
+            _subset_sizes(self.split) + np.arange(M.shape[0] - self.split + 1.0)[:, None], 1.0)
         self.held = []
-        self.low_norm2 = _subset_forms(M[:bits] @ M[:bits].T,
-                                       _POOL.take(1 << bits, self.held))
-        self.bound2 = _POOL.take(1 << bits, self.held)
+        self.grids = [_POOL.take(1 << bits, self.held) for _ in range(2)]
         width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]
         self.lo_rows = _POOL.take(width, self.held)
         self.hi_rows = _POOL.take(width, self.held)
@@ -373,10 +394,35 @@ class _ExactScan:
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
+    def _bound2(self, half_hi: np.ndarray, rows: int) -> np.ndarray:
+        """max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| for every low mask X
+        of a batch whose high part holds `rows` rows, lo and hh being X's
+        rows of half_lo and half_hi, written into self.grids[1].
+
+        Each sign's grid is the product [hh, ||hh||^2, 1] [2 lo, 1, ||lo||^2]^T
+        of its parts, taken GRID_MACS multiply-adds at most at a time; each
+        block's maximum is scaled while it is still in cache."""
+        n = self.M.shape[0]
+        lefts = []
+        for sign in (1.0, -1.0):
+            left = np.empty((half_hi.shape[0], n + 2))
+            part = np.maximum(sign * half_hi, 0.0, out=left[:, :n])
+            np.einsum("ij,ij->i", part, part, out=left[:, n])
+            left[:, n + 1] = 1.0
+            lefts.append(left)
+        pos, bound2 = (grid.reshape(half_hi.shape[0], -1) for grid in self.grids)
+        for i in range(0, half_hi.shape[0], self.grid_rows):
+            block = slice(i, i + self.grid_rows)
+            np.matmul(lefts[0][block], self.lo_factors[0], out=pos[block])
+            np.matmul(lefts[1][block], self.lo_factors[1], out=bound2[block])
+            np.maximum(bound2[block], pos[block], out=bound2[block])
+            bound2[block] *= self.inv_sizes[self.hi_sizes[block] + rows]
+        return self.grids[1]
+
     def batch(self, h: int) -> tuple:
         """Scan the X masks whose high part is h, with the bound of every
-        row written into self.bound2, and the half-table rows of the rows
-        it scores gathered into self.lo_rows and self.hi_rows.
+        row written into self.grids[1], and the half-table rows of the
+        rows it scores gathered into self.lo_rows and self.hi_rows.
 
         Returns (masks, values, rows_sorted): masks and values are the
         rows that can still tie the maximum and beat every such row at a
@@ -384,38 +430,35 @@ class _ExactScan:
         the bound dropped every row.
         """
         rows, first = self.batches.part(h)
-        high = self.M[rows].sum(axis=0)
-        # bound2[X] = ||s_X||^2 / |X| for every low mask X of the batch.
-        # ||low||^2 sums at most b^2 Gram entries, each n products of size
-        # <= max|M|^2, so with the expansion the float error is at most
-        # ~(n + 2b) eps n^3 max|M|^2, below the PRUNE_RTOL margin
-        # 2e-9 disc^2 >= 2e-9 max|M|^2 for every n <= EXACT_CAP.
-        bound2 = _subset_sums(self.M[:self.batches.bits] @ high, self.bound2)
-        bound2 *= 2.0
-        bound2 += self.low_norm2
-        bound2 += high @ high
-        low_size = _subset_sizes(self.batches.bits)
-        bound2[first:] /= low_size[first:] + np.uint8(rows.size)
-        bound2[:first] = -math.inf  # mask 0 is empty
         split = self.split
-        half_hi = self.half_hi + high
+        half_hi = self.half_hi + self.M[rows].sum(axis=0)
+        # bound2[X] >= max(||s_X+||^2, ||s_X-||^2) / |X|, since (lo + hh)+ <=
+        # lo+ + hh+. A grid entry sums n + 2 nonnegative terms, each a few
+        # roundings off, to ||lo+- + hh+-||^2 <= n (n max|M|)^2, so with the
+        # scaling its float error is at most ~(n + 4) u n^3 max|M|^2, u = 2^-53:
+        # 4e-11 max|M|^2 at n = 24 and 1.3e-10 at n = 32, below the PRUNE_RTOL
+        # margin 2e-9 disc^2 >= 2e-9 max|M|^2.
+        bound2 = self._bound2(half_hi, rows.size)
+        low_size = _subset_sizes(self.batches.bits)
+        bound2[:first] = -math.inf  # mask 0 is empty
 
         def score(low):
-            """The low masks that pass the sign-split bound, and their values."""
+            """The low masks whose max(||s_X+||, ||s_X-||)^2 / |X| passes the
+            prune floor, and their values."""
             n = self.M.shape[0]
             # np.take buffers `out` under its default mode="raise"; every
             # index is in range, so "clip" gathers in place.
             S = np.take(self.half_lo, low & ((1 << split) - 1), axis=0, mode="clip",
                         out=self.lo_rows[:low.size * n].reshape(-1, n))
-            pos = np.take(half_hi, low >> split, axis=0, mode="clip",
-                          out=self.hi_rows[:low.size * n].reshape(-1, n))
-            S += pos
-            np.maximum(S, 0.0, out=pos)
-            pos2 = np.einsum("ij,ij->i", pos, pos)
+            part = np.take(half_hi, low >> split, axis=0, mode="clip",
+                           out=self.hi_rows[:low.size * n].reshape(-1, n))
+            S += part
+            np.maximum(S, 0.0, out=part)
+            pos2 = np.einsum("ij,ij->i", part, part)
+            np.minimum(S, 0.0, out=part)
             size = low_size[low] + float(rows.size)
-            # ||s+||^2 and ||s-||^2 = ||s||^2 - ||s+||^2
-            split2 = np.maximum(pos2, bound2[low] * size - pos2)
-            ok = split2 / size >= self._prune_floor2()
+            ok = np.maximum(pos2, np.einsum("ij,ij->i", part, part)) / size \
+                >= self._prune_floor2()
             vals = _row_values(S[ok], size[ok])
             if vals.size:
                 self.L = max(self.L, float(vals.max()))

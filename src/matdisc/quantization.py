@@ -29,7 +29,7 @@ from .errors import (
     NotNormalizedError,
 )
 from .graphs import _vertex_indices
-from .linalg import SymmetricMatrix, _top_eigenpair, eig_symmetric, rho_prime
+from .linalg import SymmetricMatrix, _adopt, _top_eigenpair, eig_symmetric, rho_prime
 
 CERT_EPSILON = 1.0 / 3.0
 LINK_TOL = 1e-8
@@ -439,7 +439,13 @@ def certify_sigma2(
     spectrum_a = eig_symmetric(A)
     sigma2 = spectrum_a.sigma2
     lap("eig_A")
-    B = SymmetricMatrix(A.a - rho_prime(A))
+    # A's defect was accepted at A's entry scale, which can be far above
+    # B's, so B is not checked again: it mirrors A's lower triangle, the
+    # one every eigensolve of A reads, and is exactly symmetric
+    b = A.a - rho_prime(A)
+    for i in range(n - 1):
+        b[i, i + 1:] = b[i + 1:, i]
+    B = _adopt(b)
     spectrum_b, x = _top_eigenpair(B)
     sigma1_b = spectrum_b.sigma1
     lap("eig_B")

@@ -651,3 +651,15 @@ def test_vacuous_sample_or_thread_count_exit_2(tmp_path, capsys, argv):
 def test_verify_sample_and_seed_defaults(argv, seed):
     args = cli._build_parser().parse_args(["verify", *argv])
     assert (args.samples, args.seed) == (10_000, seed)
+
+
+def test_jsonify_writes_nonfinite_floats_as_their_repr():
+    """Plain floats and numpy scalars alike: nan and +-inf become 'nan',
+    'inf' and '-inf'; finite values, bools and ints keep their type."""
+    got = cli._jsonify({1: [1.5, float("nan"), -math.inf, np.float64(math.inf),
+                            np.float32(0.25), np.float64("nan")],
+                        "x": (np.arange(2), True, np.bool_(False), np.int64(3))})
+    assert got == {"1": [1.5, "nan", "-inf", "inf", 0.25, "nan"],
+                   "x": [[0, 1], True, False, 3]}
+    assert [type(v) for v in got["x"][1:]] == [bool, bool, int]
+    assert json.dumps(got) == json.dumps(got, allow_nan=False)

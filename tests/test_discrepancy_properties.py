@@ -117,14 +117,46 @@ def table_rows(draw):
 
 @hypothesis.settings(deadline=None)
 @hypothesis.given(case=table_rows())
-def test_low_norm2_matches_full_table(case):
+def test_subset_forms_of_gram_matrices(case):
     a, b = case
     ref = reference_subset_sums(a[:b])
     want = np.einsum("ij,ij->i", ref, ref)
     got = _subset_forms(a[:b] @ a[:b].T)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * want.max())
-    assert np.array_equal(_ExactScan(a, _Batches(len(a), b)).low_norm2, got)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(case=table_rows())
+def test_sign_split_bound_covers_every_mask(case):
+    """Every batch's bound table entry of a mask X is at least
+    max(||s+||^2, ||s-||^2) / |X| for X's column sums s from the full
+    table, which is at least value(X)^2, each within the bound's float
+    margin (n + 4) u n^3 max|M|^2, u = 2^-53."""
+    a, b = case
+    n = len(a)
+    batches = _Batches(n, b)
+    scan = _ExactScan(a, batches)
+    margin = (n + 4) * 2.0 ** -53 * n ** 3 * float(np.abs(a).max()) ** 2
+    low = reference_subset_sums(a[:b])
+    low_size = reference_subset_sums(np.ones((b, 1)))[:, 0]
+    try:
+        for h in batches.highs:
+            rows, first = batches.part(h)
+            high = a[rows].sum(axis=0)
+            got = scan._bound2(scan.half_hi + high, rows.size)[first:]
+            s = (low + high)[first:]
+            size = (low_size + rows.size)[first:]
+            split = np.maximum(np.einsum("ij,ij->i", np.maximum(s, 0.0), np.maximum(s, 0.0)),
+                               np.einsum("ij,ij->i", np.minimum(s, 0.0), np.minimum(s, 0.0)))
+            assert np.all(got >= split / size - margin)
+            srt = np.sort(s, axis=1)
+            ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
+                             np.abs(np.cumsum(srt[:, ::-1], axis=1)))
+            value2 = (ext ** 2 / np.arange(1.0, n + 1.0)).max(axis=1) / size
+            assert np.all(split / size >= value2 - margin)
+    finally:
+        scan.release()
 
 
 @hypothesis.settings(deadline=None)

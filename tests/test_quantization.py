@@ -229,6 +229,18 @@ def test_certificate_links_random():
             cert.sigma2 <= cert.headline_bound + 1e-8)
 
 
+
+def test_certificate_accepts_what_symmetric_matrix_accepted():
+    """A's defect, within tolerance at its entry scale 1e6, is far above
+    that tolerance at the scale of B = A - rho_prime(A): B must not be
+    checked again. Every link still holds."""
+    rng = np.random.default_rng(0)
+    A = SymmetricMatrix(1e6 * np.ones((6, 6)) + 1e-7 * rng.normal(size=(6, 6)))
+    cert = certify_sigma2(A)
+    assert cert.disc.value == disc_exact(A).value
+    for link in cert.links:
+        assert link.lhs <= link.rhs + 1e-8 * max(1.0, link.rhs), link.name
+
 def test_certificate_closed_form_numbers():
     # 4.5 P (4/eps) and 4.5 P ((4/eps) ln(4/eps) + 1) at eps = 1/3, P = 76
     assert closed_form_bound(12, 2.0) == pytest.approx(
