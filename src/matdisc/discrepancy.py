@@ -376,8 +376,8 @@ class _ExactScan:
         self.grid_rows = max(1, GRID_MACS // ((M.shape[0] + 2) << self.split))
         # 1 / |X| = inv_sizes[|hh index| + rows, lo index]; 1 at mask 0
         self.hi_sizes = _subset_sizes(bits - self.split)
-        self.inv_sizes = 1.0 / np.maximum(
-            _subset_sizes(self.split) + np.arange(M.shape[0] - self.split + 1.0)[:, None], 1.0)
+        counts = np.arange(M.shape[0] - self.split + 1.0)[:, None]
+        self.inv_sizes = 1.0 / np.maximum(_subset_sizes(self.split) + counts, 1.0)
         self.held = []
         self.grids = [_POOL.take(1 << bits, self.held) for _ in range(2)]
         width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]

@@ -147,8 +147,9 @@ def test_sign_split_bound_covers_every_mask(case):
             got = scan._bound2(scan.half_hi + high, rows.size)[first:]
             s = (low + high)[first:]
             size = (low_size + rows.size)[first:]
-            split = np.maximum(np.einsum("ij,ij->i", np.maximum(s, 0.0), np.maximum(s, 0.0)),
-                               np.einsum("ij,ij->i", np.minimum(s, 0.0), np.minimum(s, 0.0)))
+            pos, neg = np.maximum(s, 0.0), np.minimum(s, 0.0)
+            split = np.maximum(np.einsum("ij,ij->i", pos, pos),
+                               np.einsum("ij,ij->i", neg, neg))
             assert np.all(got >= split / size - margin)
             srt = np.sort(s, axis=1)
             ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
