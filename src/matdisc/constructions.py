@@ -24,8 +24,8 @@ import numpy as np
 
 from .discrepancy import DiscResult
 from .errors import BadTError, EmptyCliqueError, InvariantError, NotPrimeError
-from .graphs import Graph, _require_order
-from .linalg import SymmetricMatrix, _adopt
+from .graphs import Graph
+from .linalg import SymmetricMatrix, _adopt, _require_order
 
 __all__ = [
     "harmonic_number",

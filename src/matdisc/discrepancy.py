@@ -60,27 +60,21 @@ share their high bits (b = min(batch_bits, n)), in four steps.
 Buffers. A search of one or a few batches (n <= 19 at b = 17) spends
 as much on set-up as on scanning. The float arrays a search fills in
 full, the two sign grids (2^b each) and gathered half-table rows
-(two of max(SEED_ROWS, SCORE_ROWS) n each), come from one process-wide
-pool, _POOL, guarded by a lock for searches on several caller threads.
-They go back to it when the search ends, also on error. Fresh arrays of
-that size are faulted in page by page on every search: 100 to 900 minor
-page faults a search at n = 15 to 19, and n = 16 and 17 searches took
-1.3 to 2 times as long with them (2-CPU x86-64 host). The pool hands out
-slices of buffers of POOL_FLOATS = 2^DEFAULT_BATCH_BITS floats (1 MiB)
-whatever the order, so it never holds more buffers than were in use at
-once (4 a search), and no set per order. A reused buffer is not zeroed:
-a search writes every entry it reads first. A batch_bits above the
-default gets a fresh, unpooled bound array.
+(two of max(SEED_ROWS, SCORE_ROWS) n each), are slices of the calling
+thread's four scratch buffers of SCRATCH_FLOATS = 2^DEFAULT_BATCH_BITS
+floats (1 MiB), made on its first search and freed when the thread
+ends. Fresh arrays of that size are faulted in page by page on every
+search: 100 to 900 minor page faults a search at n = 15 to 19, and
+n = 16 and 17 searches took 1.3 to 2 times as long with them (2-CPU
+x86-64 host). A thread holds one live scan at a time, since a scan
+never leaves _search_exact, so no buffer is shared and no lock is
+taken, and caller threads may search at once. A reused buffer is not
+zeroed: a search writes every entry it reads first. A batch_bits above
+the default gets fresh bound arrays.
 
 Threads. The batches run in order on the calling thread: the scan holds
-the GIL for much of its time, so a second worker thread bought little.
-On the same host (4 Gaussian matrices a size, 3 runs, the median of 5
-timings a run) two workers took a median 1.03 and 1.05 times the time
-of one at n = 21 and 22 (0.75 to 1.51 over the runs), 0.95 at n = 23
-and 0.87 at n = 24 (0.69 to 1.29). Two independent n = 22 searches on two caller
-threads ran 1.19 to 1.58 times as fast as in sequence, where two
-processes ran 1.55 to 2.40 times as fast. The second worker also kept
-its three pool buffers for the life of the process.
+the GIL for much of its time, so a second worker thread bought little
+(measured in BENCH_28.json).
 
 A centred matrix whose entries are all at most TIE_RTOL / (2n) in
 magnitude, such as a zero one, is not scanned: no pair value can leave
@@ -102,7 +96,7 @@ X, then X of Y (the alternating maximization of Alon and Naor, SIAM J.
 Comput. 2006), each one sign's prefix of the sorted column sums
 (_prefix_extremes and an argsort). At a fixed point it scores every
 flip of X at once, the rows s_X +- M[j] through _row_values,
-POOL_FLOATS // n rows at a time, and takes the first rise in index
+SCRATCH_FLOATS // n rows at a time, and takes the first rise in index
 order, never emptying X. These steps rise only past the tie band,
 TIE_RTOL max(1, value), so the climb runs until no step rises past it:
 rounding between s_X +- M[j] and a fresh s_X can cycle otherwise.
@@ -147,9 +141,9 @@ SCORE_ROWS = 4096
 #: multiply-adds of one product of the exact scan's bound: OpenBLAS runs a
 #: product of at most 2^18 on the calling thread
 GRID_MACS = 1 << 18
-#: floats in each buffer of the exact scan's pool (1 MiB): a 2^b table
-#: at the default batch size
-POOL_FLOATS = 1 << DEFAULT_BATCH_BITS
+#: floats in each of the exact scan's scratch buffers (1 MiB): a 2^b
+#: table at the default batch size
+SCRATCH_FLOATS = 1 << DEFAULT_BATCH_BITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,12 +263,10 @@ def _prefix_extremes(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _subset_forms(Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _subset_forms(Q: np.ndarray) -> np.ndarray:
     """1_X^T Q 1_X for every bitmask X of the symmetric Q's order, doubled
-    in one dimension: out[2^k + X] = out[X] + 2 sum_(i in X) Q[i, k] + Q[k, k],
-    written into `out` when one is given."""
-    if out is None:
-        out = np.empty(1 << len(Q))
+    in one dimension: out[2^k + X] = out[X] + 2 sum_(i in X) Q[i, k] + Q[k, k]."""
+    out = np.empty(1 << len(Q))
     out[0] = 0.0
     for k in range(len(Q)):
         half = 1 << k
@@ -292,34 +284,20 @@ def _subset_sizes(bits: int) -> np.ndarray:
     return out
 
 
-class _BufferPool:
-    """Float64 buffers of POOL_FLOATS entries, kept between exact searches
-    so that their pages are faulted in once (see the module docstring).
-    A search takes 4; the lock serves searches on several caller threads."""
-
-    def __init__(self):
-        self.free = []
-        self._lock = threading.Lock()
-
-    def take(self, size: int, held: list) -> np.ndarray:
-        """The first `size` entries of a free buffer, or of a new one, which
-        joins `held`; a fresh unpooled array past POOL_FLOATS. The entries
-        hold whatever their last user left."""
-        if size > POOL_FLOATS:
-            return np.empty(size)
-        with self._lock:
-            buf = self.free.pop() if self.free else np.empty(POOL_FLOATS)
-            held.append(buf)
-        return buf[:size]
-
-    def give(self, held: list) -> None:
-        """Return the buffers in `held` to the pool and empty it."""
-        with self._lock:
-            self.free.extend(held)
-            held.clear()
+#: the calling thread's exact-scan buffers (see the module docstring)
+_SCRATCH = threading.local()
 
 
-_POOL = _BufferPool()
+def _scratch(i: int, size: int) -> np.ndarray:
+    """The first `size` floats of the calling thread's i-th scratch buffer
+    (of four, SCRATCH_FLOATS floats each, made on its first call), or a
+    fresh array past that size. The entries hold whatever the thread's
+    last search left."""
+    if size > SCRATCH_FLOATS:
+        return np.empty(size)
+    if not hasattr(_SCRATCH, "bufs"):
+        _SCRATCH.bufs = [np.empty(SCRATCH_FLOATS) for _ in range(4)]
+    return _SCRATCH.bufs[i][:size]
 
 
 class _Batches:
@@ -356,7 +334,8 @@ class _ExactScan:
     """One exact search over `batches`: the half tables of the low rows'
     subset sums and their augmented sign parts, the running lower bound L
     on disc, and the bound and gather buffers every batch reuses. Its
-    float buffers come from _POOL; release() returns them."""
+    float buffers are the calling thread's scratch, so a thread holds one
+    live scan at a time."""
 
     def __init__(self, M: np.ndarray, batches: _Batches):
         self.M = M
@@ -378,16 +357,10 @@ class _ExactScan:
         self.hi_sizes = _subset_sizes(bits - self.split)
         counts = np.arange(M.shape[0] - self.split + 1.0)[:, None]
         self.inv_sizes = 1.0 / np.maximum(_subset_sizes(self.split) + counts, 1.0)
-        self.held = []
-        self.grids = [_POOL.take(1 << bits, self.held) for _ in range(2)]
+        self.grids = [_scratch(i, 1 << bits) for i in range(2)]
         width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]
-        self.lo_rows = _POOL.take(width, self.held)
-        self.hi_rows = _POOL.take(width, self.held)
+        self.lo_rows, self.hi_rows = (_scratch(i, width) for i in (2, 3))
         self.L = 0.0
-
-    def release(self) -> None:
-        """Return the pool buffers of this search."""
-        _POOL.give(self.held)
 
     def _prune_floor2(self) -> float:
         """Squared bound below which a row cannot reach the maximum."""
@@ -499,6 +472,9 @@ def _pair_result(M: np.ndarray, xs: np.ndarray, mode: str, evaluations: int,
 
 
 def _search_exact(M: np.ndarray, batch_bits: int) -> DiscResult:
+    """The exact disc of the centred M with its tie-rule witnesses. The
+    scan is made and dropped here, which keeps the one live scan per
+    thread that its scratch buffers need."""
     n = M.shape[0]
     evaluations = ((1 << n) - 1) * 2 * n
     batches = _Batches(n, batch_bits)
@@ -507,10 +483,7 @@ def _search_exact(M: np.ndarray, batch_bits: int) -> DiscResult:
     if n * float(np.abs(M).max()) <= TIE_RTOL / 2:
         return _pair_result(M, np.zeros(1, dtype=np.intp), "exact", evaluations)
     scan = _ExactScan(M, batches)
-    try:
-        parts = [scan.batch(h) for h in batches.highs]
-    finally:
-        scan.release()
+    parts = [scan.batch(h) for h in batches.highs]
     cut = _tie_floor(scan.L)
     xmask = next(int(masks[vals >= cut][0])
                  for masks, vals, _ in parts if (vals >= cut).any())
@@ -544,13 +517,13 @@ def _climb(n: int, step, iterations: int, seed: int) -> tuple:
 
 def _first_flip(ind: np.ndarray, score, ceiling: float) -> tuple:
     """(next, scored): ind with its first flip above `ceiling` made, or
-    None, and the flips scored up to it, POOL_FLOATS // n at a time.
+    None, and the flips scored up to it, SCRATCH_FLOATS // n at a time.
     score(part, sign, sizes) values the flips of the slice part: sign is
     +1 where a flip adds the index, sizes the new sizes, clipped to >= 1
     since a flip that would empty X neither counts nor rises."""
     sign = 1.0 - 2.0 * ind
     sizes = ind.sum() + sign
-    scored, rows = 0, POOL_FLOATS // ind.size
+    scored, rows = 0, SCRATCH_FLOATS // ind.size
     for lo in range(0, ind.size, rows):
         part = slice(lo, lo + rows)
         ok = sizes[part] > 0.0

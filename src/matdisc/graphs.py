@@ -13,14 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, NotBinaryError, TooManyVerticesError
-from .linalg import MAX_VERTICES, SymmetricMatrix, _adopt, _read_text
-
-
-def _require_order(n: int) -> None:
-    """Check a vertex count before an n x n matrix is allocated for it."""
-    if n > MAX_VERTICES:
-        raise TooManyVerticesError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+from .errors import FormatError, NotBinaryError
+from .linalg import SymmetricMatrix, _adopt, _read_text, _require_order
 
 
 def _vertex_indices(labels, n: int) -> np.ndarray:

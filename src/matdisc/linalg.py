@@ -20,6 +20,7 @@ from .errors import (
     NoConvergenceError,
     NonSymmetricError,
     NotBinaryError,
+    TooManyVerticesError,
     ZeroVectorError,
 )
 
@@ -252,10 +253,17 @@ def rayleigh_quotient(A: SymmetricMatrix, x) -> float:
     return float(np.vdot(xv, A.a @ xv).real) / nrm2
 
 
+def _require_order(n: int) -> None:
+    """Check an order before an n x n matrix is allocated for it."""
+    if n > MAX_VERTICES:
+        raise TooManyVerticesError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 def all_ones(n: int) -> SymmetricMatrix:
     """The n x n matrix of ones."""
     if n < 1:
         raise ValueError("n must be positive")
+    _require_order(n)
     return SymmetricMatrix(np.ones((n, n)))
 
 

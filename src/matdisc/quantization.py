@@ -191,8 +191,8 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     """
     if not 0.0 < epsilon < 1.0:
         raise BadEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if p < 1.0:
-        raise ValueError(f"norm order must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1.0):  # nan fails too
+        raise ValueError(f"norm order must be finite and >= 1, got {p}")
     xv = np.asarray(x)
     is_complex = np.iscomplexobj(xv)
     xv = xv.astype(np.complex128 if is_complex else np.float64,

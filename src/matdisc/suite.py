@@ -29,8 +29,14 @@ from .constructions import (
     tightness_matrix,
 )
 from .discrepancy import disc_exact
-from .graphs import _require_order, complete_graph, gnp_random_graph
-from .linalg import SymmetricMatrix, eig_symmetric, rayleigh_quotient, rho_prime
+from .graphs import complete_graph, gnp_random_graph
+from .linalg import (
+    SymmetricMatrix,
+    _require_order,
+    eig_symmetric,
+    rayleigh_quotient,
+    rho_prime,
+)
 from .quantization import (
     CLOSED_FORM_OFFSET,
     CLOSED_FORM_SLOPE,

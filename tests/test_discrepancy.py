@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -264,16 +266,21 @@ def _same_result(got, want):
         (want.value, want.witness_X, want.witness_Y, want.evaluations)
 
 
-def test_search_reads_no_pool_entry_it_did_not_write(monkeypatch):
-    """Every free buffer is NaN before each search, so a table entry read
-    before it is written would surface as a NaN value or a lost row. The
-    reference scans batches of 2^4 masks, or of 2^(n - 8) past n = 12,
+def _thread_scratch():
+    """The calling thread's scratch buffers, made by a first search."""
+    discrepancy._scratch(0, 1)
+    return discrepancy._SCRATCH.bufs
+
+
+def test_search_reads_no_scratch_entry_it_did_not_write():
+    """The thread's scratch is NaN before each search, so a table entry
+    read before it is written would surface as a NaN value or a lost row.
+    The reference scans batches of 2^4 masks, or of 2^(n - 8) past n = 12,
     where 2^(n - 4) batches would take half a minute at n = 22."""
-    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
     rng = np.random.default_rng(53)
     for n, threads in ((17, 2), (9, 2), (22, 2), (12, 1)):
         mat = random_symmetric(rng, n)
-        for buf in discrepancy._POOL.free:
+        for buf in _thread_scratch():
             buf.fill(np.nan)
         got = disc_exact(mat, threads=threads)
         want = disc_exact(mat, threads=1, batch_bits=max(4, n - 8))
@@ -282,37 +289,52 @@ def test_search_reads_no_pool_entry_it_did_not_write(monkeypatch):
             want_val, want_x, want_y = naive_disc(mat.a)
             assert got.value == pytest.approx(want_val, abs=1e-12)
             assert (got.witness_X, got.witness_Y) == (want_x, want_y)
-    assert discrepancy._POOL.free
 
 
-def test_pool_holds_no_more_buffers_than_were_in_use(monkeypatch):
-    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
+def test_scratch_holds_four_buffers_and_batches_past_it_get_fresh_ones():
+    """A thread keeps four SCRATCH_FLOATS buffers after searches of every
+    size. batch_bits = 18 asks for bound tables of 2^18 floats, past
+    SCRATCH_FLOATS: they are fresh arrays outside the scratch, and the
+    search matches the default one (two batches at n = 19, one at 18)."""
     rng = np.random.default_rng(59)
     for n, threads in ((9, 1), (20, 2), (17, 2), (22, 3), (12, 1), (21, 2),
                        (22, 1)):
         disc_exact(random_symmetric(rng, n), threads=threads)
-    assert len(discrepancy._POOL.free) == 4
-    assert all(buf.shape == (discrepancy.POOL_FLOATS,)
-               for buf in discrepancy._POOL.free)
-
-
-def test_batches_past_the_pool_size_use_unpooled_buffers(monkeypatch):
-    """batch_bits = 18 asks for bound tables of 2^18 floats, past
-    POOL_FLOATS: they are fresh arrays that never join the pool, and the
-    search matches the default one (two batches at n = 19, one at 18)."""
-    monkeypatch.setattr(discrepancy, "_POOL", discrepancy._BufferPool())
     rng = np.random.default_rng(67)
     for n in (19, 18):
         mat = random_symmetric(rng, n)
         got = disc_exact(mat, batch_bits=18)
         assert got.batches == 1 << (n - 18)
         assert _same_result(got, disc_exact(mat))
-    assert all(buf.shape == (discrepancy.POOL_FLOATS,)
-               for buf in discrepancy._POOL.free)
+    bufs = _thread_scratch()
+    assert len(bufs) == 4
+    assert all(buf.shape == (discrepancy.SCRATCH_FLOATS,) for buf in bufs)
+    scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
+                                  discrepancy._Batches(18, 18))
+    assert not any(np.shares_memory(grid, buf)
+                   for grid in scan.grids for buf in bufs)
+    assert np.shares_memory(scan.lo_rows, bufs[2])
+    assert np.shares_memory(scan.hi_rows, bufs[3])
+
+
+def test_worker_thread_scratch_is_freed_when_the_thread_ends():
+    """A thread's scratch buffers die with it: none outlives the thread."""
+    refs = []
+
+    def search():
+        disc_exact(random_symmetric(np.random.default_rng(71), 17))
+        refs.extend(weakref.ref(buf) for buf in discrepancy._SCRATCH.bufs)
+
+    worker = threading.Thread(target=search)
+    worker.start()
+    worker.join()
+    gc.collect()
+    assert len(refs) == 4
+    assert all(ref() is None for ref in refs)
 
 
 def test_concurrent_searches_match_serial_ones():
-    """Two caller threads share the pool: each gets the results of serial
+    """Two caller threads search at once: each gets the results of serial
     calls, over several rounds with a short switch interval."""
     rng = np.random.default_rng(61)
     mats = [[random_symmetric(rng, n) for n in (20, 9, 17)],
@@ -336,9 +358,9 @@ def test_concurrent_searches_match_serial_ones():
 
 
 def test_shared_lower_bound_survives_thread_switching():
-    """Scans on 4 caller threads share the buffer pool, switching every
-    microsecond: a buffer handed to two scans at once would leave a scan's
-    lower bound below a value it scored, or its parts off the serial ones.
+    """Scans on 4 caller threads at once, switching every microsecond: a
+    buffer shared by two scans would leave a scan's lower bound below a
+    value it scored, or its parts off the serial ones.
     Entries grow with the index, so later batches keep raising the bound."""
     w = np.arange(1.0, 13.0) ** 2
     M = discrepancy.centered_matrix(SymmetricMatrix(np.outer(w, w)))
@@ -346,10 +368,7 @@ def test_shared_lower_bound_survives_thread_switching():
 
     def scan_all():
         scan = discrepancy._ExactScan(M, batches)
-        try:
-            parts = [scan.batch(h) for h in batches.highs]
-        finally:
-            scan.release()
+        parts = [scan.batch(h) for h in batches.highs]
         return scan.L, parts
 
     want_L, want = scan_all()

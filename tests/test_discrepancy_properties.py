@@ -140,24 +140,21 @@ def test_sign_split_bound_covers_every_mask(case):
     margin = (n + 4) * 2.0 ** -53 * n ** 3 * float(np.abs(a).max()) ** 2
     low = reference_subset_sums(a[:b])
     low_size = reference_subset_sums(np.ones((b, 1)))[:, 0]
-    try:
-        for h in batches.highs:
-            rows, first = batches.part(h)
-            high = a[rows].sum(axis=0)
-            got = scan._bound2(scan.half_hi + high, rows.size)[first:]
-            s = (low + high)[first:]
-            size = (low_size + rows.size)[first:]
-            pos, neg = np.maximum(s, 0.0), np.minimum(s, 0.0)
-            split = np.maximum(np.einsum("ij,ij->i", pos, pos),
-                               np.einsum("ij,ij->i", neg, neg))
-            assert np.all(got >= split / size - margin)
-            srt = np.sort(s, axis=1)
-            ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
-                             np.abs(np.cumsum(srt[:, ::-1], axis=1)))
-            value2 = (ext ** 2 / np.arange(1.0, n + 1.0)).max(axis=1) / size
-            assert np.all(split / size >= value2 - margin)
-    finally:
-        scan.release()
+    for h in batches.highs:
+        rows, first = batches.part(h)
+        high = a[rows].sum(axis=0)
+        got = scan._bound2(scan.half_hi + high, rows.size)[first:]
+        s = (low + high)[first:]
+        size = (low_size + rows.size)[first:]
+        pos, neg = np.maximum(s, 0.0), np.minimum(s, 0.0)
+        split = np.maximum(np.einsum("ij,ij->i", pos, pos),
+                           np.einsum("ij,ij->i", neg, neg))
+        assert np.all(got >= split / size - margin)
+        srt = np.sort(s, axis=1)
+        ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
+                         np.abs(np.cumsum(srt[:, ::-1], axis=1)))
+        value2 = (ext ** 2 / np.arange(1.0, n + 1.0)).max(axis=1) / size
+        assert np.all(split / size >= value2 - margin)
 
 
 @hypothesis.settings(deadline=None)

@@ -23,7 +23,7 @@ from matdisc import (
     write_graph,
 )
 from matdisc import graphs
-from matdisc.graphs import MAX_VERTICES
+from matdisc.linalg import MAX_VERTICES
 
 
 def test_edges_canonicalized():

@@ -12,6 +12,7 @@ from matdisc import (
     NotBinaryError,
     FormatError,
     SymmetricMatrix,
+    TooManyVerticesError,
     ZeroVectorError,
     all_ones,
     complement,
@@ -23,6 +24,7 @@ from matdisc import (
     singular_values,
     write_matrix,
 )
+from matdisc import linalg
 from matdisc.linalg import _top_eigenpair
 
 
@@ -216,6 +218,15 @@ def test_rayleigh_quotient():
     assert rayleigh_quotient(m, np.array([1.0, 1.0])) == pytest.approx(1.5)
     with pytest.raises(ZeroVectorError):
         rayleigh_quotient(m, np.zeros(2))
+
+
+def test_all_ones_checks_the_order_cap(monkeypatch):
+    """all_ones refuses an order past MAX_VERTICES, as every other dense
+    constructor does; a small cap keeps the refused matrix cheap."""
+    monkeypatch.setattr(linalg, "MAX_VERTICES", 5)
+    assert all_ones(5).n == 5
+    with pytest.raises(TooManyVerticesError, match="5"):
+        all_ones(6)
 
 
 def test_complement_is_all_ones_minus():

@@ -154,8 +154,10 @@ def test_quantize_rejects_bad_input():
         quantize(np.array([1.0]), p=2.0, epsilon=0.0)
     with pytest.raises(BadEpsilonError):
         quantize(np.array([1.0]), p=2.0, epsilon=1.0)
-    with pytest.raises(ValueError):
-        quantize(np.array([1.0]), p=0.5, epsilon=0.5)
+    # inf would pass [0.6, 0.8] as a unit vector; nan is no order at all
+    for p in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="norm order"):
+            quantize(np.array([0.6, 0.8]), p=p, epsilon=0.3)
     with pytest.raises(ValueError):
         quantize(np.array([]), p=2.0, epsilon=0.5)
 
