@@ -291,15 +291,20 @@ def test_search_reads_no_scratch_entry_it_did_not_write():
             assert (got.witness_X, got.witness_Y) == (want_x, want_y)
 
 
-def test_scratch_holds_four_buffers_and_batches_past_it_get_fresh_ones():
-    """A thread keeps four SCRATCH_FLOATS buffers after searches of every
-    size. batch_bits = 18 asks for bound tables of 2^18 floats, past
-    SCRATCH_FLOATS: they are fresh arrays outside the scratch, and the
-    search matches the default one (two batches at n = 19, one at 18)."""
+def test_scratch_holds_four_buffers_after_searches_of_every_size():
     rng = np.random.default_rng(59)
     for n, threads in ((9, 1), (20, 2), (17, 2), (22, 3), (12, 1), (21, 2),
                        (22, 1)):
         disc_exact(random_symmetric(rng, n), threads=threads)
+    bufs = _thread_scratch()
+    assert len(bufs) == 4
+    assert all(buf.shape == (discrepancy.SCRATCH_FLOATS,) for buf in bufs)
+
+
+def test_batches_past_the_scratch_size_use_fresh_buffers():
+    """batch_bits = 18 asks for bound tables of 2^18 floats, past
+    SCRATCH_FLOATS: they are fresh arrays outside the scratch, and the
+    search matches the default one (two batches at n = 19, one at 18)."""
     rng = np.random.default_rng(67)
     for n in (19, 18):
         mat = random_symmetric(rng, n)
@@ -307,7 +312,6 @@ def test_scratch_holds_four_buffers_and_batches_past_it_get_fresh_ones():
         assert got.batches == 1 << (n - 18)
         assert _same_result(got, disc_exact(mat))
     bufs = _thread_scratch()
-    assert len(bufs) == 4
     assert all(buf.shape == (discrepancy.SCRATCH_FLOATS,) for buf in bufs)
     scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
                                   discrepancy._Batches(18, 18))
