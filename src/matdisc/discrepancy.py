@@ -25,19 +25,30 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    ||lo+- + hh+-||^2 = ||hh+-||^2 + 2 hh+-.lo+- + ||lo+-||^2. For each sign
    that is one grid over the T2 and T1 rows, the product
    [hh+-, ||hh+-||^2, 1] [2 lo+-, 1, ||lo+-||^2]^T, and the larger of the two
-   grids over |X| bounds value(X)^2 for every X of the batch. The
+   grids over |X| bounds value(X)^2 for every X of the batch. The grid
+   is built in float32, which halves the memory traffic that limits it
+   (its inner dimension is only n + 2): the sign parts are scaled by
+   unit = 2^-e, e the frexp exponent of max|M|, before the factors and
+   the tabled 1/|X| are cast, so the entries are in units of unit^2 and
+   even max|M| = MAX_ABS_ENTRY cannot overflow. A row passes the grid
+   test when its entry is at least floor unit^2 (1 - GRID_RTOL) -
+   GRID_ATOL, floor the squared prune floor below, rounded down to
+   float32: a margin far wider than the grid's float32 rounding, a
+   relative (n + 6) 2^-24 (the argument is in _ExactScan.batch). The
    products run in row blocks of at most GRID_MACS multiply-adds, which
    OpenBLAS keeps on the calling thread. Unblocked (one (256 x 24)
-   (24 x 512) product a sign at n = 22), they went to two threads: the
-   benchmark's exact cycle took 0.96 s of CPU time in 0.49 s, against
-   0.35 s in 0.36 s in blocks (2-CPU x86-64 host). Each block's
-   maximum is scaled by 1/|X| while it is in cache, into one buffer of
-   2^b bounds that every batch reuses. A running lower bound L on disc
-   carries over from batch to batch; each batch first scores the row of
-   largest bound in each of SEED_ROWS equal blocks to raise it. Rows
-   whose bound is below L - PRUNE_RTOL max(1, L) cannot reach the
-   maximum and are dropped. The rows left get their column sums,
-   SCORE_ROWS at a time, and face the same test with ||s_X+-|| itself.
+   (24 x 512) product a sign at n = 22), the float64 products went to
+   two threads: the benchmark's exact cycle took 0.96 s of CPU time in
+   0.49 s, against 0.35 s in 0.36 s in blocks (2-CPU x86-64 host); in
+   float32, blocks of 2^20 multiply-adds went to two threads too and ran
+   slower than 2^19. Each block's maximum is scaled by 1/|X| while it is
+   in cache, into one buffer of 2^b bounds that every batch reuses. A
+   running lower bound L on disc carries over from batch to batch; each
+   batch first scores the row of largest bound in each of SEED_ROWS
+   equal blocks to raise it. Rows whose bound is below L - PRUNE_RTOL
+   max(1, L) cannot reach the maximum and are dropped. The rows left get
+   their column sums, in float64, SCORE_ROWS at a time, and face the
+   same test with ||s_X+-|| itself.
    On Gaussian, uniform, 0/1 and tightness inputs at n = 18 to 22 the
    grid test leaves one row in 150 to one in 2000 (one in 10 to one in
    200 under the plain ||s_X|| bound it replaced), and the second test
@@ -59,18 +70,19 @@ share their high bits (b = min(batch_bits, n)), in four steps.
 
 Buffers. A search of one or a few batches (n <= 19 at b = 17) spends
 as much on set-up as on scanning. The float arrays a search fills in
-full, the two sign grids (2^b each) and gathered half-table rows
-(two of max(SEED_ROWS, SCORE_ROWS) n each), are slices of the calling
+full, the two float32 sign grids (2^b each, the first half of a buffer
+at the default b) and gathered half-table rows (two of
+max(SEED_ROWS, SCORE_ROWS) n float64 each), are slices of the calling
 thread's four scratch buffers of SCRATCH_FLOATS = 2^DEFAULT_BATCH_BITS
-floats (1 MiB), made on its first search and freed when the thread
+float64 (1 MiB), made on its first search and freed when the thread
 ends. Fresh arrays of that size are faulted in page by page on every
 search: 100 to 900 minor page faults a search at n = 15 to 19, and
 n = 16 and 17 searches took 1.3 to 2 times as long with them (2-CPU
 x86-64 host). A thread holds one live scan at a time, since a scan
 never leaves _search_exact, so no buffer is shared and no lock is
 taken, and caller threads may search at once. A reused buffer is not
-zeroed: a search writes every entry it reads first. A batch_bits above
-the default gets fresh bound arrays.
+zeroed: a search writes every entry it reads first. A batch_bits more
+than one above the default gets fresh bound arrays.
 
 Threads. The batches run in order on the calling thread: the scan holds
 the GIL for much of its time, so a second worker thread bought little
@@ -139,8 +151,12 @@ SEED_ROWS = 64
 #: rows a batch gathers at once to test and score, which bounds its memory
 SCORE_ROWS = 4096
 #: multiply-adds of one product of the exact scan's bound: OpenBLAS runs a
-#: product of at most 2^18 on the calling thread
-GRID_MACS = 1 << 18
+#: float32 product of at most 2^19 on the calling thread
+GRID_MACS = 1 << 19
+#: relative and absolute (grid units) margins of the float32 bound grid's
+#: test; the grid's float error is far inside both (see _ExactScan.batch)
+GRID_RTOL = 2.0 ** -14
+GRID_ATOL = 2.0 ** -100
 #: floats in each of the exact scan's scratch buffers (1 MiB): a 2^b
 #: table at the default batch size
 SCRATCH_FLOATS = 1 << DEFAULT_BATCH_BITS
@@ -288,16 +304,16 @@ def _subset_sizes(bits: int) -> np.ndarray:
 _SCRATCH = threading.local()
 
 
-def _scratch(i: int, size: int) -> np.ndarray:
-    """The first `size` floats of the calling thread's i-th scratch buffer
-    (of four, SCRATCH_FLOATS floats each, made on its first call), or a
-    fresh array past that size. The entries hold whatever the thread's
-    last search left."""
-    if size > SCRATCH_FLOATS:
-        return np.empty(size)
+def _scratch(i: int, size: int, dtype=np.float64) -> np.ndarray:
+    """The first `size` entries of `dtype` of the calling thread's i-th
+    scratch buffer (of four, SCRATCH_FLOATS float64 each, made on its first
+    call), or a fresh array past that size. The entries hold whatever the
+    thread's last search left."""
+    if size * np.dtype(dtype).itemsize > SCRATCH_FLOATS * 8:
+        return np.empty(size, dtype)
     if not hasattr(_SCRATCH, "bufs"):
         _SCRATCH.bufs = [np.empty(SCRATCH_FLOATS) for _ in range(4)]
-    return _SCRATCH.bufs[i][:size]
+    return _SCRATCH.bufs[i].view(dtype)[:size]
 
 
 class _Batches:
@@ -344,20 +360,25 @@ class _ExactScan:
         self.split = (bits + 1) // 2
         self.half_lo = _subset_sums(M[:self.split])
         self.half_hi = _subset_sums(M[self.split:bits])
-        # [2 lo, 1, ||lo||^2]^T of each sign part lo of half_lo
+        # grid units: max|M| * unit lies in [1/2, 1), and a power of two
+        # scales exactly
+        self.unit = math.ldexp(1.0, -math.frexp(float(np.abs(M).max()))[1])
+        # [2 lo, 1, ||lo||^2]^T in float32 of each sign part lo of half_lo * unit
         self.lo_factors = []
-        for part in (np.maximum(self.half_lo, 0.0), np.maximum(-self.half_lo, 0.0)):
+        for sign in (self.unit, -self.unit):
+            part = np.maximum(sign * self.half_lo, 0.0)
             factor = np.empty((M.shape[0] + 2, part.shape[0]))
             np.multiply(part.T, 2.0, out=factor[:-2])
             factor[-2] = 1.0
             np.einsum("ij,ij->i", part, part, out=factor[-1])
-            self.lo_factors.append(factor)
+            self.lo_factors.append(factor.astype(np.float32))
         self.grid_rows = max(1, GRID_MACS // ((M.shape[0] + 2) << self.split))
         # 1 / |X| = inv_sizes[|hh index| + rows, lo index]; 1 at mask 0
         self.hi_sizes = _subset_sizes(bits - self.split)
         counts = np.arange(M.shape[0] - self.split + 1.0)[:, None]
-        self.inv_sizes = 1.0 / np.maximum(_subset_sizes(self.split) + counts, 1.0)
-        self.grids = [_scratch(i, 1 << bits) for i in range(2)]
+        self.inv_sizes = (1.0 / np.maximum(_subset_sizes(self.split) + counts, 1.0)
+                          ).astype(np.float32)
+        self.grids = [_scratch(i, 1 << bits, np.float32) for i in range(2)]
         width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]
         self.lo_rows, self.hi_rows = (_scratch(i, width) for i in (2, 3))
         self.L = 0.0
@@ -367,22 +388,32 @@ class _ExactScan:
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
+    def _grid_floor(self) -> np.float32:
+        """The prune floor in grid units, less the grid's margins, rounded
+        down to float32: NumPy compares a float32 array with a Python
+        float in float32, rounding it to nearest."""
+        floor = self._prune_floor2() * self.unit ** 2 * (1.0 - GRID_RTOL) - GRID_ATOL
+        out = np.float32(floor)
+        return out if float(out) <= floor else np.nextafter(out, np.float32(-np.inf))
+
     def _bound2(self, half_hi: np.ndarray, rows: int) -> np.ndarray:
-        """max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| for every low mask X
-        of a batch whose high part holds `rows` rows, lo and hh being X's
-        rows of half_lo and half_hi, written into self.grids[1].
+        """max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| in grid units (times
+        unit^2) for every low mask X of a batch whose high part holds
+        `rows` rows, lo and hh being X's rows of half_lo and half_hi,
+        written in float32 into self.grids[1].
 
         Each sign's grid is the product [hh, ||hh||^2, 1] [2 lo, 1, ||lo||^2]^T
-        of its parts, taken GRID_MACS multiply-adds at most at a time; each
-        block's maximum is scaled while it is still in cache."""
+        of its parts, scaled by unit and cast to float32, taken GRID_MACS
+        multiply-adds at most at a time; each block's maximum is scaled
+        while it is still in cache."""
         n = self.M.shape[0]
         lefts = []
-        for sign in (1.0, -1.0):
+        for sign in (self.unit, -self.unit):
             left = np.empty((half_hi.shape[0], n + 2))
             part = np.maximum(sign * half_hi, 0.0, out=left[:, :n])
             np.einsum("ij,ij->i", part, part, out=left[:, n])
             left[:, n + 1] = 1.0
-            lefts.append(left)
+            lefts.append(left.astype(np.float32))
         pos, bound2 = (grid.reshape(half_hi.shape[0], -1) for grid in self.grids)
         for i in range(0, half_hi.shape[0], self.grid_rows):
             block = slice(i, i + self.grid_rows)
@@ -405,12 +436,19 @@ class _ExactScan:
         rows, first = self.batches.part(h)
         split = self.split
         half_hi = self.half_hi + self.M[rows].sum(axis=0)
-        # bound2[X] >= max(||s_X+||^2, ||s_X-||^2) / |X|, since (lo + hh)+ <=
-        # lo+ + hh+. A grid entry sums n + 2 nonnegative terms, each a few
+        # bound2[X] / unit^2 >= max(||s_X+||^2, ||s_X-||^2) / |X| up to
+        # rounding, since (lo + hh)+ <= lo+ + hh+. On the float64 parts the
+        # grid's expression sums n + 2 nonnegative terms, each a few
         # roundings off, to ||lo+- + hh+-||^2 <= n (n max|M|)^2, so with the
         # scaling its float error is at most ~(n + 4) u n^3 max|M|^2, u = 2^-53:
         # 4e-11 max|M|^2 at n = 24 and 1.3e-10 at n = 32, below the PRUNE_RTOL
-        # margin 2e-9 disc^2 >= 2e-9 max|M|^2.
+        # margin 2e-9 disc^2 >= 2e-9 max|M|^2. Every term of a float32 entry
+        # is a product of nonnegative numbers, so two casts, the product, the
+        # n + 1 additions and the cast and product of 1/|X| keep it within a
+        # relative (n + 6) 2^-24 of that expression (1.8e-6 at n = 24, far
+        # inside GRID_RTOL); float32 underflow adds at most about
+        # (n + 2) 2n 2^-149 grid units, far inside GRID_ATOL. So every row
+        # whose float64 bound reaches the prune floor passes the grid test.
         bound2 = self._bound2(half_hi, rows.size)
         low_size = _subset_sizes(self.batches.bits)
         bound2[:first] = -math.inf  # mask 0 is empty
@@ -447,7 +485,7 @@ class _ExactScan:
         seeds = seeds[seeds >= first]
         scored = [score(seeds)]
         bound2[seeds] = -math.inf
-        rest = np.flatnonzero(bound2 >= self._prune_floor2())
+        rest = np.flatnonzero(bound2 >= self._grid_floor())
         scored += [score(rest[i:i + SCORE_ROWS])
                    for i in range(0, rest.size, SCORE_ROWS)]
         idx = np.concatenate([part[0] for part in scored])

@@ -178,6 +178,11 @@ def _quantize_nonneg(v: np.ndarray, stage_epsilon: float, cap: int, p: float):
     return out, repairs
 
 
+def _real_imag(z: complex) -> tuple:
+    """NumPy's sort key for a complex number: real part, then imaginary."""
+    return z.real, z.imag
+
+
 def quantize(x, p: float, epsilon: float) -> QuantizedVector:
     """Replace a unit vector by one taking few distinct values.
 
@@ -187,7 +192,8 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
 
     Every zero of y is +0.0, in each part of a complex entry, so that
     no two values of y compare equal with different bits, and
-    distinct_values is np.unique(y): y's values in ascending order.
+    distinct_values is np.unique(y): y's values in ascending order,
+    (real, imag) order for complex y.
     """
     if not 0.0 < epsilon < 1.0:
         raise BadEpsilonError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -226,7 +232,8 @@ def quantize(x, p: float, epsilon: float) -> QuantizedVector:
             y = q * np.exp(2.0j * math.pi * grid)
 
     y += 0.0  # -0.0 + 0.0 is +0.0; no other bit changes
-    distinct = tuple(np.unique(y).tolist())
+    # np.unique(y), without the numpy.ma import of its first call
+    distinct = tuple(sorted(set(y.tolist()), key=_real_imag if is_complex else None))
     if len(distinct) > ceiling:
         raise InvariantError(
             f"quantizer exceeded its value budget: {len(distinct)} > {ceiling}"
@@ -287,9 +294,15 @@ class Partition:
 
 
 def level_partition(y) -> Partition:
-    """Level sets of a vector, one class per distinct value, values ascending."""
+    """Level sets of a vector, one class per distinct value, values ascending
+    ((real, imag) order for complex y). One sort and a searchsorted, as
+    np.unique(y, return_inverse=True) without its numpy.ma import."""
     yv = np.asarray(y).reshape(-1)
-    values, labels = np.unique(yv, return_inverse=True)
+    values = np.sort(yv)
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    values = values[first]
+    labels = np.searchsorted(values, yv)
     classes = [[] for _ in values]
     for i, k in enumerate(labels.tolist(), start=1):
         classes[k].append(i)

@@ -29,10 +29,11 @@ and the small-graph sweep run on one subset-pair engine:
 - one recorder counts pairs and violations and keeps the first few.
 
 The sampled source forms x @ a, and the Thomason hypotheses a @ a, in
-float32, each from a cast of the graph's boolean mask: no float64
-adjacency is built for pair counts.  The operands hold only 0 and 1, so
-every partial sum of an entry of a product is an integer at most n <=
-MAX_VERTICES = 10^4 < 2^24: exact in float32 in any summation order.
+float32, each from a cast of the graph's boolean mask and in the
+stream's row blocks: no float64 adjacency is built for pair counts.
+The operands hold only 0 and 1, so every partial sum of an entry of a
+product is an integer at most n <= MAX_VERTICES = 10^4 < 2^24: exact in
+float32 in any summation order.
 e(X, Y) = sum_j (x a)_j y_j is accumulated in float64, which holds
 every integer up to n^2 exactly, so the values are those of a float64
 product bit for bit.  The cast (n^2 * 4 bytes, 400 MB at MAX_VERTICES)
@@ -423,7 +424,8 @@ class _Recorder:
 
 def _degree_codegree(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum degree and the most common neighbours of two distinct
-    vertices, of one adjacency or of each of a stack (..., n, n)."""
+    vertices, of each of a stack (..., n, n) of adjacencies (the sweep's
+    atlas graphs), from their whole products."""
     prod = a @ a
     n = a.shape[-1]
     prod[..., range(n), range(n)] = -1.0
@@ -435,6 +437,14 @@ def _hypotheses_met(min_degree, max_codegree, n: int, p, mu) -> tuple:
     """(min degree >= p n, max codegree <= p^2 n + mu), broadcast over
     arrays of graphs, p values and mu values."""
     return min_degree >= p * n, max_codegree <= p * p * n + mu
+
+
+def _block_codegree(a: np.ndarray, rows: slice) -> int:
+    """The largest entry of a[rows] @ a off the diagonal (-1 when none);
+    the block product dies on return."""
+    prod = a[rows] @ a
+    prod[range(prod.shape[0]), range(rows.start, rows.stop)] = -1.0
+    return int(prod.max())
 
 
 def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
@@ -450,7 +460,9 @@ def thomason_hypotheses(graph: Graph, p: float, mu: float) -> dict:
         raise ValueError("mu must be finite and nonnegative")
     n = graph.n
     a32 = graph._mask.astype(np.float32)  # exact: see the module docstring
-    min_degree, max_codegree = map(int, _degree_codegree(a32))
+    min_degree = int(np.count_nonzero(graph._mask, axis=1).min())
+    max_codegree = max(0, *(_block_codegree(a32, block)  # n = 1: no pair
+                            for block in _row_blocks(n, n)))
     degrees_ok, codegrees_ok = map(
         bool, _hypotheses_met(min_degree, max_codegree, n, p, mu))
     return {

@@ -272,16 +272,28 @@ def _thread_scratch():
     return discrepancy._SCRATCH.bufs
 
 
-def test_search_reads_no_scratch_entry_it_did_not_write():
-    """The thread's scratch is NaN before each search, so a table entry
-    read before it is written would surface as a NaN value or a lost row.
-    The reference scans batches of 2^4 masks, or of 2^(n - 8) past n = 12,
-    where 2^(n - 4) batches would take half a minute at n = 22."""
+def test_search_reads_no_scratch_entry_it_did_not_write(monkeypatch):
+    """The thread's scratch is NaN before each search, as float64 and as
+    float32 (every 32-bit word is a quiet NaN), so a table entry read
+    before it is written would surface as a NaN value or a lost row, and
+    a grid entry left unwritten by either sign's product as a NaN bound
+    (np.maximum keeps NaN). The reference scans batches of 2^4 masks, or
+    of 2^(n - 8) past n = 12, where 2^(n - 4) batches would take half a
+    minute at n = 22."""
+    bound2 = discrepancy._ExactScan._bound2
+
+    def written_bound2(scan, half_hi, rows):
+        out = bound2(scan, half_hi, rows)
+        assert not np.isnan(out).any()
+        return out
+
+    monkeypatch.setattr(discrepancy._ExactScan, "_bound2", written_bound2)
     rng = np.random.default_rng(53)
     for n, threads in ((17, 2), (9, 2), (22, 2), (12, 1)):
         mat = random_symmetric(rng, n)
         for buf in _thread_scratch():
-            buf.fill(np.nan)
+            buf.view(np.uint32).fill(0x7FF80000)
+            assert np.isnan(buf).all() and np.isnan(buf.view(np.float32)).all()
         got = disc_exact(mat, threads=threads)
         want = disc_exact(mat, threads=1, batch_bits=max(4, n - 8))
         assert _same_result(got, want)
@@ -289,6 +301,22 @@ def test_search_reads_no_scratch_entry_it_did_not_write():
             want_val, want_x, want_y = naive_disc(mat.a)
             assert got.value == pytest.approx(want_val, abs=1e-12)
             assert (got.witness_X, got.witness_Y) == (want_x, want_y)
+
+
+def test_grid_floor_is_the_largest_float32_at_or_below_the_threshold():
+    """The grid test's threshold, floor unit^2 (1 - GRID_RTOL) - GRID_ATOL,
+    is rounded down to float32, never to nearest, at every running lower
+    bound L."""
+    mat = random_symmetric(np.random.default_rng(79), 9)
+    scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
+                                  discrepancy._Batches(9, 4))
+    for L in np.linspace(0.0, 5.0, 101).tolist():
+        scan.L = L
+        want = (scan._prune_floor2() * scan.unit ** 2
+                * (1.0 - discrepancy.GRID_RTOL) - discrepancy.GRID_ATOL)
+        got = scan._grid_floor()
+        assert got.dtype == np.float32
+        assert float(got) <= want < float(np.nextafter(got, np.float32(np.inf)))
 
 
 def test_scratch_holds_four_buffers_after_searches_of_every_size():
@@ -302,23 +330,29 @@ def test_scratch_holds_four_buffers_after_searches_of_every_size():
 
 
 def test_batches_past_the_scratch_size_use_fresh_buffers():
-    """batch_bits = 18 asks for bound tables of 2^18 floats, past
-    SCRATCH_FLOATS: they are fresh arrays outside the scratch, and the
-    search matches the default one (two batches at n = 19, one at 18)."""
+    """batch_bits = 19 asks for float32 bound tables of 2^19 entries, past
+    the 2 SCRATCH_FLOATS a buffer holds: they are fresh arrays outside the
+    scratch, and the search matches the default one (two batches at
+    n = 20, one at 19)."""
     rng = np.random.default_rng(67)
-    for n in (19, 18):
+    for n in (20, 19):
         mat = random_symmetric(rng, n)
-        got = disc_exact(mat, batch_bits=18)
-        assert got.batches == 1 << (n - 18)
+        got = disc_exact(mat, batch_bits=19)
+        assert got.batches == 1 << (n - 19)
         assert _same_result(got, disc_exact(mat))
     bufs = _thread_scratch()
     assert all(buf.shape == (discrepancy.SCRATCH_FLOATS,) for buf in bufs)
     scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
-                                  discrepancy._Batches(18, 18))
+                                  discrepancy._Batches(19, 19))
     assert not any(np.shares_memory(grid, buf)
                    for grid in scan.grids for buf in bufs)
     assert np.shares_memory(scan.lo_rows, bufs[2])
     assert np.shares_memory(scan.hi_rows, bufs[3])
+    # 2^18 float32 entries fill a buffer: batch_bits = 18 stays inside
+    scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
+                                  discrepancy._Batches(19, 18))
+    assert all(np.shares_memory(grid, buf) and grid.dtype == np.float32
+               for grid, buf in zip(scan.grids, bufs))
 
 
 def test_worker_thread_scratch_is_freed_when_the_thread_ends():
@@ -622,6 +656,17 @@ def test_exact_analyze_loads_no_numpy_ma(tmp_path):
                       f"code = matdisc.cli.main(['analyze', {str(path)!r}]); "
                       "print(code, 'numpy.ma' in sys.modules)")
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_certify_loads_no_numpy_ma():
+    """The certificate's quantizer and level partition read y's distinct
+    values by a sort, not np.unique, so numpy.ma stays unimported."""
+    out = _run_python(
+        "import sys, numpy as np, matdisc; "
+        "a = np.random.default_rng(5).normal(size=(14, 14)); "
+        "cert = matdisc.certify_sigma2(matdisc.SymmetricMatrix((a + a.T) / 2)); "
+        "print(cert.partition.class_count > 1, 'numpy.ma' in sys.modules)")
+    assert out.splitlines()[-1] == "True False"
 
 
 @pytest.mark.parametrize("threads", [0, -2])

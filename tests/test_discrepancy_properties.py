@@ -93,19 +93,21 @@ def test_exact_equals_naive_disc(a, batch_bits, threads):
     assert got.witness_Y == want_y
 
 
-TABLE_KINDS = ("gauss", "small-int", "binary", "rank-1", "huge")
+TABLE_KINDS = ("gauss", "small-int", "binary", "rank-1", "huge", "tiny")
+SCALES = {"gauss": 1.0, "huge": 1e100, "tiny": 1e-100}
 
 
 @st.composite
 def table_rows(draw):
     """A symmetric n x n matrix and a batch size b <= n, b <= 10; 'huge'
-    entries are Gaussian times 1e100, the largest size the search takes."""
+    entries are Gaussian times 1e100, the largest size the search takes,
+    and 'tiny' ones Gaussian times 1e-100."""
     b = draw(st.integers(0, 10))
     n = draw(st.integers(max(b, 1), 12))
     kind = draw(st.sampled_from(TABLE_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind in ("gauss", "huge"):
-        m = rng.normal(size=(n, n)) * (1e100 if kind == "huge" else 1.0)
+    if kind in SCALES:
+        m = rng.normal(size=(n, n)) * SCALES[kind]
         return (m + m.T) / 2.0, b
     if kind == "rank-1":
         v = rng.integers(-3, 4, size=n).astype(float)
@@ -129,27 +131,44 @@ def test_subset_forms_of_gram_matrices(case):
 @hypothesis.settings(deadline=None)
 @hypothesis.given(case=table_rows())
 def test_sign_split_bound_covers_every_mask(case):
-    """Every batch's bound table entry of a mask X is at least
-    max(||s+||^2, ||s-||^2) / |X| for X's column sums s from the full
-    table, which is at least value(X)^2, each within the bound's float
-    margin (n + 4) u n^3 max|M|^2, u = 2^-53."""
+    """Every batch's float32 bound table entry of a mask X, over unit^2, is
+    at least max(||s+||^2, ||s-||^2) / |X| (1 - GRID_RTOL) for X's column
+    sums s from the full table, which is at least value(X)^2, each within
+    the float64 parts' margin (n + 4) u n^3 max|M|^2, u = 2^-53, and the
+    grid's absolute margin GRID_ATOL / unit^2. The entry is also within a
+    relative GRID_RTOL of max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| on
+    X's float64 half-table rows, so the units keep it from overflowing
+    or underflowing float32."""
     a, b = case
     n = len(a)
     batches = _Batches(n, b)
     scan = _ExactScan(a, batches)
+    assert scan.unit * float(np.abs(a).max()) < 1.0
     margin = (n + 4) * 2.0 ** -53 * n ** 3 * float(np.abs(a).max()) ** 2
+    grid_margin = margin + discrepancy.GRID_ATOL / scan.unit ** 2
     low = reference_subset_sums(a[:b])
     low_size = reference_subset_sums(np.ones((b, 1)))[:, 0]
     for h in batches.highs:
         rows, first = batches.part(h)
         high = a[rows].sum(axis=0)
         got = scan._bound2(scan.half_hi + high, rows.size)[first:]
+        assert got.dtype == np.float32
+        got = got.astype(np.float64) / scan.unit ** 2
         s = (low + high)[first:]
         size = (low_size + rows.size)[first:]
         pos, neg = np.maximum(s, 0.0), np.minimum(s, 0.0)
         split = np.maximum(np.einsum("ij,ij->i", pos, pos),
                            np.einsum("ij,ij->i", neg, neg))
-        assert np.all(got >= split / size - margin)
+        assert np.all(got >= split / size * (1.0 - discrepancy.GRID_RTOL)
+                      - grid_margin)
+        masks = np.arange(first, 1 << b)
+        lo = scan.half_lo[masks & ((1 << scan.split) - 1)]
+        hh = (scan.half_hi + high)[masks >> scan.split]
+        parts = [np.maximum(sign * lo, 0.0) + np.maximum(sign * hh, 0.0)
+                 for sign in (1.0, -1.0)]
+        want = np.maximum(*(np.einsum("ij,ij->i", v, v) for v in parts)) / size
+        assert np.all(np.abs(got - want) <= discrepancy.GRID_RTOL * want
+                      + discrepancy.GRID_ATOL / scan.unit ** 2)
         srt = np.sort(s, axis=1)
         ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
                          np.abs(np.cumsum(srt[:, ::-1], axis=1)))
@@ -213,6 +232,43 @@ def test_exact_equals_naive_disc_in_small_blocks(a, batch_bits, threads):
     assert got.value == pytest.approx(want_val, abs=1e-12)
     assert got.witness_X == want_x
     assert got.witness_Y == want_y
+
+
+@st.composite
+def scalable_matrices(draw):
+    """A symmetric n x n matrix, n <= 14, with entries below 2^32, and a
+    batch size b <= n of at most 2^6 batches: Gaussian, or integer and
+    rank-one ones full of ties."""
+    n = draw(st.integers(2, 14))
+    b = draw(st.integers(max(0, n - 6), n))
+    kind = draw(st.sampled_from(("gauss", "small-int", "binary", "rank-1")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gauss":
+        m = rng.normal(size=(n, n)) * 4.0
+    elif kind == "rank-1":
+        v = rng.integers(-3, 4, size=n).astype(float)
+        m = np.outer(v, v)
+    else:
+        lo, hi = (-3, 3) if kind == "small-int" else (0, 1)
+        m = rng.integers(lo, hi + 1, size=(n, n)).astype(float)
+    return (m + m.T) / 2.0, b
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(case=scalable_matrices(), k=st.integers(0, 300))
+def test_power_of_two_scaling_scales_the_exact_result(case, k):
+    """disc(c A) = c disc(A) for c = 2^k, bit for bit, with the same
+    witnesses and counts: c scales every float64 step exactly, and the
+    grid's units absorb it. Only from disc >= 1 on, where the tie band
+    TIE_RTOL max(1, value) is relative, does the tie rule scale too."""
+    a, b = case
+    base = disc_exact(SymmetricMatrix(a), batch_bits=b)
+    hypothesis.assume(base.value >= 1.0)
+    c = 2.0 ** k
+    got = disc_exact(SymmetricMatrix(c * a), batch_bits=b)
+    assert got.value == c * base.value
+    assert (got.witness_X, got.witness_Y, got.evaluations, got.batches) == \
+        (base.witness_X, base.witness_Y, base.evaluations, base.batches)
 
 
 def _indices(mask, n):

@@ -101,6 +101,29 @@ def test_thomason_hypotheses_gate():
         thomason_hypotheses(complete_graph(4), 0.5, -1.0)
 
 
+def test_thomason_hypotheses_memory_is_the_cast_and_one_block():
+    """At n = 2000 the codegrees come from two row blocks of a @ a: the
+    peak is the 16 MB float32 cast and one 1024-row block product
+    (8.2 MB), 1 MB of slack aside, where the whole product added 16 MB.
+    The degrees and codegrees are those of the dense product."""
+    n = 2000
+    g = gnp_random_graph(n, 0.5, np.random.default_rng(13))
+    tracemalloc.start()
+    try:
+        hyp = thomason_hypotheses(g, 0.45, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cast, block = 4 * n * n, 4 * spectral._block_rows(n) * n
+    assert spectral._block_rows(n) < n
+    assert peak < cast + block + 2**20
+    a = g._mask.astype(np.float64)
+    codegrees = a @ a
+    np.fill_diagonal(codegrees, -1.0)
+    assert hyp["min_degree"] == int(a.sum(axis=1).min())
+    assert hyp["max_codegree"] == int(codegrees.max())
+
+
 def test_thomason_random_graph_exhaustive():
     g = gnp_random_graph(9, 0.5, np.random.default_rng(5))
     p = (int(g.degrees.min()) - 1) / g.n
