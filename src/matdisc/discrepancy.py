@@ -26,33 +26,41 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    that is one grid over the T2 and T1 rows, the product
    [hh+-, ||hh+-||^2, 1] [2 lo+-, 1, ||lo+-||^2]^T, and the larger of the two
    grids over |X| bounds value(X)^2 for every X of the batch. The grid
-   is built in float32, which halves the memory traffic that limits it
-   (its inner dimension is only n + 2): the sign parts are scaled by
-   unit = 2^-e, e the frexp exponent of max|M|, before the factors and
-   the tabled 1/|X| are cast, so the entries are in units of unit^2 and
-   even max|M| = MAX_ABS_ENTRY cannot overflow. A row passes the grid
-   test when its entry is at least floor unit^2 (1 - GRID_RTOL) -
-   GRID_ATOL, floor the squared prune floor below, rounded down to
-   float32: a margin far wider than the grid's float32 rounding, a
-   relative (n + 6) 2^-24 (the argument is in _ExactScan.batch). The
-   products run in row blocks of at most GRID_MACS multiply-adds, which
-   OpenBLAS keeps on the calling thread. Unblocked (one (256 x 24)
-   (24 x 512) product a sign at n = 22), the float64 products went to
-   two threads: the benchmark's exact cycle took 0.96 s of CPU time in
-   0.49 s, against 0.35 s in 0.36 s in blocks (2-CPU x86-64 host); in
-   float32, blocks of 2^20 multiply-adds went to two threads too and ran
-   slower than 2^19. Each block's maximum is scaled by 1/|X| while it is
-   in cache, into one buffer of 2^b bounds that every batch reuses. A
-   running lower bound L on disc carries over from batch to batch; each
-   batch first scores the row of largest bound in each of SEED_ROWS
-   equal blocks to raise it. Rows whose bound is below L - PRUNE_RTOL
-   max(1, L) cannot reach the maximum and are dropped. The rows left get
+   is built in float32, which halves the memory traffic of its products
+   (their inner dimension is only n + 2): the sign parts are scaled by
+   unit = 2^-e, e the frexp exponent of max|M|, and written in float32,
+   so the entries are in units of unit^2 and even max|M| = MAX_ABS_ENTRY
+   cannot overflow. The products run in row blocks of at most GRID_MACS
+   multiply-adds, which OpenBLAS keeps on the calling thread. Unblocked
+   (one (256 x 24) (24 x 512) product a sign at n = 22), the float64
+   products went to two threads: the benchmark's exact cycle took 0.96 s
+   of CPU time in 0.49 s, against 0.35 s in 0.36 s in blocks (2-CPU
+   x86-64 host); in float32, blocks of 2^20 multiply-adds went to two
+   threads too and ran slower than 2^19. A running lower bound L on disc
+   carries over from batch to batch, and rows whose bound is below the
+   prune floor L - PRUNE_RTOL max(1, L) cannot reach the maximum and are
+   dropped. With f the squared floor in grid units, the grid takes one
+   of two forms, into one buffer of 2^b bounds that every batch reuses:
+   - While f = 0, as in the first batch, each block's maximum is scaled
+     by a tabled 1/|X| while it is in cache. The batch first scores the
+     row of largest bound in each of SEED_ROWS equal blocks to raise L;
+     then a row passes when its entry is at least f (1 - GRID_RTOL) -
+     GRID_ATOL, rounded down to float32.
+   - Once f > 0 the grid is folded: the left factor's norm column holds
+     ||hh+-||^2 - f (|hh| + rows), rows the batch's high rows, and the
+     right factor's last row ||lo+-||^2 - f |lo|, so each entry is
+     ||lo+- + hh+-||^2 - f |X|. No 1/|X| is gathered and no seeds are
+     scored: a row passes when the larger entry is at least
+     -(GRID_RTOL f n + GRID_ATOL), rounded down to float32.
+   Both margins are far wider than the grid's float32 rounding (the
+   argument is in _ExactScan.batch), so the float32 test drops no row
+   that the same test in float64 would keep. The rows that pass get
    their column sums, in float64, SCORE_ROWS at a time, and face the
    same test with ||s_X+-|| itself.
    On Gaussian, uniform, 0/1 and tightness inputs at n = 18 to 22 the
-   grid test leaves one row in 150 to one in 2000 (one in 10 to one in
-   200 under the plain ||s_X|| bound it replaced), and the second test
-   one in 1700 to one in 45000.
+   seeds and the grid test leave one row in 150 to one in 2900 (one in
+   10 to one in 200 under the plain ||s_X|| bound it replaced), and the
+   second test one in 600 to one in 28500.
 3. Sorted prefix sums. For the surviving rows the best Y of size m
    holds the m smallest or the m largest entries of s_X. One kernel,
    _prefix_extremes, gives both for every m: one sort, then one cumsum
@@ -68,21 +76,22 @@ share their high bits (b = min(batch_bits, n)), in four steps.
    stays clear when some extension, read off running sums of that
    list's smallest or largest entries, reaches the tie floor.
 
-Buffers. A search of one or a few batches (n <= 19 at b = 17) spends
+Buffers. A search of one or a few batches (n <= 20 at b = 18) spends
 as much on set-up as on scanning. The float arrays a search fills in
-full, the two float32 sign grids (2^b each, the first half of a buffer
-at the default b) and gathered half-table rows (two of
+full, the float32 bound grid (2^b entries, a whole buffer at the
+default b), one row block of the other sign's grid (at most about
+GRID_MACS / (n + 2) entries) and gathered half-table rows (two of
 max(SEED_ROWS, SCORE_ROWS) n float64 each), are slices of the calling
-thread's four scratch buffers of SCRATCH_FLOATS = 2^DEFAULT_BATCH_BITS
-float64 (1 MiB), made on its first search and freed when the thread
-ends. Fresh arrays of that size are faulted in page by page on every
-search: 100 to 900 minor page faults a search at n = 15 to 19, and
-n = 16 and 17 searches took 1.3 to 2 times as long with them (2-CPU
-x86-64 host). A thread holds one live scan at a time, since a scan
-never leaves _search_exact, so no buffer is shared and no lock is
-taken, and caller threads may search at once. A reused buffer is not
-zeroed: a search writes every entry it reads first. A batch_bits more
-than one above the default gets fresh bound arrays.
+thread's four scratch buffers of SCRATCH_FLOATS = 2^17 float64 (1 MiB,
+one float32 grid of 2^DEFAULT_BATCH_BITS entries), made on its first
+search and freed when the thread ends. Fresh arrays of that size are
+faulted in page by page on every search: 100 to 900 minor page faults
+a search at n = 15 to 19, and n = 16 and 17 searches took 1.3 to 2
+times as long with them (2-CPU x86-64 host). A thread holds one live
+scan at a time, since a scan never leaves _search_exact, so no buffer
+is shared and no lock is taken, and caller threads may search at once.
+A reused buffer is not zeroed: a search writes every entry it reads
+first. A batch_bits above the default gets a fresh bound grid.
 
 Threads. The batches run in order on the calling thread: the scan holds
 the GIL for much of its time, so a second worker thread bought little
@@ -94,12 +103,13 @@ the tie band of 0, so the tie rule gives X = Y = {1}, and that pair's
 value, at once. Scanned, such a matrix prunes no row; it was the
 slowest input.
 
-The exact disc1 search walks the same batches. Its edge counts e(X) =
-1_X^T (A/2) 1_X are a subset form, which _subset_forms doubles in one
-dimension: 1_(X + k)^T Q 1_(X + k) = 1_X^T Q 1_X + 2 sum_(i in X) Q[i, k]
-+ Q[k, k]. Every search hands its
-witnesses over as sorted 0-based index sets; only the exact scans mask
-X, and they decode their one winning mask.
+The exact disc1 search walks batches of the same layout, of
+2^DISC1_BATCH_BITS masks: one float64 table each. Its edge counts
+e(X) = 1_X^T (A/2) 1_X are a subset form, which _subset_forms doubles
+in one dimension: 1_(X + k)^T Q 1_(X + k) = 1_X^T Q 1_X +
+2 sum_(i in X) Q[i, k] + Q[k, k]. Every search hands its witnesses
+over as sorted 0-based index sets; only the exact scans mask X, and
+they decode their one winning mask.
 
 Every heuristic is one seeded climb, _climb: a restart draws X, every
 index with probability 1/2, and steps while a step rises; the best
@@ -138,7 +148,9 @@ from .linalg import MAX_ABS_ENTRY, SymmetricMatrix, rho_prime
 
 #: largest n the exact searches accept: they scan all 2^n - 1 masks
 EXACT_CAP = 24
-DEFAULT_BATCH_BITS = 17
+DEFAULT_BATCH_BITS = 18
+#: the exact disc1 search's batch size: a float64 table of 2^17 rows
+DISC1_BATCH_BITS = 17
 DEFAULT_ITERATIONS = 64
 #: two discrepancy values tie when they differ by at most this times max(1, value)
 TIE_RTOL = 1e-12
@@ -157,9 +169,9 @@ GRID_MACS = 1 << 19
 #: test; the grid's float error is far inside both (see _ExactScan.batch)
 GRID_RTOL = 2.0 ** -14
 GRID_ATOL = 2.0 ** -100
-#: floats in each of the exact scan's scratch buffers (1 MiB): a 2^b
-#: table at the default batch size
-SCRATCH_FLOATS = 1 << DEFAULT_BATCH_BITS
+#: float64 entries in each of the exact scan's scratch buffers (1 MiB): one
+#: float32 bound grid of 2^DEFAULT_BATCH_BITS entries
+SCRATCH_FLOATS = 1 << (DEFAULT_BATCH_BITS - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +180,13 @@ class DiscResult:
 
     In exact mode the value is the true maximum; in heuristic mode it is
     a lower bound attained at the reported witnesses. For the single-set
-    disc1 search, witness_Y mirrors witness_X. batches and rows_sorted
-    count the exact scan's work (batches of X masks and X rows sorted
-    after pruning; 0 when nothing was scanned). They describe the run,
-    not its result, so they stay out of to_json_dict; for the same input
-    and batch_bits they repeat exactly.
+    disc1 search, witness_Y mirrors witness_X. batches, rows_gathered
+    and rows_sorted count the exact scan's work (batches of X masks, X
+    rows gathered for the float64 test, that is the seeds and the rows
+    that passed the grid test, and X rows sorted after it; 0 when nothing
+    was scanned). They describe the run, not its result, so they stay
+    out of to_json_dict; for the same input and batch_bits they repeat
+    exactly.
     """
 
     value: float
@@ -181,6 +195,7 @@ class DiscResult:
     mode: str
     evaluations: int
     batches: int = 0
+    rows_gathered: int = 0
     rows_sorted: int = 0
 
     def to_json_dict(self) -> dict:
@@ -300,6 +315,24 @@ def _subset_sizes(bits: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _inv_sizes(n: int, split: int) -> np.ndarray:
+    """1 / |X| as a read-only float32 table at [|X| - |lo|, lo] for every
+    bitmask lo of `split` bits and |X| - |lo| from 0 to n - split; 1 at
+    |X| = 0."""
+    counts = np.arange(n - split + 1.0)[:, None]
+    out = (1.0 / np.maximum(_subset_sizes(split) + counts, 1.0)).astype(np.float32)
+    out.flags.writeable = False
+    return out
+
+
+def _float32_at_or_below(x: float) -> np.float32:
+    """The largest float32 at or below x: NumPy compares a float32 array
+    with a Python float in float32, rounding it to nearest."""
+    out = np.float32(x)
+    return out if float(out) <= x else np.nextafter(out, np.float32(-np.inf))
+
+
 #: the calling thread's exact-scan buffers (see the module docstring)
 _SCRATCH = threading.local()
 
@@ -360,67 +393,101 @@ class _ExactScan:
         self.split = (bits + 1) // 2
         self.half_lo = _subset_sums(M[:self.split])
         self.half_hi = _subset_sums(M[self.split:bits])
+        n = M.shape[0]
         # grid units: max|M| * unit lies in [1/2, 1), and a power of two
         # scales exactly
         self.unit = math.ldexp(1.0, -math.frexp(float(np.abs(M).max()))[1])
-        # [2 lo, 1, ||lo||^2]^T in float32 of each sign part lo of half_lo * unit
-        self.lo_factors = []
+        # [2 lo, 1, ||lo||^2]^T in float32 of each sign part lo of half_lo * unit;
+        # lo_norms keeps ||lo||^2 in float64 for the folded last row, and
+        # lo_fold is the f that row holds (see _bound2)
+        self.lo_factors, self.lo_norms, self.lo_fold = [], [], 0.0
         for sign in (self.unit, -self.unit):
             part = np.maximum(sign * self.half_lo, 0.0)
-            factor = np.empty((M.shape[0] + 2, part.shape[0]))
+            factor = np.empty((n + 2, part.shape[0]), np.float32)
             np.multiply(part.T, 2.0, out=factor[:-2])
             factor[-2] = 1.0
-            np.einsum("ij,ij->i", part, part, out=factor[-1])
-            self.lo_factors.append(factor.astype(np.float32))
-        self.grid_rows = max(1, GRID_MACS // ((M.shape[0] + 2) << self.split))
-        # 1 / |X| = inv_sizes[|hh index| + rows, lo index]; 1 at mask 0
+            norm = np.einsum("ij,ij->i", part, part)
+            factor[-1] = norm
+            self.lo_factors.append(factor)
+            self.lo_norms.append(norm)
+        self.grid_rows = min(max(1, GRID_MACS // ((n + 2) << self.split)),
+                             1 << (bits - self.split))
+        self.lo_sizes = _subset_sizes(self.split)
         self.hi_sizes = _subset_sizes(bits - self.split)
-        counts = np.arange(M.shape[0] - self.split + 1.0)[:, None]
-        self.inv_sizes = (1.0 / np.maximum(_subset_sizes(self.split) + counts, 1.0)
-                          ).astype(np.float32)
-        self.grids = [_scratch(i, 1 << bits, np.float32) for i in range(2)]
-        width = max(SEED_ROWS, SCORE_ROWS) * M.shape[0]
+        # 1 / |X| = inv_sizes[|hh index| + rows, lo index]; 1 at mask 0
+        self.inv_sizes = _inv_sizes(n, self.split)
+        # one row block of the positive sign's grid, and the bound of every mask
+        self.grids = [_scratch(0, self.grid_rows << self.split, np.float32),
+                      _scratch(1, 1 << bits, np.float32)]
+        width = max(SEED_ROWS, SCORE_ROWS) * n
         self.lo_rows, self.hi_rows = (_scratch(i, width) for i in (2, 3))
         self.L = 0.0
+        self.rows_gathered = 0
 
     def _prune_floor2(self) -> float:
         """Squared bound below which a row cannot reach the maximum."""
         L = self.L
         return max(L - PRUNE_RTOL * max(1.0, L), 0.0) ** 2
 
+    def _fold(self) -> float:
+        """The squared prune floor in grid units, f: the bound grid is
+        folded at f when it is not 0 (see _bound2)."""
+        return self._prune_floor2() * self.unit ** 2
+
     def _grid_floor(self) -> np.float32:
         """The prune floor in grid units, less the grid's margins, rounded
-        down to float32: NumPy compares a float32 array with a Python
-        float in float32, rounding it to nearest."""
-        floor = self._prune_floor2() * self.unit ** 2 * (1.0 - GRID_RTOL) - GRID_ATOL
-        out = np.float32(floor)
-        return out if float(out) <= floor else np.nextafter(out, np.float32(-np.inf))
+        down to float32: the threshold of a grid scaled by 1/|X|."""
+        return _float32_at_or_below(self._fold() * (1.0 - GRID_RTOL) - GRID_ATOL)
+
+    def _fold_floor(self) -> np.float32:
+        """The threshold of the folded grid, -(GRID_RTOL f n + GRID_ATOL)
+        rounded down to float32 (see batch)."""
+        return _float32_at_or_below(
+            -(GRID_RTOL * self._fold() * self.M.shape[0] + GRID_ATOL))
 
     def _bound2(self, half_hi: np.ndarray, rows: int) -> np.ndarray:
-        """max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| in grid units (times
-        unit^2) for every low mask X of a batch whose high part holds
-        `rows` rows, lo and hh being X's rows of half_lo and half_hi,
-        written in float32 into self.grids[1].
+        """For every low mask X of a batch whose high part holds `rows`
+        rows, lo and hh being X's rows of half_lo and half_hi, in grid
+        units (times unit^2) and with f = self._fold():
+        max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| at f = 0, else
+        max(||lo+ + hh+||^2, ||lo- + hh-||^2) - f |X|, written in float32
+        into self.grids[1].
 
-        Each sign's grid is the product [hh, ||hh||^2, 1] [2 lo, 1, ||lo||^2]^T
-        of its parts, scaled by unit and cast to float32, taken GRID_MACS
-        multiply-adds at most at a time; each block's maximum is scaled
-        while it is still in cache."""
+        Each sign's grid is the product
+        [hh, ||hh||^2 - f (|hh| + rows), 1] [2 lo, 1, ||lo||^2 - f |lo|]^T
+        of its parts, scaled by unit and written in float32, taken
+        GRID_MACS multiply-adds at most at a time: the negative sign's row
+        block in place, the positive one's in self.grids[0], which holds
+        one block. At f = 0 each block's maximum is scaled by 1/|X| while
+        it is still in cache."""
         n = self.M.shape[0]
+        fold = self._fold()
+        hi_count = self.hi_sizes + rows
         lefts = []
-        for sign in (self.unit, -self.unit):
-            left = np.empty((half_hi.shape[0], n + 2))
-            part = np.maximum(sign * half_hi, 0.0, out=left[:, :n])
-            np.einsum("ij,ij->i", part, part, out=left[:, n])
+        for sign, factor, norm in zip((self.unit, -self.unit), self.lo_factors,
+                                      self.lo_norms):
+            left = np.empty((half_hi.shape[0], n + 2), np.float32)
+            part = np.maximum(sign * half_hi, 0.0)
+            left[:, :n] = part
+            hi_norm = np.einsum("ij,ij->i", part, part)
+            if fold:
+                hi_norm -= fold * hi_count
+            if fold != self.lo_fold:
+                factor[-1] = norm - fold * self.lo_sizes
+            left[:, n] = hi_norm
             left[:, n + 1] = 1.0
-            lefts.append(left.astype(np.float32))
-        pos, bound2 = (grid.reshape(half_hi.shape[0], -1) for grid in self.grids)
+            lefts.append(left)
+        self.lo_fold = fold
+        pos = self.grids[0].reshape(self.grid_rows, -1)
+        bound2 = self.grids[1].reshape(half_hi.shape[0], -1)
         for i in range(0, half_hi.shape[0], self.grid_rows):
             block = slice(i, i + self.grid_rows)
-            np.matmul(lefts[0][block], self.lo_factors[0], out=pos[block])
+            here = pos[:bound2[block].shape[0]]
+            np.matmul(lefts[0][block], self.lo_factors[0], out=here)
             np.matmul(lefts[1][block], self.lo_factors[1], out=bound2[block])
-            np.maximum(bound2[block], pos[block], out=bound2[block])
-            bound2[block] *= self.inv_sizes[self.hi_sizes[block] + rows]
+            np.maximum(bound2[block], here, out=bound2[block])
+            if not fold:
+                bound2[block] *= self.inv_sizes[hi_count[block]]
         return self.grids[1]
 
     def batch(self, h: int) -> tuple:
@@ -436,19 +503,32 @@ class _ExactScan:
         rows, first = self.batches.part(h)
         split = self.split
         half_hi = self.half_hi + self.M[rows].sum(axis=0)
-        # bound2[X] / unit^2 >= max(||s_X+||^2, ||s_X-||^2) / |X| up to
-        # rounding, since (lo + hh)+ <= lo+ + hh+. On the float64 parts the
-        # grid's expression sums n + 2 nonnegative terms, each a few
+        # The grid bounds E(X) = max(||lo+ + hh+||^2, ||lo- + hh-||^2) in grid
+        # units, and E(X) / unit^2 >= max(||s_X+||^2, ||s_X-||^2) >= |X| value(X)^2
+        # up to rounding, since (lo + hh)+ <= lo+ + hh+. On the float64 parts
+        # the grid's expression sums n + 2 nonnegative terms, each a few
         # roundings off, to ||lo+- + hh+-||^2 <= n (n max|M|)^2, so with the
         # scaling its float error is at most ~(n + 4) u n^3 max|M|^2, u = 2^-53:
         # 4e-11 max|M|^2 at n = 24 and 1.3e-10 at n = 32, below the PRUNE_RTOL
-        # margin 2e-9 disc^2 >= 2e-9 max|M|^2. Every term of a float32 entry
-        # is a product of nonnegative numbers, so two casts, the product, the
-        # n + 1 additions and the cast and product of 1/|X| keep it within a
-        # relative (n + 6) 2^-24 of that expression (1.8e-6 at n = 24, far
-        # inside GRID_RTOL); float32 underflow adds at most about
-        # (n + 2) 2n 2^-149 grid units, far inside GRID_ATOL. So every row
-        # whose float64 bound reaches the prune floor passes the grid test.
+        # margin 2e-9 disc^2 >= 2e-9 max|M|^2. Float32 adds at most a relative
+        # g = (n + 6) 2^-24 of the sum of the terms' magnitudes (the casts, the
+        # product and its n + 1 additions), plus float32 underflow of about
+        # (n + 2) 2n 2^-149 grid units, far inside GRID_ATOL.
+        # - While the prune floor is 0 the grid is E(X) / |X|, whose terms are
+        #   products of nonnegative numbers: a relative g, with the cast and
+        #   product of 1/|X| (1.8e-6 at n = 24, far inside GRID_RTOL) of
+        #   the float64 expression. Its seeds are the row of largest entry
+        #   in each of SEED_ROWS blocks; they are scored first, to raise L.
+        # - Once it is f > 0 in grid units, the grid is folded: the fold
+        #   terms -f (|hh| + rows) and -f |lo| put E(X) - f |X| in each
+        #   entry, and no 1/|X| is gathered. These terms cancel, but their
+        #   magnitudes sum to at most E(X) + f |X|, so where the float64
+        #   E(X) - f |X| = T >= 0 the entry is at least
+        #   T - g (T + 2 f |X|) >= -2 g f n: GRID_RTOL f n + GRID_ATOL covers
+        #   that 17 times over at n = 24. No seeds are scored.
+        # So every row whose float64 bound reaches the prune floor passes
+        # the grid test.
+        folded = self._fold() > 0.0
         bound2 = self._bound2(half_hi, rows.size)
         low_size = _subset_sizes(self.batches.bits)
         bound2[:first] = -math.inf  # mask 0 is empty
@@ -457,6 +537,7 @@ class _ExactScan:
             """The low masks whose max(||s_X+||, ||s_X-||)^2 / |X| passes the
             prune floor, and their values."""
             n = self.M.shape[0]
+            self.rows_gathered += low.size
             # np.take buffers `out` under its default mode="raise"; every
             # index is in range, so "clip" gathers in place.
             S = np.take(self.half_lo, low & ((1 << split) - 1), axis=0, mode="clip",
@@ -475,17 +556,22 @@ class _ExactScan:
                 self.L = max(self.L, float(vals.max()))
             return low[ok], vals
 
-        # Scored once, the seeds leave the rest.
-        if bound2.size > SEED_ROWS:
-            width = bound2.size // SEED_ROWS
-            seeds = (np.arange(0, bound2.size, width)
-                     + bound2.reshape(SEED_ROWS, width).argmax(axis=1))
+        if folded:
+            scored = [(np.empty(0, np.intp), np.empty(0))]
+            floor = self._fold_floor()
         else:
-            seeds = np.arange(bound2.size)
-        seeds = seeds[seeds >= first]
-        scored = [score(seeds)]
-        bound2[seeds] = -math.inf
-        rest = np.flatnonzero(bound2 >= self._grid_floor())
+            # Scored once, the seeds leave the rest.
+            if bound2.size > SEED_ROWS:
+                width = bound2.size // SEED_ROWS
+                seeds = (np.arange(0, bound2.size, width)
+                         + bound2.reshape(SEED_ROWS, width).argmax(axis=1))
+            else:
+                seeds = np.arange(bound2.size)
+            seeds = seeds[seeds >= first]
+            scored = [score(seeds)]
+            bound2[seeds] = -math.inf
+            floor = self._grid_floor()
+        rest = np.flatnonzero(bound2 >= floor)
         scored += [score(rest[i:i + SCORE_ROWS])
                    for i in range(0, rest.size, SCORE_ROWS)]
         idx = np.concatenate([part[0] for part in scored])
@@ -527,6 +613,7 @@ def _search_exact(M: np.ndarray, batch_bits: int) -> DiscResult:
                  for masks, vals, _ in parts if (vals >= cut).any())
     return _pair_result(M, _mask_indices(xmask, n), "exact", evaluations,
                         batches=len(batches.highs),
+                        rows_gathered=scan.rows_gathered,
                         rows_sorted=sum(part[2] for part in parts))
 
 
@@ -688,7 +775,7 @@ def _disc1_exact(G: Graph) -> tuple:
     between the two parts. Ties keep the smallest mask: graph edge
     counts are exact in any summation order.
     """
-    batches = _Batches(G.n, DEFAULT_BATCH_BITS)
+    batches = _Batches(G.n, DISC1_BATCH_BITS)
     bits = batches.bits
     a = G._mask
     rho = G.density()

@@ -17,6 +17,7 @@ from matdisc import (
     all_ones,
     cli,
     complete_graph,
+    disc_exact,
     errors,
     harmonic_number,
     quantization,
@@ -299,6 +300,23 @@ def test_exact_scan_counters_in_timing(tmp_path, capsys, command):
     assert 0 < timing["disc_rows_sorted"] <= 2 ** 10 - 1
     assert "disc_workers" not in timing
     assert "disc_rows_sorted" not in json.dumps(payload["results"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_rows_gathered_in_timing(tmp_path, capsys, command):
+    """n = 20 scans four batches, three of them against the folded grid:
+    the rows gathered for the float64 test are at least the rows sorted
+    after it, match the library's count, and stay out of the results."""
+    path = tmp_path / "t10.txt"
+    write_matrix(tightness_matrix(10), path)
+    code, payload, _ = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    timing = payload["timing"]
+    want = disc_exact(read_matrix(path))
+    assert timing["disc_batches"] == want.batches == 4
+    assert timing["disc_rows_gathered"] == want.rows_gathered
+    assert 0 < timing["disc_rows_sorted"] <= timing["disc_rows_gathered"] < 2 ** 20
+    assert "disc_rows_gathered" not in json.dumps(payload["results"])
 
 
 @pytest.mark.parametrize("command, stages", [

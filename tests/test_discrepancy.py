@@ -247,7 +247,7 @@ def test_exact_search_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     got = disc_exact(random_symmetric(np.random.default_rng(73), 22), threads=2)
-    assert got.batches == 32
+    assert got.batches == 16
 
 
 def test_rows_sorted_repeats_for_the_same_input_and_batch_size():
@@ -330,10 +330,11 @@ def test_scratch_holds_four_buffers_after_searches_of_every_size():
 
 
 def test_batches_past_the_scratch_size_use_fresh_buffers():
-    """batch_bits = 19 asks for float32 bound tables of 2^19 entries, past
-    the 2 SCRATCH_FLOATS a buffer holds: they are fresh arrays outside the
+    """batch_bits = 19 asks for a float32 bound grid of 2^19 entries, past
+    the 2 SCRATCH_FLOATS a buffer holds: it is a fresh array outside the
     scratch, and the search matches the default one (two batches at
-    n = 20, one at 19)."""
+    n = 20, one at 19). The other sign's grid is one row block, which
+    stays in the scratch."""
     rng = np.random.default_rng(67)
     for n in (20, 19):
         mat = random_symmetric(rng, n)
@@ -344,8 +345,8 @@ def test_batches_past_the_scratch_size_use_fresh_buffers():
     assert all(buf.shape == (discrepancy.SCRATCH_FLOATS,) for buf in bufs)
     scan = discrepancy._ExactScan(discrepancy.centered_matrix(mat),
                                   discrepancy._Batches(19, 19))
-    assert not any(np.shares_memory(grid, buf)
-                   for grid in scan.grids for buf in bufs)
+    assert not any(np.shares_memory(scan.grids[1], buf) for buf in bufs)
+    assert np.shares_memory(scan.grids[0], bufs[0])
     assert np.shares_memory(scan.lo_rows, bufs[2])
     assert np.shares_memory(scan.hi_rows, bufs[3])
     # 2^18 float32 entries fill a buffer: batch_bits = 18 stays inside

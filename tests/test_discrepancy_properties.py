@@ -138,7 +138,18 @@ def test_sign_split_bound_covers_every_mask(case):
     grid's absolute margin GRID_ATOL / unit^2. The entry is also within a
     relative GRID_RTOL of max(||lo+ + hh+||^2, ||lo- + hh-||^2) / |X| on
     X's float64 half-table rows, so the units keep it from overflowing
-    or underflowing float32."""
+    or underflowing float32.
+
+    Past a running lower bound L whose prune floor is not 0 the grid is
+    folded, max(||lo+ + hh+||^2, ||lo- + hh-||^2) - f |X| with f the squared
+    floor in grid units. At several L, up to the true maximum, every mask
+    whose float64 bound on the half-table rows, or whose value, reaches
+    the floor passes the folded grid's test, and each entry over unit^2
+    is within GRID_RTOL of the float64 expression's terms' magnitudes.
+    A scan of four batches or more checks one L a batch, in turn, on
+    about 64 of its batches; each batch checked also puts the floor just
+    below its largest float64 bound, which the grid's float32 rounding
+    alone would drop about half the time."""
     a, b = case
     n = len(a)
     batches = _Batches(n, b)
@@ -148,9 +159,14 @@ def test_sign_split_bound_covers_every_mask(case):
     grid_margin = margin + discrepancy.GRID_ATOL / scan.unit ** 2
     low = reference_subset_sums(a[:b])
     low_size = reference_subset_sums(np.ones((b, 1)))[:, 0]
+    every = reference_subset_sums(a)[1:]
+    every_size = reference_subset_sums(np.ones((n, 1)))[1:, 0]
+    top = math.sqrt(float(np.max(_values2(every) / every_size)))
+    levels = (0.5 * top, 0.9 * top, top * (1.0 - 2.0 ** -20), top)
     for h in batches.highs:
         rows, first = batches.part(h)
         high = a[rows].sum(axis=0)
+        scan.L = 0.0
         got = scan._bound2(scan.half_hi + high, rows.size)[first:]
         assert got.dtype == np.float32
         got = got.astype(np.float64) / scan.unit ** 2
@@ -169,11 +185,50 @@ def test_sign_split_bound_covers_every_mask(case):
         want = np.maximum(*(np.einsum("ij,ij->i", v, v) for v in parts)) / size
         assert np.all(np.abs(got - want) <= discrepancy.GRID_RTOL * want
                       + discrepancy.GRID_ATOL / scan.unit ** 2)
-        srt = np.sort(s, axis=1)
-        ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
-                         np.abs(np.cumsum(srt[:, ::-1], axis=1)))
-        value2 = (ext ** 2 / np.arange(1.0, n + 1.0)).max(axis=1) / size
+        value2 = _values2(s) / size
         assert np.all(split / size >= value2 - margin)
+        if len(batches.highs) < len(levels):
+            checked = list(levels)
+        else:  # one L a batch in turn, on about 64 batches
+            stride = max(1, len(batches.highs) // 64)
+            checked = [] if h % stride else [levels[h // stride % len(levels)]]
+        if checked and want.size and want.max() > 0.0:
+            # the batch's largest float64 bound right at the prune floor
+            checked.append(_level_at(scan, float(want.max())))
+        for L in checked:
+            scan.L = L
+            fold, floor2 = scan._fold(), scan._prune_floor2()
+            if not fold:
+                continue
+            folded = scan._bound2(scan.half_hi + high, rows.size)[first:]
+            passed = folded >= scan._fold_floor()
+            assert np.all(passed[want >= floor2])
+            assert np.all(passed[value2 >= floor2 + margin])
+            folded = folded.astype(np.float64) / scan.unit ** 2
+            assert np.all(np.abs(folded - (want - floor2) * size)
+                          <= discrepancy.GRID_RTOL * (want + floor2) * size
+                          + discrepancy.GRID_ATOL / scan.unit ** 2)
+
+
+def _level_at(scan, floor2):
+    """The largest L whose squared prune floor is at most floor2, up to a
+    few ulps."""
+    root = math.sqrt(floor2)
+    L = root / (1.0 - discrepancy.PRUNE_RTOL) if root >= 1.0 else \
+        root + discrepancy.PRUNE_RTOL
+    scan.L = L
+    while scan._prune_floor2() > floor2:
+        scan.L = math.nextafter(scan.L, 0.0)
+    return scan.L
+
+
+def _values2(s):
+    """|X| value(X)^2 for the rows s of column sums: the best Y of each
+    size takes the smallest or the largest entries."""
+    srt = np.sort(s, axis=1)
+    ext = np.maximum(np.abs(np.cumsum(srt, axis=1)),
+                     np.abs(np.cumsum(srt[:, ::-1], axis=1)))
+    return (ext ** 2 / np.arange(1.0, s.shape[1] + 1.0)).max(axis=1)
 
 
 @hypothesis.settings(deadline=None)
@@ -269,6 +324,32 @@ def test_power_of_two_scaling_scales_the_exact_result(case, k):
     assert got.value == c * base.value
     assert (got.witness_X, got.witness_Y, got.evaluations, got.batches) == \
         (base.witness_X, base.witness_Y, base.evaluations, base.batches)
+
+
+@hypothesis.settings(deadline=None, max_examples=12)
+@hypothesis.given(n=st.integers(18, 22),
+                  kind=st.sampled_from(("gauss", "small-int", "binary", "rank-1")),
+                  seed=st.integers(0, 2**32 - 1))
+def test_batch_sizes_past_one_batch_agree(n, kind, seed):
+    """batch_bits 16 to 19 on n = 18 to 22: one batch with its seeds, or
+    many, all but the first folded, give the same value, witnesses and
+    evaluations."""
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        m = rng.normal(size=(n, n))
+    elif kind == "rank-1":
+        v = rng.integers(-3, 4, size=n).astype(float)
+        m = np.outer(v, v)
+    else:
+        lo, hi = (-3, 3) if kind == "small-int" else (0, 1)
+        m = rng.integers(lo, hi + 1, size=(n, n)).astype(float)
+    mat = SymmetricMatrix((m + m.T) / 2.0)
+    runs = [disc_exact(mat, batch_bits=b) for b in range(16, 20)]
+    for b, got in zip(range(16, 20), runs):
+        assert got.batches == 1 << max(0, n - b)
+        assert (got.value, got.witness_X, got.witness_Y, got.evaluations) == \
+            (runs[0].value, runs[0].witness_X, runs[0].witness_Y, runs[0].evaluations)
+    assert runs[0].value == disc_value_at(mat, runs[0].witness_X, runs[0].witness_Y)
 
 
 def _indices(mask, n):
